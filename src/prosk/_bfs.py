@@ -27,10 +27,6 @@ def pack_op(idx, sign):
     return (idx << 1) | (0 if sign > 0 else 1)
 
 
-def unpack_op(code):
-    return code >> 1, (1 if code & 1 == 0 else -1)
-
-
 class ShortestWordTable:
     """Every coset of G/K_level mapped to a shortest word over the directions
     {g_i, g_i^-1}.  Immutable after construction."""

@@ -2,8 +2,9 @@
 
 Everything here works on int64 arrays of shape (B, d, d) with entries
 reduced mod p^N.  Used by the bulk verification suites (filtration laws
-need ~10^4 commutators per family in seconds) — the scalar FilteredElement
-path stays the reference implementation.
+need ~10^4 commutators per family in seconds) and by the product tree of
+`skcompiler.evaluate` — the scalar FilteredElement path stays the reference
+implementation.
 
 Products of two reduced entries fit int64 for every ring in scope
 (5^9 squared times d is ~2e13); intermediate results are reduced after
@@ -24,7 +25,7 @@ def batch_eye(d, B):
 
 
 def batch_mul(X, Y, mod):
-    return np.einsum("bij,bjk->bik", X, Y) % mod
+    return np.matmul(X, Y) % mod
 
 
 def batch_minval(D, p, N):

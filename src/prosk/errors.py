@@ -84,3 +84,7 @@ class NotSymmetricSet(ProskError):
 
 class UnknownSuite(UsageError):
     pass
+
+
+class InvariantViolated(ProskError):
+    """An internal consistency check failed at run time (kept under -O)."""

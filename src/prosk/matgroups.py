@@ -296,7 +296,6 @@ def section_lift(desc, mat1):
     elif desc.family == "SO":
         A = mx.mul(ring, mx.transpose(M), M)
         M = mx.mul(ring, M, _newton_inv_sqrt(ring, A, d))
-        M = _fix_det_sign(ring, M, d)
     else:  # Sp
         Om = omega(ring, d)
         Omi = mx.transpose(Om)  # J^-1 = J^T for the standard form
@@ -305,11 +304,6 @@ def section_lift(desc, mat1):
     g = FilteredElement(desc, M)
     assert is_member(desc, M), "section lift left the group"
     return g
-
-
-def _fix_det_sign(ring, M, d):
-    # det is +-1 and = 1 mod the ideal, hence exactly 1 for odd p
-    return M
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ over leading batch axes.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -452,13 +454,13 @@ def _oracle_solve(desc, R_codes, n, m):
         use_mu = (i >= 1) and ((a - m) % p == 0)
         if use_mu:
             a2 = n - 1 + i
-            c = _probe_slot(ctx, a2, m + 1, deg)
+            c = _probe_slot(q, Lw, a2, m + 1, deg)
             assert c != 0, "window denominator vanished on the shifted rail"
             coeff = field.div_codes(need, c)
             mu[:, i] = coeff
             contrib = _single_commutator(ctx, a2, coeff, m + 1)
         else:
-            c = _probe_slot(ctx, a, m, deg)
+            c = _probe_slot(q, Lw, a, m, deg)
             assert c != 0, "window denominator vanished"
             coeff = field.div_codes(need, c)
             lam[:, i] = coeff
@@ -496,8 +498,12 @@ def _single_commutator(ctx, a, coeff_codes, b):
     return ctx.solve_right(xy, yx)
 
 
-def _probe_slot(ctx, a, b, deg):
-    """Degree-`deg` code of [e_{a,1}, e_{b,1}] (the linear response coefficient)."""
+@functools.cache
+def _probe_slot(q, L, a, b, deg):
+    """Degree-`deg` code of [e_{a,1}, e_{b,1}] in the series context (q, L)
+    (the linear response coefficient); cached, as every oracle call asks
+    for the same few."""
+    ctx = series_context(q, L)
     probe = _single_commutator(ctx, a, np.ones(1, dtype=np.int64), b)
     return int(_slot_codes(ctx, probe, deg)[0])
 

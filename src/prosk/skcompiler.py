@@ -19,16 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _bfs
+from . import _bfs, _zpbatch
 from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
+    InvariantViolated,
     NotGenerating,
     OracleLevelRejected,
     PrecisionExceedsTruncation,
     UsageError,
 )
-from .matgroups import ops_for
+from .matgroups import FilteredElement, ops_for
 
 # ---------------------------------------------------------------------------
 # words
@@ -111,9 +112,26 @@ class GeneratingSet:
         self.id = hashlib.sha256(
             (desc.describe() + "|" + blob).encode()
         ).hexdigest()[:16]
+        self._letters = None
 
     def __len__(self):
         return len(self.elements)
+
+    @property
+    def letters(self):
+        """Every generator and its inverse, indexed by the packed op code
+        (idx << 1) | sign-bit, built on first use: a (2k, d, d) int64 array
+        over Z/p^N within the int64 guard, the power matrices for the
+        Nottingham group, the elements otherwise."""
+        if self._letters is None:
+            ops = ops_for(self.descriptor)
+            letters = [x for g in self.elements for x in (g, ops.inv(g))]
+            if hasattr(ops, "power_matrix"):
+                letters = [ops.power_matrix(x) for x in letters]
+            elif _int64_products(self.descriptor):
+                letters = np.array([x.mat for x in letters], dtype=np.int64)
+            self._letters = letters
+        return self._letters
 
 
 def sample_generating_set(desc, k, seed, source=None):
@@ -129,39 +147,74 @@ def sample_generating_set(desc, k, seed, source=None):
 # evaluation
 
 
+_CHUNK = 512  # letters gathered per product tree; bounds the transient arrays
+
+
+def _int64_products(desc):
+    """True when a d x d product over Z/p^N cannot overflow int64 before
+    its reduction: d (p^N - 1)^2 < 2^63."""
+    ring = desc.ring
+    return ring.kind == "Zp" and desc.d * (ring.modulus - 1) ** 2 < 2**63
+
+
+def _tree_product(X, mod):
+    """Ordered product of the stacked matrices X (n >= 1, d, d): pad to a
+    power of two with the identity, then multiply neighbours pairwise."""
+    n, d = X.shape[0], X.shape[1]
+    P = 1 << (n - 1).bit_length()
+    if P > n:
+        X = np.concatenate([X, _zpbatch.batch_eye(d, P - n)])
+    while len(X) > 1:
+        X = _zpbatch.batch_mul(X[0::2], X[1::2], mod)
+    return X[0]
+
+
 def evaluate(word, gens):
-    """Left-to-right product of the word over realized generators."""
+    """Left-to-right product of the word over realized generators.
+
+    Two engines, picked from the group, both exact:
+
+    - batched, for Z/p^N matrix groups with d (p^N - 1)^2 < 2^63 (the int64
+      guard): the letters are gathered from the set's int64 letter table in
+      chunks of 512, each chunk is reduced by a pairwise product tree of
+      `_zpbatch.batch_mul`, and the chunk products fold into the
+      accumulator;
+    - scalar, for Z/p^N past the guard and for F_q[[t]] matrix groups: the
+      letters fold one at a time through `ops.mul`.
+
+    The Nottingham group folds right to left over the letters' power
+    matrices, cached on the generating set.
+    """
     ops = ops_for(gens.descriptor)
     n_gens = len(gens.elements)
-    if len(word.ops) and (word.ops >> 1).max() >= n_gens:
-        raise IndexOutOfRange(
-            f"word references generator {(word.ops >> 1).max()} "
-            f"of a {n_gens}-element set"
-        )
+    codes = word.ops
+    if len(codes):
+        lo, hi = int(codes.min()) >> 1, int(codes.max()) >> 1
+        if lo < 0 or hi >= n_gens:
+            raise IndexOutOfRange(
+                f"word references generator {lo if lo < 0 else hi} "
+                f"of a {n_gens}-element set"
+            )
+    letters = gens.letters
     if hasattr(ops, "power_matrix"):
         # acc <- acc o s is right-to-left accumulation: s1...sk = sk o ... o s1,
         # so feed the word reversed.
-        pms = {}
         acc = ops.eval_begin()
-        for code in word.ops[::-1]:
-            code = int(code)
-            if code not in pms:
-                idx, sign = _bfs.unpack_op(code)
-                g = gens.elements[idx]
-                pms[code] = ops.power_matrix(g if sign > 0 else ops.inv(g))
-            acc = ops.eval_apply(acc, pms[code])
+        for code in codes[::-1].tolist():
+            acc = ops.eval_apply(acc, letters[code])
         return ops.eval_finish(acc)
-    invs = {}
+    if isinstance(letters, np.ndarray):
+        mod = gens.descriptor.ring.modulus
+        acc = np.eye(gens.descriptor.d, dtype=np.int64)
+        for start in range(0, len(codes), _CHUNK):
+            chunk = _tree_product(letters[codes[start : start + _CHUNK]], mod)
+            acc = _zpbatch.batch_mul(acc, chunk, mod)
+        return FilteredElement(
+            gens.descriptor, tuple(tuple(row) for row in acc.tolist())
+        )
     acc = ops.identity()
-    for code in word.ops:
-        idx, sign = _bfs.unpack_op(int(code))
-        if sign > 0:
-            g = gens.elements[idx]
-        else:
-            if idx not in invs:
-                invs[idx] = ops.inv(gens.elements[idx])
-            g = invs[idx]
-        acc = ops.mul(acc, g)
+    for code in codes.tolist():
+        acc = ops.mul(acc, letters[code])
     return acc
 
 
@@ -324,7 +377,7 @@ class CompilerSession:
                 cw = cw.concat(wp.commutator(ww))
             w = cw.concat(w)
         else:
-            raise AssertionError(f"ladder stalled refining to level {t}")
+            raise InvariantViolated(f"ladder stalled refining to level {t}")
         self._memo[key] = w
         return w
 
@@ -341,7 +394,10 @@ class CompilerSession:
         word = self._refine(target, n)
         resid = self._residual(target, word)
         rd = ops.depth(resid)
-        assert rd >= n, f"compiled word misses target: depth {rd} < {n}"
+        if rd < n:
+            raise InvariantViolated(
+                f"compiled word misses target: depth {rd} < {n}"
+            )
         plan = self.plan
         D = plan.D
         B = plan.budget_base(ops)

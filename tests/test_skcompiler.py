@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosk.errors import NotGenerating, UsageError
+from prosk import matgroups, nottingham
+from prosk.errors import InvariantViolated, NotGenerating, UsageError
 from prosk.matgroups import GroupDescriptor, element, ops_for
 from prosk.skcompiler import (
     CompilePlan,
@@ -82,9 +87,79 @@ def test_generating_set_ids():
 def test_evaluate_bounds_check():
     from prosk.errors import IndexOutOfRange
 
-    w = Word(GENS.id, np.array([7], np.int32))  # generator index 3 of a 3-set
-    with pytest.raises(IndexOutOfRange):
-        evaluate(w, GENS)
+    for code in (7, -1):  # generator index 3 of a 3-set; index -1
+        w = Word(GENS.id, np.array([0, code], np.int32))
+        with pytest.raises(IndexOutOfRange):
+            evaluate(w, GENS)
+
+
+# --- evaluation engines ------------------------------------------------------
+# evaluate picks its engine from the group; each must equal the plain
+# left-to-right ops.mul fold exactly.
+
+ENGINE_GROUPS = [
+    ("SL:d=2,Zp:p=3,N=8", True),
+    ("SO:d=3,Zp:p=3,N=9", True),
+    ("Sp:d=4,Zp:p=5,N=3", True),
+    # the int64 guard d (p^N - 1)^2 < 2^63 sits between N=19 and N=20
+    ("SL:d=2,Zp:p=3,N=19", True),
+    ("SL:d=2,Zp:p=3,N=20", False),
+    ("SL:d=2,Fq[[t]]:q=9,N=4", False),
+    ("Nottingham,Fq[[t]]:q=5,N=27", False),
+]
+# both sides of the 512-letter chunk edge, and several chunks
+WORD_LENGTHS = (0, 1, 2, 511, 512, 513, 2000)
+
+
+def _fold(ops, gens, codes):
+    invs = [ops.inv(g) for g in gens.elements]
+    acc = ops.identity()
+    for c in codes.tolist():
+        acc = ops.mul(acc, invs[c >> 1] if c & 1 else gens.elements[c >> 1])
+    return acc
+
+
+@pytest.mark.parametrize("text,batched", ENGINE_GROUPS)
+def test_evaluate_engines_match_scalar_fold(text, batched):
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, 3, 11)
+    letters = gens.letters
+    assert isinstance(letters, np.ndarray) == batched
+    if batched:
+        assert letters.shape == (6, desc.d, desc.d) and letters.dtype == np.int64
+    rng = np.random.default_rng(12)
+    for n in WORD_LENGTHS:
+        codes = rng.integers(0, 6, n).astype(np.int32)
+        for word in (codes, codes ^ 1):  # every letter with both signs
+            assert evaluate(Word(gens.id, word), gens) == _fold(ops, gens, word)
+
+
+@pytest.mark.parametrize(
+    "text,owner,builder",
+    [
+        ("SO:d=3,Zp:p=3,N=9", matgroups.MatrixOps, "inv"),
+        ("SL:d=2,Fq[[t]]:q=9,N=4", matgroups.MatrixOps, "inv"),
+        ("Nottingham,Fq[[t]]:q=5,N=9", nottingham.NottinghamOps, "power_matrix"),
+    ],
+)
+def test_letter_table_built_once(monkeypatch, text, owner, builder):
+    desc = GroupDescriptor.parse(text)
+    gens = sample_generating_set(desc, 3, 11)
+    calls = []
+    real = getattr(owner, builder)
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, builder, counted)
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        evaluate(Word(gens.id, rng.integers(0, 6, 40)), gens)
+    first = gens.letters
+    assert gens.letters is first
+    assert len(calls) == (3 if builder == "inv" else 6)
 
 
 # --- base tables -------------------------------------------------------------
@@ -197,3 +272,49 @@ def test_compile_level_out_of_range():
     sess = CompilerSession(GENS, table)
     with pytest.raises(PrecisionExceedsTruncation):
         sess.compile(OPS.identity(), 9)
+
+
+# --- runtime invariants ------------------------------------------------------
+
+
+def _depth2_target():
+    rng = np.random.default_rng(55)
+    while True:
+        g = OPS.sample_kernel(2, rng)
+        if OPS.depth(g) == 2:
+            return g
+
+
+def test_compile_miss_raises_invariant(monkeypatch):
+    sess = CompilerSession(GENS, build_base_table(SL2_81, 2, GENS))
+    monkeypatch.setattr(sess, "_refine", lambda g, t: Word(GENS.id))
+    with pytest.raises(InvariantViolated):
+        sess.compile(_depth2_target(), 4)
+
+
+def test_ladder_stall_raises_invariant(monkeypatch):
+    sess = CompilerSession(GENS, build_base_table(SL2_81, 2, GENS))
+    monkeypatch.setattr(sess.ops, "oracle", lambda *a, **k: [])
+    with pytest.raises(InvariantViolated):
+        sess.compile(_depth2_target(), 4)
+
+
+def test_cli_compile_miss_exits_1_under_optimize_flag():
+    # under -O an assert would vanish and the miss would go unreported
+    script = """
+import sys
+from prosk import skcompiler
+from prosk.cli import main
+
+skcompiler.CompilerSession._refine = lambda self, g, t: skcompiler.Word(self.gens.id)
+sys.exit(main(["compile", "--group", "SL:d=2,Zp:p=3,N=4", "--level", "4",
+               "--gens", "sampled:3:42", "--plan", "dyadic", "--seed", "7"]))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1, out.stderr
+    assert "misses target" in out.stderr and "Traceback" not in out.stderr
