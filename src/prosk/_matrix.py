@@ -21,6 +21,17 @@ def eye(ring, d):
     )
 
 
+def omega(ring, d):
+    """The standard symplectic form [[0, I], [-I, 0]]."""
+    g = d // 2
+    zero, one = ring.zero, ring.one
+    out = [[zero] * d for _ in range(d)]
+    for i in range(g):
+        out[i][g + i] = one
+        out[g + i][i] = ring.neg(one)
+    return tuple(tuple(r) for r in out)
+
+
 def zeros(ring, d):
     zero = ring.zero
     return tuple(tuple(zero for _ in range(d)) for _ in range(d))

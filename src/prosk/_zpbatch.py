@@ -17,6 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
+from . import _matrix as mx
 from .errors import UsageError
 
 
@@ -91,14 +92,6 @@ def batch_det(M, mod):
     return out
 
 
-def _batch_omega(d):
-    g = d // 2
-    Om = np.zeros((d, d), dtype=np.int64)
-    Om[:g, g:] = np.eye(g, dtype=np.int64)
-    Om[g:, :g] = -np.eye(g, dtype=np.int64)
-    return Om
-
-
 def batch_member(desc, M):
     """Boolean mask: which rows satisfy the family's defining relations."""
     ring = desc.ring
@@ -113,7 +106,7 @@ def batch_member(desc, M):
         MtM = np.einsum("bji,bjk->bik", M, M) % mod
         return (~(MtM - I).any(axis=(1, 2))) & (batch_det(M, mod) == 1)
     if desc.family == "Sp":
-        Om = _batch_omega(d) % mod
+        Om = np.array(mx.omega(ring, d), dtype=np.int64)
         OmM = np.einsum("jk,bkl->bjl", Om, M) % mod  # reduce: 3 chained factors overflow
         MtOM = np.einsum("bji,bjl->bil", M, OmM) % mod
         return ~((MtOM - Om) % mod).any(axis=(1, 2))

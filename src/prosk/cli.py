@@ -31,7 +31,9 @@ def _thread_env(n):
 def _config_dict(args):
     skip = {"func", "out"}
     cfg = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    cfg["env_budget_mb"] = int(os.environ.get("PROSK_BUDGET_MB", "1024"))
+    from ._bfs import budget_mb
+
+    cfg["env_budget_mb"] = budget_mb()
     return cfg
 
 

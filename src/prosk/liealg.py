@@ -829,7 +829,7 @@ def _linearize_capped(g, n):
         alg = LieAlgebra("so", d, ring)
     elif fam == "Sp":
         inv2 = ring.inv(ring.from_int(2))
-        Om = _omega(ring, d)
+        Om = mx.omega(ring, d)
         OMO = mx.mul(ring, Om, mx.mul(ring, mx.transpose(M), Om))
         M = tuple(
             tuple(ring.mul(ring.add(a, b), inv2) for a, b in zip(ra, rb))
@@ -839,16 +839,6 @@ def _linearize_capped(g, n):
     else:
         raise UsageError(f"linearize does not apply to family {fam}")
     return from_matrix(alg, M)
-
-
-def _omega(ring, d):
-    g = d // 2
-    zero, one = ring.zero, ring.one
-    out = [[zero] * d for _ in range(d)]
-    for i in range(g):
-        out[i][g + i] = one
-        out[g + i][i] = ring.neg(one)
-    return tuple(tuple(r) for r in out)
 
 
 def commutator_decompose(r, n, m, n0=1):

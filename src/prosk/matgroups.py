@@ -125,16 +125,6 @@ def identity(desc):
     return FilteredElement(desc, mx.eye(desc.ring, desc.d))
 
 
-def omega(ring, d):
-    g = d // 2
-    zero, one = ring.zero, ring.one
-    out = [[zero] * d for _ in range(d)]
-    for i in range(g):
-        out[i][g + i] = one
-        out[g + i][i] = ring.neg(one)
-    return tuple(tuple(r) for r in out)
-
-
 def is_member(desc, mat):
     ring = desc.ring
     d = desc.d
@@ -144,7 +134,7 @@ def is_member(desc, mat):
         MtM = mx.mul(ring, mx.transpose(mat), mat)
         return MtM == mx.eye(ring, d) and mx.det(ring, mat) == ring.one
     if desc.family == "Sp":
-        Om = omega(ring, d)
+        Om = mx.omega(ring, d)
         return mx.mul(ring, mx.transpose(mat), mx.mul(ring, Om, mat)) == Om
     raise UsageError("membership test is for matrix families")
 
@@ -297,7 +287,7 @@ def section_lift(desc, mat1):
         A = mx.mul(ring, mx.transpose(M), M)
         M = mx.mul(ring, M, _newton_inv_sqrt(ring, A, d))
     else:  # Sp
-        Om = omega(ring, d)
+        Om = mx.omega(ring, d)
         Omi = mx.transpose(Om)  # J^-1 = J^T for the standard form
         A = mx.mul(ring, Omi, mx.mul(ring, mx.transpose(M), mx.mul(ring, Om, M)))
         M = mx.mul(ring, M, _newton_inv_sqrt(ring, A, d))

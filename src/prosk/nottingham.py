@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceeded,
     DescriptorMismatch,
     IndexOutOfRange,
+    InvariantViolated,
     LevelTooLarge,
     NotDeepEnough,
     OracleLevelRejected,
@@ -263,7 +264,8 @@ def _planes(desc, elem):
 def _from_planes(desc, planes):
     ctx = _ctx_of(desc)
     codes = ctx.codes_from_planes(planes)
-    assert codes[0] == 0 and codes[1] == 1, "series is not in the group"
+    if codes[0] != 0 or codes[1] != 1:
+        raise InvariantViolated("series is not in the group")
     return NottElement(desc, [int(c) for c in codes[2:]])
 
 
@@ -455,13 +457,16 @@ def _oracle_solve(desc, R_codes, n, m):
         if use_mu:
             a2 = n - 1 + i
             c = _probe_slot(q, Lw, a2, m + 1, deg)
-            assert c != 0, "window denominator vanished on the shifted rail"
+            if c == 0:
+                raise InvariantViolated(
+                    "window denominator vanished on the shifted rail")
             coeff = field.div_codes(need, c)
             mu[:, i] = coeff
             contrib = _single_commutator(ctx, a2, coeff, m + 1)
         else:
             c = _probe_slot(q, Lw, a, m, deg)
-            assert c != 0, "window denominator vanished"
+            if c == 0:
+                raise InvariantViolated("window denominator vanished")
             coeff = field.div_codes(need, c)
             lam[:, i] = coeff
             contrib = _single_commutator(ctx, a, coeff, m)

@@ -2,25 +2,30 @@
 operator's norm on mean-zero functions, mixing profiles, and random-walk
 coordinate statistics.
 
-Everything here works against an enumerated graph: elements in BFS order from
-the identity, one left-multiplication permutation per walk direction.  The
-group itself only has to quack like the quotient facades (identity / mul /
-inv / key / group_order / sample_uniform / serialize), so the tiny cyclic
-adapter below is a first-class citizen — it is both the non-FAb contrast
-family and the corpus for the exhaustive generating-set sweeps.
+Everything here works against an enumerated graph from the one BFS engine in
+`_bfs`: elements in discovery order from the identity, one
+left-multiplication permutation per walk direction.  The engine's backend
+(int64 matrices over Z/p^N, Nottingham coefficient planes, or the scalar
+ops facade) comes from the group.  The group itself only has to quack like
+the quotient facades (identity / mul / inv / key / group_order /
+sample_uniform / serialize), so the tiny cyclic adapter below is a
+first-class citizen — it is both the non-FAb contrast family and the corpus
+for the exhaustive generating-set sweeps.  Those sweeps share one loop over
+left-multiplication tables computed once per group.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import _bfs
 from .errors import (
     BudgetExceeded,
+    InvariantViolated,
     NotGenerating,
     NotSymmetricSet,
     UsageError,
@@ -32,10 +37,7 @@ CONV_CAP = 500_000  # float convolution (one vector, gathers only)
 POWER_TOL = 1e-9
 POWER_CAP = 10**6
 SWEEP_WORK_CAP = 2 * 10**8  # exhaustive generating-set sweeps, gather units
-
-
-def _budget_mb():
-    return int(os.environ.get("PROSK_BUDGET_MB", "1024"))
+SWEEP_ELEMENT_CAP = 200  # exhaustive sweeps enumerate subsets of this many
 
 
 # ---------------------------------------------------------------------------
@@ -140,45 +142,29 @@ def is_symmetric(ops, elems):
 
 
 class CayleyGraph:
-    """Left-multiplication tables for one (G, S): elements[0] is the
-    identity, perms[a, j] = index of dirs[a] * elements[j], dist[j] the BFS
-    distance from the identity (so dist.max() is the diameter — the graph is
-    vertex-transitive)."""
+    """One (G, S) enumerated by the left-multiplication `_bfs.bfs`: state 0
+    is the identity, perms[a, j] = index of dirs[a] * element(j), dist[j]
+    the BFS distance from the identity (so dist.max() is the diameter — the
+    graph is vertex-transitive)."""
 
-    def __init__(self, ops, dirs, perms, dist, elements=None, mats=None):
+    def __init__(self, ops, dirs, perms, dist, backend, states):
         self.ops = ops
         self.dirs = dirs
         self.perms = perms
         self.dist = dist
-        self._elements = elements
-        self._mats = mats
+        self.states = states  # a batch of the backend below
+        self._backend = backend
         self.order = perms.shape[1]
         self.root = 0
         self.diameter = int(dist.max()) if self.order else 0
 
     def element(self, i):
-        if self._elements is not None:
-            return self._elements[i]
-        from .matgroups import FilteredElement
-
-        desc = self.ops.descriptor
-        mat = tuple(tuple(int(x) for x in row) for row in self._mats[i])
-        return FilteredElement(desc, mat)
+        return self._backend.element(self.states, i)
 
     def walk_matvec(self, v):
         """One step of the walk operator: average of v over S-translates.
         Valid because dirs is symmetric (as a set, s and s^-1 both appear)."""
         return v[self.perms].mean(axis=0)
-
-
-def _graph_budget(order, k):
-    need = order * (72 + 4 * k)  # element keys + perm rows + slack
-    cap = _budget_mb() * 2**20
-    if need > cap:
-        raise BudgetExceeded(
-            f"graph on {order} elements x {k} directions wants ~{need >> 20} MB, "
-            f"budget {_budget_mb()} MB (PROSK_BUDGET_MB)"
-        )
 
 
 def _bfs_over_perms(perms, n, root=0):
@@ -205,116 +191,11 @@ def build_graph(ops, gens, *, adjoin_identity=True, order=None):
     if order is None:
         order = ops.group_order()
     dirs = symmetrize(ops, gens, include_identity=adjoin_identity)
-    _graph_budget(order, len(dirs))
-    ekey = ops.key(ops.identity())
-    step = [g for g in dirs if ops.key(g) != ekey]
-    if not step:
-        if order == 1:
-            perms = np.zeros((len(dirs), 1), dtype=np.int32)
-            return CayleyGraph(ops, dirs, perms, np.zeros(1, np.int32),
-                               elements=[ops.identity()])
-        raise NotGenerating("no non-identity directions")
-
-    if _zp_fast_path(ops, order):
-        return _zp_graph(ops, dirs, step, order)
-    return _scalar_graph(ops, dirs, step, order)
-
-
-def _scalar_graph(ops, dirs, step, order):
-    e = ops.identity()
-    elements = [e]
-    index = {ops.key(e): 0}
-    dist = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            x = elements[i]
-            for s in step:
-                h = ops.mul(s, x)
-                k = ops.key(h)
-                if k not in index:
-                    index[k] = len(elements)
-                    elements.append(h)
-                    dist.append(dist[i] + 1)
-                    nxt.append(index[k])
-        frontier = nxt
-    if len(elements) != order:
-        raise NotGenerating(
-            f"directions span {len(elements)} of {order} elements"
-        )
-    n = len(elements)
-    perms = np.empty((len(dirs), n), dtype=np.int32)
-    for a, s in enumerate(dirs):
-        row = perms[a]
-        for j, x in enumerate(elements):
-            row[j] = index[ops.key(ops.mul(s, x))]
-    return CayleyGraph(ops, dirs, perms, np.array(dist, np.int32),
-                       elements=elements)
-
-
-# batched engine for big Zp matrix quotients (the scalar walk's Python-level
-# multiply dominates past a few 10^4 elements)
-
-
-def _zp_fast_path(ops, order):
-    desc = getattr(ops, "descriptor", None)
-    if desc is None or desc.family == "Nottingham":
-        return False
-    ring = desc.ring
-    if ring.kind != "Zp" or order <= 4000:
-        return False
-    return (ring.p**ring.N) ** (desc.d * desc.d) < 2**63  # packable keys
-
-
-def _zp_graph(ops, dirs, step, order):
-    desc = ops.descriptor
-    ring = desc.ring
-    d = desc.d
-    mod = ring.p**ring.N
-    weights = mod ** np.arange(d * d, dtype=np.int64)
-
-    def pack(mats):
-        return mats.reshape(len(mats), -1) @ weights
-
-    smats = np.array([s.mat for s in step], dtype=np.int64)
-    frontier = np.eye(d, dtype=np.int64)[None]
-    chunks = [frontier]
-    dists = [np.zeros(1, np.int32)]
-    visited = pack(frontier)
-    level = 0
-    while frontier.size:
-        prod = np.einsum("kab,fbc->kfac", smats, frontier) % mod
-        prod = prod.reshape(-1, d, d)
-        keys = pack(prod)
-        uk, ui = np.unique(keys, return_index=True)
-        fresh = ~np.isin(uk, visited)
-        frontier = prod[ui[fresh]]
-        level += 1
-        if frontier.size:
-            chunks.append(frontier)
-            dists.append(np.full(len(frontier), level, np.int32))
-            visited = np.sort(np.concatenate([visited, uk[fresh]]))
-    mats = np.concatenate(chunks)
-    dist = np.concatenate(dists)
-    if len(mats) != order:
-        raise NotGenerating(f"directions span {len(mats)} of {order} elements")
-    okeys = pack(mats)
-    sorter = np.argsort(okeys)
-    skeys = okeys[sorter]
-
-    def lookup(keys):
-        pos = np.searchsorted(skeys, keys)
-        assert pos.max(initial=0) < len(skeys) and np.array_equal(
-            skeys[pos], keys
-        ), "left-translate left the group"
-        return sorter[pos]
-
-    perms = np.empty((len(dirs), order), dtype=np.int32)
-    for a, s in enumerate(dirs):
-        prod = np.einsum("ab,nbc->nac", np.array(s.mat, np.int64), mats) % mod
-        perms[a] = lookup(pack(prod))
-    return CayleyGraph(ops, dirs, perms, dist, mats=mats)
+    backend = _bfs.backend_for(ops)
+    batch = backend.embed(dirs)
+    run = _bfs.bfs(backend, batch, order, left=True)
+    perms = _bfs.left_perms(backend, run.states, batch)
+    return CayleyGraph(ops, dirs, perms, run.dist, backend, run.states)
 
 
 def diameter_bfs(ops, gens, *, order=None):
@@ -463,9 +344,10 @@ def spectral_report(ops, gens, *, l_max=50, exact=None, tol=POWER_TOL,
         profile=profile,
         exact_profile=not isinstance(profile[0], float),
     )
-    assert lower <= inv_gap + tol and inv_gap <= upper + tol, (
-        f"sandwich violated: {lower} / {inv_gap} / {upper}"
-    )
+    if not (lower <= inv_gap + tol and inv_gap <= upper + tol):
+        raise InvariantViolated(
+            f"sandwich violated: {lower} / {inv_gap} / {upper}"
+        )
     return rep
 
 
@@ -509,24 +391,49 @@ class DiameterSurvey:
         }
 
 
-def _class_perms(ops, elements, classes):
-    index = {ops.key(x): i for i, x in enumerate(elements)}
-    out = []
-    for cls in classes:
-        rows = np.empty((len(cls), len(elements)), dtype=np.int32)
-        for r, s in enumerate(cls):
-            for j, x in enumerate(elements):
-                rows[r, j] = index[ops.key(ops.mul(s, x))]
-        out.append(rows)
-    return out
+def _generating_unions(ops, elems, factor, work_cap):
+    """The exhaustive sweep behind worst_case_diameter,
+    monotonicity_exhaustive and extension_bound_check: the inverse-pair
+    classes of `elems`, and an iterator of (bits, diameter) over every
+    union of classes that generates (bit i selects classes[i]).  The class
+    permutations are tabulated once; each union costs one index BFS.  The
+    subset count is the hard wall: BudgetExceeded once
+    2^classes * |G| * factor * classes leaves the work cap."""
+    n = len(elems)
+    if n > SWEEP_ELEMENT_CAP:
+        raise BudgetExceeded(
+            f"exhaustive sweep capped at {SWEEP_ELEMENT_CAP} elements, got "
+            f"{n}; use sampled mode"
+        )
+    classes = inverse_pair_classes(ops, elems)
+    c = len(classes)
+    if (2**c) * n * factor * c > work_cap:
+        raise BudgetExceeded(
+            f"{c} inverse-pair classes -> {2**c} symmetric sets over the "
+            f"work cap"
+        )
+    backend = _bfs.backend_for(ops)
+    batch = backend.embed(elems)
+    rows = _bfs.left_perms(backend, batch,
+                           backend.embed([x for cls in classes for x in cls]))
+    cperms = np.split(rows, np.cumsum([len(cls) for cls in classes])[:-1])
+    root = _bfs.positions(backend, batch, backend.identity())[0]
+
+    def sweep():
+        for bits in range(1, 2**c):
+            ps = np.concatenate([cperms[i] for i in range(c) if bits >> i & 1])
+            dist = _bfs_over_perms(ps, n, root=root)
+            if dist.min() >= 0:
+                yield bits, int(dist.max())
+
+    return classes, sweep()
 
 
 def worst_case_diameter(ops, *, elements=None, mode="exhaustive", trials=200,
                         set_sizes=(2, 3, 4), seed=0, work_cap=SWEEP_WORK_CAP):
     """max over symmetric generating sets of diam(G, S).  Exhaustive mode
-    sweeps every union of inverse-pair classes (the subset count is the hard
-    wall — BudgetExceeded once 2^classes * |G| leaves the work cap); sampled
-    mode only certifies a lower bound and says so."""
+    sweeps every union of inverse-pair classes; sampled mode only certifies
+    a lower bound and says so."""
     if mode == "sampled":
         rng = np.random.default_rng(seed)
         best, witness, gen = -1, [], 0
@@ -546,90 +453,55 @@ def worst_case_diameter(ops, *, elements=None, mode="exhaustive", trials=200,
         return DiameterSurvey(best, "sampled-lower-bound", witness, trials, gen)
 
     elems = all_elements(ops) if elements is None else elements
-    n = len(elems)
-    if n == 1:
+    if len(elems) == 1:
         return DiameterSurvey(0, "exhaustive", [], 1, 1)
-    if n > 200:
-        raise BudgetExceeded(
-            f"exhaustive sweep capped at 200 elements, got {n}; use sampled mode"
-        )
-    classes = inverse_pair_classes(ops, elems)
-    c = len(classes)
-    if (2**c) * n * 2 * c > work_cap:
-        raise BudgetExceeded(
-            f"{c} inverse-pair classes -> {2**c} symmetric sets over the work cap"
-        )
-    cperms = _class_perms(ops, elems, classes)
-    root = next(i for i, x in enumerate(elems)
-                if ops.key(x) == ops.key(ops.identity()))
+    classes, sweep = _generating_unions(ops, elems, 2, work_cap)
     best, witness, gen = -1, None, 0
-    for bits in range(1, 2**c):
-        ps = np.concatenate([cperms[i] for i in range(c) if bits >> i & 1])
-        dist = _bfs_over_perms(ps, n, root=root)
-        if dist.min() < 0:
-            continue  # bits does not generate
+    for bits, d in sweep:
         gen += 1
-        d = int(dist.max())
         if d > best:
             best, witness = d, bits
-    wit = [ops.serialize(x) for i in range(c) if witness >> i & 1
-           for x in classes[i]]
-    return DiameterSurvey(best, "exhaustive", wit, 2**c - 1, gen)
+    wit = [ops.serialize(x) for i, cls in enumerate(classes)
+           if witness >> i & 1 for x in cls]
+    return DiameterSurvey(best, "exhaustive", wit, 2 ** len(classes) - 1, gen)
 
 
 # ---------------------------------------------------------------------------
 # quotient comparisons
 
 
-def _quotient_diameter(qops, proj_set):
-    """Diameter of the image graph; the projected set generates whenever the
-    upstairs set does."""
-    elems = all_elements(qops)
-    index = {qops.key(x): i for i, x in enumerate(elems)}
-    n = len(elems)
-    perms = np.empty((len(proj_set), n), dtype=np.int32)
-    for a, s in enumerate(proj_set):
-        for j, x in enumerate(elems):
-            perms[a, j] = index[qops.key(qops.mul(s, x))]
-    root = index[qops.key(qops.identity())]
-    dist = _bfs_over_perms(perms, n, root=root)
-    if dist.min() < 0:
-        raise NotGenerating("projected set does not generate the quotient")
-    return int(dist.max())
-
-
 def monotonicity_exhaustive(G_ops, Q_ops, proj, *, work_cap=SWEEP_WORK_CAP):
     """diam(Q, pi(S)) <= diam(G, S) for every symmetric generating set S of
-    G, plus the worst-case comparison.  Exhaustive-corpus sizes only."""
-    elems = all_elements(G_ops)
-    n = len(elems)
-    if n > 200:
-        raise BudgetExceeded(f"exhaustive monotonicity capped at 200, got {n}")
-    classes = inverse_pair_classes(G_ops, elems)
-    c = len(classes)
-    if (2**c) * n * 4 * c > work_cap:
-        raise BudgetExceeded(f"{c} classes over the work cap")
-    cperms = _class_perms(G_ops, elems, classes)
-    root = next(i for i, x in enumerate(elems)
-                if G_ops.key(x) == G_ops.key(G_ops.identity()))
+    G, plus the worst-case comparison.  Exhaustive-corpus sizes only.  The
+    quotient's whole left-multiplication table is computed once; pi(S)'s
+    permutations are rows of it."""
+    classes, sweep = _generating_unions(G_ops, all_elements(G_ops), 4,
+                                        work_cap)
+    backend = _bfs.backend_for(Q_ops)
+    qbatch = backend.embed(all_elements(Q_ops))
+    table = _bfs.left_perms(backend, qbatch, qbatch)
+    qroot = _bfs.positions(backend, qbatch, backend.identity())[0]
+    qrows = [_bfs.positions(backend, qbatch,
+                            backend.embed([proj(x) for x in cls]))
+             for cls in classes]
     checked = 0
     violations = []
     wcG = -1
     wcQ = -1
-    for bits in range(1, 2**c):
-        ps = np.concatenate([cperms[i] for i in range(c) if bits >> i & 1])
-        dist = _bfs_over_perms(ps, n, root=root)
-        if dist.min() < 0:
-            continue
-        dG = int(dist.max())
-        S = [x for i in range(c) if bits >> i & 1 for x in classes[i]]
-        dQ = _quotient_diameter(Q_ops, [proj(x) for x in S])
+    for bits, dG in sweep:
+        chosen = [i for i in range(len(classes)) if bits >> i & 1]
+        rows = np.concatenate([qrows[i] for i in chosen])
+        qdist = _bfs_over_perms(table[rows], len(qbatch), root=qroot)
+        if qdist.min() < 0:
+            raise NotGenerating("projected set does not generate the quotient")
+        dQ = int(qdist.max())
         checked += 1
         wcG = max(wcG, dG)
         wcQ = max(wcQ, dQ)
         if dQ > dG:
             violations.append({
-                "set": [G_ops.serialize(x) for x in S],
+                "set": [G_ops.serialize(x)
+                        for i in chosen for x in classes[i]],
                 "diam_G": dG,
                 "diam_Q": dQ,
             })
@@ -674,8 +546,8 @@ def monotonicity_sampled(G_ops, Q_ops, proj, *, sets=20, set_sizes=(2, 3, 4),
     rows = []
     for gens, g in _sampled_sets(G_ops, rng, sets, set_sizes):
         dG = g.diameter
-        dQ = _quotient_diameter(Q_ops, [proj(x) for x in
-                                        symmetrize(G_ops, gens)])
+        image = [proj(x) for x in symmetrize(G_ops, gens)]
+        dQ = build_graph(Q_ops, image, adjoin_identity=False).diameter
         checked += 1
         rows.append({"diam_G": dG, "diam_Q": dQ})
         if dQ > dG:
@@ -704,23 +576,9 @@ def extension_bound_check(G_ops, Q_ops, proj, kernel_elements, *, sets=20,
     violations = []
     diams = []
     if exhaustive:
-        elems = all_elements(G_ops)
-        n = len(elems)
-        if n > 200:
-            raise BudgetExceeded(f"exhaustive extension check capped at 200, got {n}")
-        classes = inverse_pair_classes(G_ops, elems)
-        c = len(classes)
-        if (2**c) * n * 2 * c > SWEEP_WORK_CAP:
-            raise BudgetExceeded(f"{c} classes over the work cap")
-        cperms = _class_perms(G_ops, elems, classes)
-        root = next(i for i, x in enumerate(elems)
-                    if G_ops.key(x) == G_ops.key(G_ops.identity()))
-        for bits in range(1, 2**c):
-            ps = np.concatenate([cperms[i] for i in range(c) if bits >> i & 1])
-            dist = _bfs_over_perms(ps, n, root=root)
-            if dist.min() < 0:
-                continue
-            dG = int(dist.max())
+        _, sweep = _generating_unions(G_ops, all_elements(G_ops), 2,
+                                      SWEEP_WORK_CAP)
+        for bits, dG in sweep:
             checked += 1
             diams.append(dG)
             if dG > bound + 1e-9:
@@ -782,16 +640,12 @@ def _coordinate_codes(graph, kind):
             raise UsageError("FirstKind needs a matrix quotient")
         ring = desc.ring
         d = desc.d
-        if graph._mats is not None:
-            mats = graph._mats
-        else:
-            mats = np.array(
-                [graph.element(i).mat for i in range(graph.order)],
-                dtype=np.int64 if ring.kind == "Zp" else object,
-            )
         labels = [f"x{i + 1}{j + 1}" for i in range(d) for j in range(d)]
         if ring.kind == "Zp":
             p = ring.p
+            mats = graph.states  # (order, d, d) int64 from the Z/p^N backend
+            if mats.dtype == object:
+                mats = np.array([x.mat for x in mats], dtype=np.int64)
             delta = (mats - np.eye(d, dtype=np.int64) * 1) % (p**ring.N)
             if (delta % p).any():
                 raise UsageError(
@@ -829,7 +683,7 @@ def _coordinate_codes(graph, kind):
                 "SecondKind is only wired for abelian Z/p^e test quotients"
             )
         e = round(math.log(ops.n, p))
-        vals = np.array(graph._elements, dtype=np.int64)
+        vals = graph.states.astype(np.int64)
         digits = np.empty((graph.order, e), dtype=np.int64)
         rest = vals.copy()
         for j in range(e):

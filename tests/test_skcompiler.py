@@ -300,8 +300,9 @@ def test_ladder_stall_raises_invariant(monkeypatch):
 
 
 def test_cli_compile_miss_exits_1_under_optimize_flag():
-    # under -O an assert would vanish and the miss would go unreported
-    script = """
+    # under -O an assert would vanish and the failure would go unreported;
+    # inputs: a compile that misses its target, a spectral sandwich that fails
+    cases = [("""
 import sys
 from prosk import skcompiler
 from prosk.cli import main
@@ -309,12 +310,21 @@ from prosk.cli import main
 skcompiler.CompilerSession._refine = lambda self, g, t: skcompiler.Word(self.gens.id)
 sys.exit(main(["compile", "--group", "SL:d=2,Zp:p=3,N=4", "--level", "4",
                "--gens", "sampled:3:42", "--plan", "dyadic", "--seed", "7"]))
-"""
+""", "misses target"), ("""
+import sys
+from prosk import spectral
+from prosk.cli import main
+
+spectral.spectral_gap = lambda graph, **kw: 1.0 - 1e-9  # 1/(1-rho) = 1e9
+sys.exit(main(["spectral", "--group", "SL:d=2,Zp:p=3,N=1",
+               "--gens", "sampled:2:3", "--l", "12", "--seed", "1"]))
+""", "sandwich violated")]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 1, out.stderr
-    assert "misses target" in out.stderr and "Traceback" not in out.stderr
+    for script, message in cases:
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 1, out.stderr
+        assert message in out.stderr and "Traceback" not in out.stderr

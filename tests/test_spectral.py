@@ -241,21 +241,22 @@ def test_walk_series_deterministic():
     assert a["rows"][-1]["tv_exact"] < 0.05 < a["rows"][1]["tv_exact"]
 
 
-# --- the packed fast path ----------------------------------------------------
+# --- the batched Z/p^N backend -----------------------------------------------
 
 
 def test_fast_path_matches_scalar():
-    # same group built both ways: order above/below the dispatch threshold
+    # a group past the dense-gap cap and its level-2 image, both enumerated
+    # on int64 matrices (the backend depends on the ring, not the order)
     desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=3")
     ops = ops_for(desc)
     rng = np.random.default_rng(63)
     gens = [ops.sample_uniform(rng) for _ in range(2)]
-    g = build_graph(ops, gens)  # order 17496 -> packed path
+    g = build_graph(ops, gens)  # order 17496 -> power-iteration gap
     assert g.order == 17496
     assert (g.dist >= 0).all()
     rho = spectral_gap(g)
     assert 0.0 < rho < 1.0
-    # its level-2 projection, built scalar, must agree on the quotient walk
+    # its level-2 projection must agree on the quotient walk
     from prosk.matgroups import project
 
     small = ops_for(desc.truncated(2))
