@@ -38,6 +38,7 @@ from .matgroups import FilteredElement, ops_for
 
 _BYTES_PER_STATE = 72  # key + parent + op + dist + element slack
 _BYTES_PER_EDGE = 4  # one int32 permutation entry per direction
+_BYTES_PER_FLOAT = 8  # one float64 entry per state, per vector over them
 _CHUNK = 1 << 16  # BFS candidates (products) held at once
 
 
@@ -46,15 +47,29 @@ def budget_mb():
     return int(os.environ.get("PROSK_BUDGET_MB", "1024"))
 
 
-def check_budget(states, dirs):
-    """BudgetExceeded unless `states` states with `dirs` directions fit."""
-    need = states * (_BYTES_PER_STATE + _BYTES_PER_EDGE * dirs)
+def _bytes_per_state(dirs, vectors=0):
+    return (_BYTES_PER_STATE + _BYTES_PER_EDGE * dirs
+            + _BYTES_PER_FLOAT * vectors)
+
+
+def check_budget(states, dirs, vectors=0):
+    """BudgetExceeded unless `states` states with `dirs` directions, and
+    `vectors` float64 vectors over them, fit."""
+    need = states * _bytes_per_state(dirs, vectors)
     mb = budget_mb()
     if need > mb * 2**20:
         raise BudgetExceeded(
-            f"enumerating {states} elements x {dirs} directions needs "
+            f"enumerating {states} elements x {dirs} directions"
+            f"{f' + {vectors} vectors' if vectors else ''} needs "
             f"~{need >> 20} MB > PROSK_BUDGET_MB={mb}"
         )
+
+
+def vectors_that_fit(states, dirs):
+    """The most float64 vectors over `states` states that `check_budget`
+    accepts beside their enumeration with `dirs` directions."""
+    spare = budget_mb() * 2**20 - states * _bytes_per_state(dirs)
+    return max(spare, 0) // (_BYTES_PER_FLOAT * states)
 
 
 # ---------------------------------------------------------------------------

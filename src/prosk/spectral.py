@@ -12,6 +12,10 @@ sample_uniform / serialize), so the tiny cyclic adapter below is a
 first-class citizen — it is both the non-FAb contrast family and the corpus
 for the exhaustive generating-set sweeps.  Those sweeps share one loop over
 left-multiplication tables computed once per group.
+
+The walk operator's norm rho comes from one solver, Lanczos on mean-zero
+vectors (`lanczos_gap`): every product is one `walk_matvec`, and its Krylov
+basis is counted against PROSK_BUDGET_MB beside the graph.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +36,11 @@ from .errors import (
     UsageError,
 )
 
-DENSE_EIG_CAP = 5000  # dense symmetric eigensolve up to here
 EXACT_CONV_CAP = 3000  # integer-arithmetic convolution up to here
 CONV_CAP = 500_000  # float convolution (one vector, gathers only)
-POWER_TOL = 1e-9
-POWER_CAP = 10**6
+GAP_TOL = 1e-9  # Ritz residual at which an end of the spectrum is found
+MATVEC_CAP = 10**5  # walk products one gap solve may spend
+_BREAKDOWN = 1e-12  # beta below this: the Krylov space is invariant
 SWEEP_WORK_CAP = 2 * 10**8  # exhaustive generating-set sweeps, gather units
 SWEEP_ELEMENT_CAP = 200  # exhaustive sweeps enumerate subsets of this many
 
@@ -207,41 +212,90 @@ def diameter_bfs(ops, gens, *, order=None):
 # spectral gap
 
 
-def spectral_gap(graph, *, tol=POWER_TOL, max_iter=POWER_CAP):
-    """Norm of the walk operator on mean-zero functions.  Dense symmetric
-    eigensolve up to DENSE_EIG_CAP elements, power iteration with the
-    constant vector deflated above (stop at residual <= tol)."""
+class GapSolve(NamedTuple):
+    """One Lanczos run: rho, the walk products it spent, its explicit
+    restarts, and the larger extreme Ritz residual when it stopped."""
+
+    rho: float
+    matvecs: int
+    restarts: int
+    residual: float
+
+
+def spectral_gap(graph, *, tol=GAP_TOL):
+    """Norm of the walk operator on mean-zero functions,
+    rho = max(|lambda_min|, lambda_max) over them, from `lanczos_gap`."""
     if not is_symmetric(graph.ops, graph.dirs):
         raise NotSymmetricSet("walk directions are not closed under inverse")
-    n = graph.order
-    if n == 1:
+    if graph.order == 1:
         return 0.0
-    if n <= DENSE_EIG_CAP:
-        A = np.zeros((n, n))
-        cols = np.arange(n)
-        for p in graph.perms:
-            A[p, cols] += 1.0
-        A /= len(graph.perms)
-        lam = np.linalg.eigvalsh(A)
-        rho = max(abs(float(lam[0])), abs(float(lam[-2])))
-    else:
-        rng = np.random.default_rng(0x5EC7)
-        v = rng.standard_normal(n)
+    return lanczos_gap(graph, tol=tol).rho
+
+
+def lanczos_gap(graph, *, tol=GAP_TOL):
+    """Lanczos for both ends of the walk operator's spectrum on mean-zero
+    functions (a symmetric matrix there, since the directions are closed
+    under inverse), from a fixed-seed start.  Each step takes the
+    three-term recurrence, then reorthogonalizes fully against the whole
+    basis (one classical Gram-Schmidt pass).  The run stops when the Ritz
+    residuals |beta_m s_{m,i}| of the smallest and the largest Ritz value
+    are both <= tol, or at breakdown (beta ~ 0, or a basis of all n - 1
+    mean-zero dimensions): the Krylov space is then invariant and the Ritz
+    values are exact.  The tridiagonal eigenproblem is solved every 8 steps, and every
+    m/4 steps past m = 32, so a long run does not pay one per step.
+
+    The basis is counted against PROSK_BUDGET_MB beside the graph and a
+    walk product's gathers; it holds as many vectors as fit, at most n - 1.
+    When it is full before convergence, the run restarts from the
+    normalized sum of the two extreme Ritz vectors.  BudgetExceeded when
+    not even two basis vectors fit, or when MATVEC_CAP walk products leave
+    a residual above tol."""
+    n, k = graph.order, len(graph.perms)
+    work = k + 2  # a walk product's k gathers, w, and one projection
+    size = min(n - 1, _bfs.vectors_that_fit(n, k) - work)
+    if size < min(n - 1, 2):
+        _bfs.check_budget(n, k, vectors=min(n - 1, 2) + work)  # raises
+    V = np.empty((size, n))  # rows are touched (and paged in) as used
+    v = np.random.default_rng(0x5EC7).standard_normal(n)
+    matvecs = restarts = 0
+    while True:
         v -= v.mean()
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = graph.walk_matvec(v)
-            w -= w.mean()
-            lam = float(v @ w)
-            if np.linalg.norm(w - lam * v) <= tol:
-                break
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-        rho = abs(lam)
-    return min(max(rho, 0.0), 1.0)
+        V[0] = v / np.linalg.norm(v)
+        alpha, beta = [], []
+        check = 8
+        for m in range(1, size + 1):
+            B = V[:m]
+            w = graph.walk_matvec(B[-1])
+            matvecs += 1
+            w -= w.mean()  # keep the constants (eigenvalue 1) out
+            if m > 1:
+                w -= beta[-1] * B[-2]
+            alpha.append(float(B[-1] @ w))
+            w -= alpha[-1] * B[-1]
+            w -= (B @ w) @ B  # full reorthogonalization
+            beta.append(float(np.linalg.norm(w)))
+            exact = beta[-1] <= _BREAKDOWN or m == n - 1
+            if exact or m == size or m >= check or matvecs >= MATVEC_CAP:
+                T = np.diag(alpha)
+                T[range(m - 1), range(1, m)] = beta[:-1]
+                T[range(1, m), range(m - 1)] = beta[:-1]
+                theta, S = np.linalg.eigh(T)
+                res = 0.0 if exact else beta[-1] * float(
+                    np.abs(S[-1, [0, -1]]).max())
+                if res <= tol:
+                    rho = min(max(abs(theta[0]), theta[-1]), 1.0)
+                    return GapSolve(float(rho), matvecs, restarts, res)
+                if matvecs >= MATVEC_CAP:
+                    raise BudgetExceeded(
+                        f"gap solver stopped at MATVEC_CAP={MATVEC_CAP} walk "
+                        f"products with Ritz residual {res:.3g} > tol {tol:g}"
+                    )
+                if m == size:
+                    v = (S[:, 0] + S[:, -1]) @ B
+                    restarts += 1
+                    break
+                check = m + max(8, m // 4)
+            V[m] = w / beta[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +311,19 @@ def mixing_profile(graph, l_max, *, exact=None):
         exact = n <= EXACT_CONV_CAP
     k = len(graph.perms)
     if exact:
-        num = [0] * n
+        # deviation at l is max_j |num_j / den - 1/n| = max_j |num_j n - den|
+        # / (den n), reached at the largest or the smallest numerator
+        num = np.zeros(n, dtype=object)
         num[graph.root] = 1
         den = 1
         out = []
         for l in range(l_max + 1):
-            u = Fraction(1, n)
-            dev = max(abs(Fraction(c, den) - u) for c in num)
-            out.append(dev)
+            hi, lo = num.max(), num.min()
+            out.append(Fraction(max(abs(hi * n - den), abs(lo * n - den)),
+                                den * n))
             if l == l_max:
                 break
-            new = [0] * n
-            for p in graph.perms:
-                for j in range(n):
-                    new[j] += num[p[j]]
-            num = new
+            num = num[graph.perms].sum(axis=0)
             den *= k
         return out
     if n > CONV_CAP:
@@ -316,7 +368,7 @@ class SpectralReport:
         return out
 
 
-def spectral_report(ops, gens, *, l_max=50, exact=None, tol=POWER_TOL,
+def spectral_report(ops, gens, *, l_max=50, exact=None, tol=GAP_TOL,
                     adjoin_identity=True):
     """Diameter, gap, and mixing profile for one (G, S); checks the sandwich
     (diam-1)/log|G| <= 1/(1-rho) <= |S| diam^2 before returning."""

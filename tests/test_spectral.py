@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from prosk import spectral
-from prosk.errors import NotGenerating, UsageError
+from prosk.cli import main
+from prosk.errors import BudgetExceeded, NotGenerating, UsageError
 from prosk.matgroups import GroupDescriptor, element, ops_for
 from prosk.spectral import (
     CyclicOps,
@@ -15,6 +16,7 @@ from prosk.spectral import (
     cyclic_pair,
     diameter_bfs,
     extension_bound_check,
+    lanczos_gap,
     mixing_length,
     mixing_profile,
     monotonicity_exhaustive,
@@ -64,6 +66,86 @@ def test_bipartite_walk_needs_laziness():
         spectral_report(z2, [1], adjoin_identity=False)
     rep = spectral_report(z2, [1])  # lazy walk mixes
     assert rep.rho < 1.0
+
+
+# --- the Lanczos gap against a dense eigensolve -------------------------------
+
+
+def _dense_rho(graph):
+    """Reference: the largest |eigenvalue| of the dense walk matrix with the
+    constants projected out (A - J/n)."""
+    n = graph.order
+    A = np.zeros((n, n))
+    rows = np.arange(n)
+    for p in graph.perms:
+        A[rows, p] += 1.0  # (A v)[j] sums v[p[j]], as walk_matvec does
+    A /= len(graph.perms)
+    return float(np.abs(np.linalg.eigvalsh(A - 1.0 / n)).max())
+
+
+def _check_against_dense(graph, label):
+    rho = spectral_gap(graph)
+    assert type(rho) is float, label
+    assert abs(rho - _dense_rho(graph)) <= 1e-9, label
+
+
+def test_lanczos_matches_dense_small_cases():
+    z = CyclicOps
+    cases = [
+        ("bare Z/5 {+-1}", z(5), [1], False),  # the negative end wins
+        ("complete Z/5", z(5), [1, 2, 3, 4], False),  # -1/4, four times
+        ("lazy Z/2", z(2), [1], True),
+        ("bare Z/3", z(3), [1], False),
+        ("lazy Z/3", z(3), [1], True),
+        ("lazy Z/8", z(8), [1], True),
+        ("lazy Z/200", z(200), [1], True),
+    ]
+    for label, ops, gens, lazy in cases:
+        g = build_graph(ops, gens, adjoin_identity=lazy)
+        _check_against_dense(g, label)
+    g = build_graph(z(5), [1], adjoin_identity=False)
+    assert abs(spectral_gap(g) - np.cos(np.pi / 5)) < 1e-12
+
+
+def test_lanczos_matches_dense_on_criterion_5_corpus():
+    from test_acceptance import _corpus
+
+    checked = 0
+    for label, ops, gens in _corpus():
+        g = build_graph(ops, gens)
+        if g.order <= 1500:
+            _check_against_dense(g, label)
+            checked += 1
+    assert checked >= 50
+
+
+def test_lanczos_restarts_when_the_basis_is_over_budget(monkeypatch):
+    desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=3")
+    ops = ops_for(desc)
+    rng = np.random.default_rng(63)
+    g = build_graph(ops, [ops.sample_uniform(rng) for _ in range(2)])
+    assert g.order == 17496
+    full = lanczos_gap(g)
+    assert full.restarts == 0 and full.residual <= spectral.GAP_TOL
+    monkeypatch.setenv("PROSK_BUDGET_MB", "4")  # the graph and ~11 vectors
+    small = lanczos_gap(g)
+    assert small.restarts > 0
+    assert small.residual <= spectral.GAP_TOL
+    assert abs(small.rho - full.rho) <= 1e-9
+    monkeypatch.setenv("PROSK_BUDGET_MB", "2")  # not two basis vectors
+    with pytest.raises(BudgetExceeded):
+        lanczos_gap(g)
+
+
+def test_unconverged_gap_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "MATVEC_CAP", 5)
+    g = build_graph(CyclicOps(200), [1])
+    with pytest.raises(BudgetExceeded, match="residual"):
+        spectral_gap(g)
+    rc = main(["spectral", "--group", "SL:d=2,Zp:p=3,N=2", "--gens",
+               "sampled:3:7", "--l", "12", "--seed", "1"])
+    assert rc == 3
+    assert "Ritz residual" in capsys.readouterr().err
 
 
 # --- diameters ---------------------------------------------------------------
@@ -133,6 +215,37 @@ def test_exact_profile_matches_float():
     approx = mixing_profile(g, 20, exact=False)
     for a, b in zip(exact, approx):
         assert abs(float(a) - b) < 1e-12
+
+
+def _fraction_profile(graph, l_max):
+    """Reference: one Fraction per vertex per step."""
+    n = graph.order
+    num = [0] * n
+    num[graph.root] = 1
+    den = 1
+    out = []
+    for l in range(l_max + 1):
+        out.append(max(abs(Fraction(c, den) - Fraction(1, n)) for c in num))
+        num = [sum(num[p[j]] for p in graph.perms) for j in range(n)]
+        den *= len(graph.perms)
+    return out
+
+
+def test_exact_profile_matches_fraction_reference():
+    nott = ops_for(GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=3"))
+    rng = np.random.default_rng(64)
+    graphs = [
+        build_graph(CyclicOps(1), []),
+        build_graph(CyclicOps(3), [1], adjoin_identity=False),
+        build_graph(CyclicOps(5), [1], adjoin_identity=False),
+        build_graph(CyclicOps(24), [1, 10]),
+        build_graph(ops_for(SL2_F3), TRANSVECTIONS),
+        build_graph(nott, [nott.sample_uniform(rng) for _ in range(2)]),
+    ]
+    for g in graphs:
+        got = mixing_profile(g, 30, exact=True)
+        assert all(type(x) is Fraction for x in got)
+        assert got == _fraction_profile(g, 30)
 
 
 def test_mixing_length_formula():
@@ -245,13 +358,13 @@ def test_walk_series_deterministic():
 
 
 def test_fast_path_matches_scalar():
-    # a group past the dense-gap cap and its level-2 image, both enumerated
-    # on int64 matrices (the backend depends on the ring, not the order)
+    # a group of 17,496 elements and its level-2 image, both enumerated on
+    # int64 matrices (the backend depends on the ring, not the order)
     desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=3")
     ops = ops_for(desc)
     rng = np.random.default_rng(63)
     gens = [ops.sample_uniform(rng) for _ in range(2)]
-    g = build_graph(ops, gens)  # order 17496 -> power-iteration gap
+    g = build_graph(ops, gens)  # order 17496
     assert g.order == 17496
     assert (g.dist >= 0).all()
     rho = spectral_gap(g)
