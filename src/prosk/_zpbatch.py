@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from . import _matrix as mx
-from .errors import UsageError
+from .errors import InvariantViolated, UsageError
 
 
 def batch_eye(d, B):
@@ -62,7 +62,8 @@ def batch_inv(M, p, N):
     inv = batch_eye(d, M.shape[0])
     for _ in range(N - 1):
         inv = (I + np.einsum("bij,bjk->bik", X, inv)) % mod
-    assert not (batch_mul(M, inv, mod) - I).any(), "Neumann inverse failed"
+    if (batch_mul(M, inv, mod) - I).any():
+        raise InvariantViolated("Neumann inverse failed: M is not I mod p")
     return inv
 
 
@@ -127,7 +128,8 @@ def _newton_beta(alpha, p, N):
         u = (u * ((3 - a * u2) % mod)) % mod
         u = (u * pow(2, -1, mod)) % mod
     beta = (a * u) % mod
-    assert not ((beta * beta - a) % mod).any(), "inverse-sqrt did not converge"
+    if ((beta * beta - a) % mod).any():
+        raise InvariantViolated("inverse-sqrt did not converge")
     return beta
 
 
@@ -137,7 +139,8 @@ def _scalar_inv(u, p, N):
     y = np.ones_like(u)
     for _ in range(max(4, N.bit_length() + 2)):
         y = (y * ((2 - u * y) % mod)) % mod
-    assert not ((u * y - 1) % mod).any()
+    if ((u * y - 1) % mod).any():
+        raise InvariantViolated("Newton inverse failed: not a 1-unit")
     return y
 
 

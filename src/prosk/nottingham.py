@@ -223,7 +223,10 @@ class NottElement:
     def __init__(self, descriptor, coeffs):
         self.descriptor = descriptor
         self.coeffs = tuple(int(c) for c in coeffs)
-        assert len(self.coeffs) == descriptor.ring.N - 1
+        if len(self.coeffs) != descriptor.ring.N - 1:
+            raise InvariantViolated(
+                f"{len(self.coeffs)} coefficients for truncation "
+                f"N={descriptor.ring.N}")
 
     def depth(self):
         for idx, c in enumerate(self.coeffs):
@@ -406,20 +409,26 @@ def commutator_pairs(r, n, m, capped=False):
     if n + m >= N:
         return []
     lam, mu = _oracle_solve(desc, r.to_codes()[None, :], n, m)
-    g1 = identity(desc)
-    for i in range(n):
-        if lam[0, i]:
-            g1 = mul(g1, generator(desc, n + i, int(lam[0, i])))
-    g2 = identity(desc)
-    for i in range(1, n):
-        if mu[0, i]:
-            g2 = mul(g2, generator(desc, n - 1 + i, int(mu[0, i])))
+    g1 = _generator_product(desc, range(n, 2 * n), lam[0])
+    g2 = _generator_product(desc, range(n, 2 * n - 1), mu[0, 1:])
     out = []
     if g1.depth() < N:
         out.append((g1, generator(desc, m, 1)))
     if g2.depth() < N:
         out.append((g2, generator(desc, m + 1, 1)))
     return out
+
+
+def _generator_product(desc, slots, codes):
+    """e_{a_1,c_1} * e_{a_2,c_2} * ... over zip(slots, codes), each factor
+    appended as acc + c acc^(a+1)."""
+    ctx = _ctx_of(desc)
+    acc = ctx.t()
+    for a, c in zip(slots, codes.tolist()):
+        if c:
+            lam = np.array([(c // ctx.p**r) % ctx.p for r in range(ctx.k)])
+            acc = ctx.append_generator(acc, a, lam)
+    return _from_planes(desc, acc)
 
 
 def _oracle_solve(desc, R_codes, n, m):
@@ -455,21 +464,18 @@ def _oracle_solve(desc, R_codes, n, m):
         a = n + i
         use_mu = (i >= 1) and ((a - m) % p == 0)
         if use_mu:
-            a2 = n - 1 + i
-            c = _probe_slot(q, Lw, a2, m + 1, deg)
-            if c == 0:
-                raise InvariantViolated(
-                    "window denominator vanished on the shifted rail")
-            coeff = field.div_codes(need, c)
-            mu[:, i] = coeff
-            contrib = _single_commutator(ctx, a2, coeff, m + 1)
+            a, b, dest = n - 1 + i, m + 1, mu
         else:
-            c = _probe_slot(q, Lw, a, m, deg)
-            if c == 0:
-                raise InvariantViolated("window denominator vanished")
-            coeff = field.div_codes(need, c)
-            lam[:, i] = coeff
-            contrib = _single_commutator(ctx, a, coeff, m)
+            b, dest = m, lam
+        table = _commutator_table(q, Lw, a, b)
+        c = int(_slot_codes(ctx, table[1], deg))
+        if c == 0:
+            raise InvariantViolated(
+                "window denominator vanished"
+                + (" on the shifted rail" if use_mu else ""))
+        coeff = field.div_codes(need, c)
+        dest[:, i] = coeff
+        contrib = table[coeff]
         accum = _window_add(ctx, accum, contrib)
     return lam, mu
 
@@ -504,13 +510,13 @@ def _single_commutator(ctx, a, coeff_codes, b):
 
 
 @functools.cache
-def _probe_slot(q, L, a, b, deg):
-    """Degree-`deg` code of [e_{a,1}, e_{b,1}] in the series context (q, L)
-    (the linear response coefficient); cached, as every oracle call asks
-    for the same few."""
-    ctx = series_context(q, L)
-    probe = _single_commutator(ctx, a, np.ones(1, dtype=np.int64), b)
-    return int(_slot_codes(ctx, probe, deg)[0])
+def _commutator_table(q, L, a, b):
+    """Read-only planes (q, k, L) of [e_{a,c}, e_{b,1}] for every code c in
+    the series context (q, L); the oracle's window steps are rows of it."""
+    table = _single_commutator(series_context(q, L), a,
+                               np.arange(q, dtype=np.int64), b)
+    table.setflags(write=False)
+    return table
 
 
 def _window_add(ctx, accum, contrib):
@@ -623,14 +629,16 @@ class NottinghamOps:
             raise UsageError("bad coefficient vector")
         return NottElement(self.descriptor, raw)
 
-    # word-evaluation hooks (right-to-left accumulation)
+    # word-evaluation hooks: a word folds right to left over flat planes
+    # (k*L vectors), each letter one F_p-linear map f -> f o s
 
     def power_matrix(self, elem):
-        """PM[e] = planes of elem^e; acc <- acc-coefficients applied to PM
-        realizes acc o elem = elem-first product."""
+        """The (kL, kL) int64 matrix of f -> f o elem on flattened planes:
+        row (i, e) holds the planes of x^i * elem^e, x^i the i-th basis
+        element of F_q over F_p."""
         ctx = _ctx_of(self.descriptor)
-        L = ctx.L
-        PM = np.zeros((L, ctx.k, L), dtype=np.int64)
+        k, L = ctx.k, ctx.L
+        PM = np.zeros((L, k, L), dtype=np.int64)  # PM[e] = planes of elem^e
         PM[0, 0, 0] = 1
         F = _planes(self.descriptor, elem)
         pw = F
@@ -638,20 +646,16 @@ class NottinghamOps:
             PM[e] = pw
             if e + 1 < L:
                 pw = ctx.mul(pw, F)
-        return PM
+        M = np.einsum("ijr,ejl->ierl", ctx.C, PM) % ctx.p
+        return M.reshape(k * L, k * L)
 
     def eval_begin(self):
-        ctx = _ctx_of(self.descriptor)
-        return ctx.t()
+        return _ctx_of(self.descriptor).t().reshape(-1)
 
-    def eval_apply(self, acc, PM):
-        ctx = _ctx_of(self.descriptor)
-        if ctx.k == 1:
-            vec = acc[0]
-            return (vec @ PM[:, 0, :])[None, :] % ctx.p
-        E = np.einsum("ie,ejl->ijl", acc, PM)
-        out = np.tensordot(ctx.C, E, axes=([0, 1], [0, 1]))
-        return out % ctx.p
+    def eval_apply(self, acc, M):
+        """acc o s for the power matrix M of s."""
+        return acc @ M % self.descriptor.ring.p
 
     def eval_finish(self, acc):
-        return _from_planes(self.descriptor, acc)
+        ctx = _ctx_of(self.descriptor)
+        return _from_planes(self.descriptor, acc.reshape(ctx.k, ctx.L))

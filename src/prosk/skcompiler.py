@@ -121,13 +121,13 @@ class GeneratingSet:
     def letters(self):
         """Every generator and its inverse, indexed by the packed op code
         (idx << 1) | sign-bit, built on first use: a (2k, d, d) int64 array
-        over Z/p^N within the int64 guard, the power matrices for the
-        Nottingham group, the elements otherwise."""
+        over Z/p^N within the int64 guard, a (2k, kL, kL) int64 array of
+        power matrices for the Nottingham group, the elements otherwise."""
         if self._letters is None:
             ops = ops_for(self.descriptor)
             letters = [x for g in self.elements for x in (g, ops.inv(g))]
             if hasattr(ops, "power_matrix"):
-                letters = [ops.power_matrix(x) for x in letters]
+                letters = np.array([ops.power_matrix(x) for x in letters])
             elif _int64_products(self.descriptor):
                 letters = np.array([x.mat for x in letters], dtype=np.int64)
             self._letters = letters
@@ -182,8 +182,10 @@ def evaluate(word, gens):
     - scalar, for Z/p^N past the guard and for F_q[[t]] matrix groups: the
       letters fold one at a time through `ops.mul`.
 
-    The Nottingham group folds right to left over the letters' power
-    matrices, cached on the generating set.
+    The Nottingham group folds right to left: a flat (kL,) int64 vector of
+    coefficient planes starts at t and takes `acc = acc @ M[code] % p` per
+    letter, M the set's (2k, kL, kL) table of the letters' power matrices
+    (the F_p-linear maps f -> f o s).
     """
     ops = ops_for(gens.descriptor)
     n_gens = len(gens.elements)
@@ -199,9 +201,10 @@ def evaluate(word, gens):
     if hasattr(ops, "power_matrix"):
         # acc <- acc o s is right-to-left accumulation: s1...sk = sk o ... o s1,
         # so feed the word reversed.
+        p = gens.descriptor.ring.p
         acc = ops.eval_begin()
         for code in codes[::-1].tolist():
-            acc = ops.eval_apply(acc, letters[code])
+            acc = acc @ letters[code] % p
         return ops.eval_finish(acc)
     if isinstance(letters, np.ndarray):
         mod = gens.descriptor.ring.modulus
@@ -344,8 +347,8 @@ class CompilerSession:
         return evaluate(word, self.gens)
 
     def _residual(self, g, word):
-        ops = self.ops
-        return ops.mul(g, ops.inv(self._eval(word)))
+        """g * eval(word)^-1, as g * eval(word^-1): no group inversion."""
+        return self.ops.mul(g, self._eval(word.inverse()))
 
     def _refine(self, g, t):
         """Word w with g * eval(w)^-1 in K_t."""
@@ -362,8 +365,8 @@ class CompilerSession:
             self._memo[key] = w
             return w
         w = self._refine(g, self.table.level)
+        r = self._residual(g, w)
         for _ in range(4 * N + 8):
-            r = self._residual(g, w)
             a = ops.depth(r)
             if a >= t:
                 break
@@ -375,7 +378,10 @@ class CompilerSession:
                 wp = self._refine(P, b - m1)
                 ww = self._refine(W, b - n1)
                 cw = cw.concat(wp.commutator(ww))
+            # w <- cw w: seam cancellation keeps the value, so the residual
+            # g eval(cw w)^-1 is r eval(cw)^-1
             w = cw.concat(w)
+            r = self._residual(r, cw)
         else:
             raise InvariantViolated(f"ladder stalled refining to level {t}")
         self._memo[key] = w

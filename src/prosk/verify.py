@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import liealg, matgroups, nottingham, rings, skcompiler, spectral
-from .errors import NoSquareRoot, NotGenerating, UnknownSuite, UsageError
+from .errors import (
+    InvariantViolated,
+    NoSquareRoot,
+    NotGenerating,
+    UnknownSuite,
+    UsageError,
+)
 
 SUITES = ("rings", "filtration", "lie", "nottingham", "sk", "spectral")
 
@@ -475,7 +481,7 @@ def _suite_spectral(seed, scale, ring=None):
     for ops, gens in corpus:
         try:
             rep = spectral.spectral_report(ops, gens, l_max=40)
-        except (AssertionError, NotGenerating) as e:
+        except (AssertionError, InvariantViolated, NotGenerating) as e:
             sandwich.fail({"order": ops.group_order(), "error": str(e)})
             continue
         devs = [float(x) for x in rep.profile]

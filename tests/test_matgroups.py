@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prosk.errors import UsageError
+from prosk import _zpbatch
+from prosk.errors import InvariantViolated, UsageError
 from prosk.matgroups import (
     GroupDescriptor,
     element,
@@ -194,3 +195,19 @@ def test_descriptor_parse_errors():
 
     with pytest.raises(UnsupportedCharacteristic):
         GroupDescriptor.parse("SO:d=3,Zp:p=2,N=2")
+
+
+# --- batched Z/p^N invariants (raised, so they hold under python -O) ---------
+
+
+def test_zpbatch_invariants_raise():
+    p, N = 5, 4
+    I = np.eye(2, dtype=np.int64)
+    M = (I + 5 * np.array([[1, 2], [3, 4]]))[None]
+    assert (_zpbatch.batch_mul(_zpbatch.batch_inv(M, p, N), M, p**N) == I).all()
+    with pytest.raises(InvariantViolated, match="Neumann"):
+        _zpbatch.batch_inv(np.array([[[2, 0], [0, 1]]]), p, N)  # not I mod p
+    with pytest.raises(InvariantViolated, match="inverse-sqrt"):
+        _zpbatch._newton_beta(np.array([2]), p, N)  # 1 - 2^2 = 2, no root mod 5
+    with pytest.raises(InvariantViolated, match="1-unit"):
+        _zpbatch._scalar_inv(np.array([5]), p, N)  # not a unit

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prosk import nottingham
-from prosk.errors import UsageError
+from prosk.errors import InvariantViolated, UsageError
 from prosk.matgroups import GroupDescriptor, ops_for
 from prosk.nottingham import (
     NottElement,
@@ -211,3 +211,21 @@ def test_power_matrix_evaluation_matches_direct():
         for f in reversed(fs):
             st = ops.eval_apply(st, ops.power_matrix(f))
         assert ops.eval_finish(st) == acc
+
+
+@pytest.mark.parametrize("q", [5, 9])
+@pytest.mark.parametrize("L,a,b", [(8, 2, 3), (10, 3, 4), (13, 4, 6), (13, 5, 5)])
+def test_commutator_table_rows_match_single_commutator(q, L, a, b):
+    # the oracle reads [e_{a,c}, e_{b,1}] from the table; each row must be
+    # the commutator built on its own
+    ctx = nottingham.series_context(q, L)
+    table = nottingham._commutator_table(q, L, a, b)
+    assert table.shape == (q, ctx.k, L) and not table.flags.writeable
+    for c in range(q):
+        one = nottingham._single_commutator(ctx, a, np.array([c]), b)
+        assert (table[c] == one[0]).all()
+
+
+def test_short_coefficient_vector_raises_invariant():
+    with pytest.raises(InvariantViolated):
+        NottElement(D5, (0,) * 6)

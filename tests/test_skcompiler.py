@@ -105,7 +105,9 @@ ENGINE_GROUPS = [
     ("SL:d=2,Zp:p=3,N=19", True),
     ("SL:d=2,Zp:p=3,N=20", False),
     ("SL:d=2,Fq[[t]]:q=9,N=4", False),
-    ("Nottingham,Fq[[t]]:q=5,N=27", False),
+    # Nottingham letters are (kL, kL) power matrices: k = 1, 2 below
+    ("Nottingham,Fq[[t]]:q=5,N=27", True),
+    ("Nottingham,Fq[[t]]:q=9,N=12", True),
 ]
 # both sides of the 512-letter chunk edge, and several chunks
 WORD_LENGTHS = (0, 1, 2, 511, 512, 513, 2000)
@@ -127,7 +129,12 @@ def test_evaluate_engines_match_scalar_fold(text, batched):
     letters = gens.letters
     assert isinstance(letters, np.ndarray) == batched
     if batched:
-        assert letters.shape == (6, desc.d, desc.d) and letters.dtype == np.int64
+        if desc.family == "Nottingham":
+            kL = desc.ring.field.k * (desc.ring.N + 1)
+            assert letters.shape == (6, kL, kL)
+        else:
+            assert letters.shape == (6, desc.d, desc.d)
+        assert letters.dtype == np.int64
     rng = np.random.default_rng(12)
     for n in WORD_LENGTHS:
         codes = rng.integers(0, 6, n).astype(np.int32)
@@ -328,3 +335,47 @@ sys.exit(main(["spectral", "--group", "SL:d=2,Zp:p=3,N=1",
         )
         assert out.returncode == 1, out.stderr
         assert message in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "text,plan,n_base,level",
+    [
+        ("SL:d=2,Zp:p=3,N=8", CompilePlan("dyadic"), 2, 8),
+        ("Nottingham,Fq[[t]]:q=5,N=27", CompilePlan("triadic", n0=2), 6, 27),
+    ],
+)
+def test_incremental_residual_matches_fresh(monkeypatch, text, plan, n_base, level):
+    # _refine carries r = g eval(w)^-1 from stage to stage as r eval(cw)^-1;
+    # at every stage it must equal the residual recomputed from the whole
+    # word with a group inversion
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, 3, 11)
+    sess = CompilerSession(gens, build_base_table(desc, n_base, gens), plan)
+    frames, stages = [], []
+    refine, residual = sess._refine, sess._residual
+
+    def spy_refine(g, t):
+        frames.append([g, None])
+        try:
+            return refine(g, t)
+        finally:
+            frames.pop()
+
+    def spy_residual(x, word):
+        r = residual(x, word)
+        if frames:  # inside a ladder: x is g, then the previous r
+            frame = frames[-1]
+            frame[1] = word if frame[1] is None else word.concat(frame[1])
+            fresh = ops.mul(frame[0], ops.inv(evaluate(frame[1], gens)))
+            assert r == fresh
+            stages.append(x is not frame[0])
+        return r
+
+    monkeypatch.setattr(sess, "_refine", spy_refine)
+    monkeypatch.setattr(sess, "_residual", spy_residual)
+    rng = np.random.default_rng(21)
+    for _ in range(2):
+        word, cert = sess.compile(ops.sample_uniform(rng), level)
+        assert cert.residual_depth >= level
+    assert sum(stages) >= 10  # incremental updates, not just first residuals

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prosk import spectral
+from prosk import spectral, verify
 from prosk.cli import main
 from prosk.errors import BudgetExceeded, NotGenerating, UsageError
 from prosk.matgroups import GroupDescriptor, element, ops_for
@@ -377,3 +377,25 @@ def test_fast_path_matches_scalar():
     assert sg.order == 648
     assert diameter_bfs(small, [project(x, 2) for x in gens]) == sg.diameter
     assert sg.diameter <= g.diameter
+
+
+def test_spectral_suite_records_violated_sandwich(monkeypatch):
+    # a gap of 1 - 1e-9 breaks the diameter/gap sandwich on every corpus
+    # graph; the suite must list that as a failed property, not abort.  The
+    # bad gap is confined to spectral_report: the walk property would
+    # otherwise schedule ~1e9 steps from it.
+    report = spectral.spectral_report
+
+    def report_with_bad_gap(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "spectral_gap", lambda graph, **kw: 1.0 - 1e-9)
+            return report(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectral_report", report_with_bad_gap)
+    rep = verify.run_suite("spectral", seed=0, scale=0.2)
+    assert not rep["passed"]
+    props = {p["property"]: p for p in rep["properties"]}
+    sandwich = props["diameter/gap sandwich plus pointwise rho^l mixing bound"]
+    assert sandwich["checked"] == sandwich["failed"] == 5
+    assert all("sandwich violated" in f["error"] for f in sandwich["failures"])
+    assert sum(p["failed"] for p in rep["properties"]) == 5
