@@ -93,10 +93,6 @@ def reduce_level(ring, A, m):
     return tuple(tuple(ring.reduce_level(a, m) for a in row) for row in A)
 
 
-def min_val(ring, A):
-    return min(ring.val(a) for row in A for a in row)
-
-
 def depth(ring, A):
     """min valuation of A - I, capped at N; N means trivial at this truncation."""
     d = len(A)

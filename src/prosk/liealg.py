@@ -22,6 +22,7 @@ from .errors import (
     AlgebraMismatch,
     BadLevelPair,
     DescriptorMismatch,
+    InvariantViolated,
     NotDeepEnough,
     OracleLevelRejected,
     PrecisionExceedsTruncation,
@@ -246,16 +247,6 @@ class LieVector:
             out.append((name, pay if isinstance(pay, int) else list(pay)))
         return out
 
-    @staticmethod
-    def from_pairs(algebra, pairs):
-        ring = algebra.ring
-        coords = {}
-        for name, raw in pairs:
-            if name not in algebra._index:
-                raise AlgebraMismatch(f"{name} not in {algebra.describe()}")
-            coords[name] = ring.elem(raw).payload
-        return algebra.from_coords(coords)
-
     def __repr__(self):
         return f"LieVector({self.algebra.describe()}, {self.to_pairs()})"
 
@@ -329,7 +320,8 @@ def _sl_scheme(d):
     target = [P, F] + [Q, F^T], F the lower shift."""
     if d in _SL_SCHEME_CACHE:
         return _SL_SCHEME_CACHE[d]
-    assert d >= 3
+    if d < 3:
+        raise UsageError(f"the sl preimage scheme needs d >= 3, got {d}")
     table = {}
     for j in range(1, d):
         table[_name("D", j, j + 1)] = ({_name("E", j, j + 1): 1}, {})
@@ -395,7 +387,8 @@ def _verify_sl_scheme(d, table):
         rhs = _frac_brk(_frac_combo("sl", d, Q), Ft)
         want = _frac_basis_matrix("sl", d, target)
         got = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(lhs, rhs)]
-        assert got == want, f"sl_{d} preimage table broken at {target}"
+        if got != want:
+            raise InvariantViolated(f"sl_{d} preimage table broken at {target}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +442,8 @@ def _so_sweep(ring, coords, d):
                 if coords[(a, b)] == zero:
                     del coords[(a, b)]
     for (a, b), v in coords.items():
-        assert a == 1 or v == zero, f"sweep left residue at X_{a}_{b}"
+        if a != 1 and v != zero:
+            raise InvariantViolated(f"sweep left residue at X_{a}_{b}")
     return P1
 
 
@@ -473,7 +467,8 @@ def bracket_decompose(X):
     acc = alg.zero()
     for P, W in pairs:
         acc = acc + bracket(P, W)
-    assert acc == X, "decomposition failed to reproduce its input"
+    if acc != X:
+        raise InvariantViolated("decomposition failed to reproduce its input")
     return pairs
 
 
@@ -575,7 +570,8 @@ def _decompose_so(X):
     r = work.pop((1, d), zero)
     if r != zero:
         P3[_name("X", 2, d)] = ring.sub(P3.get(_name("X", 2, d), zero), r)
-    assert all(v == zero for v in work.values())
+    if any(v != zero for v in work.values()):
+        raise InvariantViolated("so decomposition left first-row residue")
     pairs = []
     P1v = alg.from_coords({_name("X", a, b): v for (a, b), v in P1.items()})
     if not P1v.is_zero():
@@ -617,7 +613,8 @@ def _decompose_sp(X):
     for (a, b), r in skewP.items():
         if r == zero:
             continue
-        assert a == 1
+        if a != 1:
+            raise InvariantViolated(f"sp sweep left residue at X_{a}_{b}")
         # S1(-(E_1b + E_b1)) = X_1b for the E_11 part of G
         Y1[0][b - 1] = ring.sub(Y1[0][b - 1], r)
         Y1[b - 1][0] = ring.sub(Y1[b - 1][0], r)
@@ -681,10 +678,6 @@ def _decompose_sp(X):
 
 # ---------------------------------------------------------------------------
 # lift / linearize / oracle
-
-
-def max_bracket_pairs(family):
-    return 2 if family in ("sl",) else 3 if family in ("so", "sp") else None
 
 
 def lift(X, l):

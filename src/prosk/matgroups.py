@@ -15,6 +15,7 @@ from . import _matrix as mx
 from .errors import (
     BudgetExceeded,
     DescriptorMismatch,
+    InvariantViolated,
     LevelTooLarge,
     UnsupportedCharacteristic,
     UsageError,
@@ -292,16 +293,13 @@ def section_lift(desc, mat1):
         A = mx.mul(ring, Omi, mx.mul(ring, mx.transpose(M), mx.mul(ring, Om, M)))
         M = mx.mul(ring, M, _newton_inv_sqrt(ring, A, d))
     g = FilteredElement(desc, M)
-    assert is_member(desc, M), "section lift left the group"
+    if not is_member(desc, M):
+        raise InvariantViolated("section lift left the group")
     return g
 
 
 # ---------------------------------------------------------------------------
 # enumeration and sampling
-
-
-def _residue_codes(ring):
-    return range(ring.field.q)
 
 
 def _residue_matrices(desc1):
@@ -354,15 +352,17 @@ def enumerate_quotient(desc, budget=10_000_000):
     ring = desc.ring
     desc1 = desc.truncated(1)
     reps1 = [m for m in _residue_matrices(desc1) if is_member(desc1, m)]
-    assert len(reps1) == residue_group_order(
-        desc.family, desc.d, ring.field.q
-    ), "residue enumeration disagrees with the order formula"
+    if len(reps1) != residue_group_order(desc.family, desc.d, ring.field.q):
+        raise InvariantViolated(
+            "residue enumeration disagrees with the order formula")
     if ring.N == 1:
         return [FilteredElement(desc, m) for m in reps1]
     sections = [section_lift(desc, m) for m in reps1]
     kernel = enumerate_kernel(desc, 1)
     out = [mul(s, k) for s in sections for k in kernel]
-    assert len(out) == total
+    if len(out) != total:
+        raise InvariantViolated(
+            f"enumerated {len(out)} elements, the order formula gives {total}")
     return out
 
 
@@ -431,7 +431,8 @@ def _cayley_sample(desc, rng):
             continue
         M = mx.mul(ring, mx.sub(ring, I, S), mx.inv(ring, IpS))
         out = FilteredElement(desc, M)
-        assert is_member(desc, M), "Cayley transform left the group"
+        if not is_member(desc, M):
+            raise InvariantViolated("Cayley transform left the group")
         return out
     raise UsageError("could not draw an invertible I + S (degenerate ring?)")
 

@@ -40,6 +40,7 @@ EXACT_CONV_CAP = 3000  # integer-arithmetic convolution up to here
 CONV_CAP = 500_000  # float convolution (one vector, gathers only)
 GAP_TOL = 1e-9  # Ritz residual at which an end of the spectrum is found
 MATVEC_CAP = 10**5  # walk products one gap solve may spend
+WALK_WORK_CAP = 10**10  # steps x (trials + exact convolution) of one walk
 _BREAKDOWN = 1e-12  # beta below this: the Krylov space is invariant
 SWEEP_WORK_CAP = 2 * 10**8  # exhaustive generating-set sweeps, gather units
 SWEEP_ELEMENT_CAP = 200  # exhaustive sweeps enumerate subsets of this many
@@ -795,6 +796,10 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
     irreducible ~sqrt(|G|/trials) upward bias at stationarity, so the
     headline closeness figures are the sup deviation and the per-marginal
     distances; the joint tv_mc is reported anyway, next to its noise floor.
+
+    The schedule is counted before any step is taken: steps x trials, plus
+    steps x |G| x |dirs| for the exact convolution.  Past WALK_WORK_CAP it
+    raises BudgetExceeded (a gap near 1 schedules ~10^10 steps).
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -807,6 +812,12 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
         steps = schedule
     if exact is None:
         exact = n <= CONV_CAP
+    k = len(graph.dirs)
+    work = steps * trials + (steps * n * k if exact else 0)
+    if work > WALK_WORK_CAP:
+        raise BudgetExceeded(
+            f"walk schedule of {steps} steps x {trials} trials on {n} "
+            f"elements (rho = {rho}) exceeds WALK_WORK_CAP={WALK_WORK_CAP}")
     u = 1.0 / n
 
     mu = None
@@ -816,7 +827,6 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
         for _ in range(steps):
             mu = graph.walk_matvec(mu)
 
-    k = len(graph.dirs)
     state = np.zeros(trials, dtype=np.int64)
     for _ in range(steps):
         choice = rng.integers(0, k, size=trials)

@@ -4,9 +4,11 @@ Each test drives one end-to-end claim at full scale — bulk filtration laws,
 oracle exactness, compiler budgets, spectral sandwiches, walk
 equidistribution, CLI reproducibility — and prints a single summary line on
 success.  The per-module test files carry the fast frozen/property checks;
-this file is the slow, numbers-as-stated run.  Batched engines (_zpbatch,
-_fqbatch) carry the bulk loops; every batch path is spot-checked against
-the scalar reference implementation inside the same test.
+this file is the slow, numbers-as-stated run.  The batched matrix engine
+_zpbatch carries the bulk matrix loops, and the Nottingham half of the bulk
+filtration run uses the library's own series engine (SeriesContext); every
+batch path is spot-checked against the scalar reference implementation
+inside the same test.
 """
 
 import json
@@ -17,10 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from prosk import liealg, matgroups, rings, skcompiler as sk, spectral, verify
-from prosk import _fqbatch as fb, _zpbatch as zb
+from prosk import _zpbatch as zb
 from prosk.cli import main
 from prosk.errors import NotGenerating
 from prosk.matgroups import GroupDescriptor, ops_for
+from prosk.nottingham import series_context
 
 TOL = 1e-9
 
@@ -39,6 +42,17 @@ def _sample_depths(desc, depths, rng):
         mask = depths == v
         out[mask] = zb.batch_sample_kernel(desc, int(v), int(mask.sum()), rng)
     return out
+
+
+def _sample_series(ctx, depths, rng):
+    """Nottingham planes t + lam t^(d+1) + (free tail), exact depth d per row:
+    the free slots are drawn first, then the nonzero leads."""
+    B, L = len(depths), ctx.L
+    codes = rng.integers(0, ctx.q, (B, L))
+    codes[np.arange(L) <= depths[:, None] + 1] = 0
+    codes[:, 1] = 1
+    codes[np.arange(B), depths + 1] = rng.integers(1, ctx.q, B)
+    return ctx.planes_from_codes(codes)
 
 
 def _gen_sets(desc, k, count, seed0):
@@ -101,32 +115,33 @@ def test_criterion_1_filtration_bulk():
 
     for q in (5, 7, 9):
         N = 40
-        fq = fb.FqPlanes(q)
+        ctx = series_context(q, N + 1)
+        field = ctx.field
         rng = np.random.default_rng(23)
         ns = rng.integers(1, 20, PAIRS)
         ms = rng.integers(1, 20, PAIRS)
-        G = fb.sample_depth(fq, ns, N, rng)
-        H = fb.sample_depth(fq, ms, N, rng)
-        U = fb.group_mul(fq, G, H)  # g*h
-        V = fb.group_mul(fq, H, G)  # h*g
+        G = _sample_series(ctx, ns, rng)
+        H = _sample_series(ctx, ms, rng)
+        U = ctx.compose(H, G)  # g*h = h o g
+        V = ctx.compose(G, H)  # h*g = g o h
         # depth([g,h]) is the first coefficient where gh and hg disagree
-        dep = fb.agreement_depth(U, V, N)
+        dep = ctx.first_difference_depth(U, V)
         assert (dep >= np.minimum(ns + ms, N)).all(), f"q={q}"
         # refinement at degree n+m+1: the commutator's leading coefficient
         # is exactly lam*mu*(m-n), zero included when p | (m-n)
         idx = np.arange(PAIRS)
-        lam = G[idx, ns + 1]
-        mu = H[idx, ms + 1]
-        want = fq.mul(fq.mul(lam, mu), fq.split((ms - ns) % fq.p))
-        got = fq.sub(U[idx, ns + ms + 1], V[idx, ns + ms + 1])
+        Gc, Hc = ctx.codes_from_planes(G), ctx.codes_from_planes(H)
+        Uc, Vc = ctx.codes_from_planes(U), ctx.codes_from_planes(V)
+        lam = Gc[idx, ns + 1]
+        mu = Hc[idx, ms + 1]
+        want = field.mul_codes(field.mul_codes(lam, mu), (ms - ns) % ctx.p)
+        got = field.sub_codes(Uc[idx, ns + ms + 1], Vc[idx, ns + ms + 1])
         assert (got == want).all(), f"q={q}"
         desc = GroupDescriptor("Nottingham", 0, rings.Ring("FqT", 0, q, N))
         ops = ops_for(desc)
-        rows_g = fb.to_coeff_rows(fq, G)
-        rows_h = fb.to_coeff_rows(fq, H)
         for i in range(6):
-            gi = ops.deserialize([int(x) for x in rows_g[i]])
-            hi = ops.deserialize([int(x) for x in rows_h[i]])
+            gi = ops.deserialize([int(x) for x in Gc[i, 2:]])
+            hi = ops.deserialize([int(x) for x in Hc[i, 2:]])
             assert ops.depth(ops.commutator(gi, hi)) == int(dep[i])
         checked += PAIRS
 

@@ -135,3 +135,23 @@ def test_group_oracle_refines(desc_text, n, m):
             acc = ops.mul(acc, ops.commutator(a, b))
         gain = min(n + m + min(n, m), N)
         assert ops.depth(ops.mul(ops.inv(acc), r)) >= gain
+
+
+# --- internal checks are raised, so they hold under python -O -----------------
+
+
+def test_decomposition_checks_raise(monkeypatch):
+    from prosk.errors import InvariantViolated, UsageError
+
+    with pytest.raises(UsageError):
+        liealg._sl_scheme(2)
+    table = dict(liealg._sl_scheme(3))
+    a, b = list(table)[:2]
+    table[a], table[b] = table[b], table[a]
+    with pytest.raises(InvariantViolated, match="preimage table"):
+        liealg._verify_sl_scheme(3, table)
+    X = SL3.random(np.random.default_rng(32))
+    assert not X.is_zero()
+    monkeypatch.setattr(liealg, "bracket", lambda P, W: P.algebra.zero())
+    with pytest.raises(InvariantViolated, match="reproduce its input"):
+        bracket_decompose(X)

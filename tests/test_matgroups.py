@@ -211,3 +211,24 @@ def test_zpbatch_invariants_raise():
         _zpbatch._newton_beta(np.array([2]), p, N)  # 1 - 2^2 = 2, no root mod 5
     with pytest.raises(InvariantViolated, match="1-unit"):
         _zpbatch._scalar_inv(np.array([5]), p, N)  # not a unit
+
+
+def test_membership_and_count_checks_raise(monkeypatch):
+    from prosk import matgroups
+
+    rng = np.random.default_rng(31)
+    mat1 = ops_for(SL2_9.truncated(1)).sample_uniform(rng).mat
+    with monkeypatch.context() as m:
+        m.setattr(matgroups, "residue_group_order", lambda *a: -1)
+        with pytest.raises(InvariantViolated, match="order formula"):
+            enumerate_quotient(SL2_9)
+    with monkeypatch.context() as m:
+        m.setattr(matgroups, "enumerate_kernel", lambda desc, n: [])
+        with pytest.raises(InvariantViolated, match="order formula gives"):
+            enumerate_quotient(SL2_9)
+    monkeypatch.setattr(matgroups, "is_member", lambda desc, M: False)
+    with pytest.raises(InvariantViolated, match="section lift"):
+        section_lift(SL2_9, mat1)
+    with pytest.raises(InvariantViolated, match="Cayley transform"):
+        matgroups._cayley_sample(SO3_5, rng)
+

@@ -229,3 +229,26 @@ def test_commutator_table_rows_match_single_commutator(q, L, a, b):
 def test_short_coefficient_vector_raises_invariant():
     with pytest.raises(InvariantViolated):
         NottElement(D5, (0,) * 6)
+
+
+@pytest.mark.parametrize("q", [5, 9, 27])
+def test_batched_compose_and_difference_depth_match_scalar(q):
+    # bulk runs form g*h = ctx.compose(H, G) over whole batches and read
+    # depth([g, h]) off the first slot where gh and hg differ
+    N = 12
+    ops = ops_for(GroupDescriptor("Nottingham", 0, Ring("FqT", 0, q, N)))
+    ctx = nottingham.series_context(q, N + 1)
+    rng = np.random.default_rng(q)
+    gs = [ops.sample_kernel(int(n), rng) for n in rng.integers(1, 6, 50)]
+    hs = [ops.sample_kernel(int(n), rng) for n in rng.integers(1, 6, 50)]
+    hs[-1] = gs[-1]  # a commuting pair: depth N
+    G = ctx.planes_from_codes(np.array([g.to_codes() for g in gs]))
+    H = ctx.planes_from_codes(np.array([h.to_codes() for h in hs]))
+    GH = ctx.compose(H, G)
+    HG = ctx.compose(G, H)
+    rows = ctx.codes_from_planes(GH)
+    dep = ctx.first_difference_depth(GH, HG)
+    for i, (g, h) in enumerate(zip(gs, hs)):
+        assert rows[i].tolist() == nottingham.mul(g, h).to_codes().tolist()
+        assert dep[i] == nottingham.commutator(g, h).depth()
+    assert dep[-1] == N and len(set(dep.tolist())) > 3

@@ -308,7 +308,9 @@ def test_ladder_stall_raises_invariant(monkeypatch):
 
 def test_cli_compile_miss_exits_1_under_optimize_flag():
     # under -O an assert would vanish and the failure would go unreported;
-    # inputs: a compile that misses its target, a spectral sandwich that fails
+    # inputs: a compile that misses its target, a spectral sandwich that
+    # fails, a section lift that leaves the group, a bracket decomposition
+    # that does not resum
     cases = [("""
 import sys
 from prosk import skcompiler
@@ -325,7 +327,23 @@ from prosk.cli import main
 spectral.spectral_gap = lambda graph, **kw: 1.0 - 1e-9  # 1/(1-rho) = 1e9
 sys.exit(main(["spectral", "--group", "SL:d=2,Zp:p=3,N=1",
                "--gens", "sampled:2:3", "--l", "12", "--seed", "1"]))
-""", "sandwich violated")]
+""", "sandwich violated"), ("""
+import sys
+from prosk import matgroups
+from prosk.cli import main
+
+matgroups.is_member = lambda desc, M: False
+sys.exit(main(["spectral", "--group", "SL:d=2,Zp:p=3,N=2",
+               "--gens", "sampled:2:3", "--l", "12", "--seed", "1"]))
+""", "section lift left the group"), ("""
+import sys
+from prosk import liealg
+from prosk.cli import main
+
+liealg.bracket = lambda P, W: P.algebra.zero()
+sys.exit(main(["compile", "--group", "SL:d=2,Zp:p=3,N=4", "--level", "4",
+               "--gens", "sampled:3:42", "--plan", "dyadic", "--seed", "7"]))
+""", "decomposition failed to reproduce its input")]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for script, message in cases:

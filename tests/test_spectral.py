@@ -316,6 +316,25 @@ def test_walk_statistics_small_nottingham():
         assert m["tv_mc_vs_exact"] < 3 / np.sqrt(w.trials)
 
 
+def test_walk_schedule_over_cap_exits_3(monkeypatch, capsys):
+    # a gap near 1 schedules ~10^10 steps; the walk must refuse, not spin
+    import time
+
+    monkeypatch.setattr(spectral, "spectral_gap", lambda graph, **kw: 1.0 - 1e-9)
+    ops = ops_for(GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=3"))
+    rng = np.random.default_rng(61)
+    gens = [ops.sample_uniform(rng) for _ in range(3)]
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="WALK_WORK_CAP"):
+        walk_statistics(ops, gens, trials=20000, seed=8)
+    assert time.perf_counter() - t0 < 1.0
+    rc = main(["walk", "--group", "Nottingham,Fq[[t]]:q=5,N=3", "--gens",
+               "sampled:3:7", "--l", "30", "--trials", "4000", "--seed", "7",
+               "--stats-coords", "NottinghamCoeffs"])
+    assert rc == 3
+    assert "WALK_WORK_CAP" in capsys.readouterr().err
+
+
 def test_second_kind_digits():
     w = walk_statistics(cyclic_group(3, 3), [1, 7], trials=5000, seed=9,
                         coordinates="SecondKind")
