@@ -40,6 +40,7 @@ _BYTES_PER_STATE = 72  # key + parent + op + dist + element slack
 _BYTES_PER_EDGE = 4  # one int32 permutation entry per direction
 _BYTES_PER_FLOAT = 8  # one float64 entry per state, per vector over them
 _CHUNK = 1 << 16  # BFS candidates (products) held at once
+ELEMENT_WORDS = 32  # an enumerated Python element, 170-500 B measured
 
 
 def budget_mb():

@@ -696,6 +696,22 @@ def lift(X, l):
     return _lift_any(X, l)
 
 
+def _times_factor(ring, mat, delta):
+    """mat <- mat * (I + delta) in place, delta a few (i, j, x) entries.
+
+    Each entry is one column update, O(d) ring operations, instead of an
+    O(d^3) product with the full factor; columns are read before any of
+    them is written."""
+    cols = {}
+    for i, j, x in delta:
+        col = cols.setdefault(j, [row[j] for row in mat])
+        for r, row in enumerate(mat):
+            col[r] = ring.add(col[r], ring.mul(row[i], x))
+    for j, col in cols.items():
+        for r, row in enumerate(mat):
+            row[j] = col[r]
+
+
 def _lift_any(X, l):
     from . import matgroups
 
@@ -704,7 +720,7 @@ def _lift_any(X, l):
     d = alg.d
     zero, one = ring.zero, ring.one
     fam = alg.family
-    mat = mx.eye(ring, d)
+    mat = [list(row) for row in mx.eye(ring, d)]
     if fam == "sl":
         off = {}
         for name, v in X.coords.items():
@@ -720,19 +736,13 @@ def _lift_any(X, l):
             off[(j, j + 1)] = ring.sub(off.get((j, j + 1), zero), c)
             off[(j + 1, j)] = ring.add(off.get((j + 1, j), zero), c)
             cs = ring.shift(c, l)
-            F = [list(row) for row in mx.eye(ring, d)]
-            F[j - 1][j - 1] = ring.add(one, cs)
-            F[j][j] = ring.sub(one, cs)
-            F[j - 1][j] = cs
-            F[j][j - 1] = ring.neg(cs)
-            mat = mx.mul(ring, mat, tuple(tuple(r) for r in F))
+            ncs = ring.neg(cs)
+            _times_factor(ring, mat, ((j - 1, j - 1, cs), (j, j, ncs),
+                                      (j - 1, j, cs), (j, j - 1, ncs)))
         for (a, b) in sorted(off):
             x = off[(a, b)]
-            if x == zero:
-                continue
-            F = [list(row) for row in mx.eye(ring, d)]
-            F[a - 1][b - 1] = ring.shift(x, l)
-            mat = mx.mul(ring, mat, tuple(tuple(r) for r in F))
+            if x != zero:
+                _times_factor(ring, mat, ((a - 1, b - 1, ring.shift(x, l)),))
     elif fam == "so":
         from .rings import RingElem, hensel_sqrt
 
@@ -744,12 +754,10 @@ def _lift_any(X, l):
                 al = ring.shift(x, l)
                 t = ring.sub(one, ring.mul(al, al))
                 beta = hensel_sqrt(RingElem(ring, t), RingElem(ring, one)).payload
-                F = [list(row) for row in mx.eye(ring, d)]
-                F[a - 1][a - 1] = beta
-                F[b - 1][b - 1] = beta
-                F[a - 1][b - 1] = al
-                F[b - 1][a - 1] = ring.neg(al)
-                mat = mx.mul(ring, mat, tuple(tuple(r) for r in F))
+                bm1 = ring.sub(beta, one)
+                _times_factor(ring, mat, ((a - 1, a - 1, bm1), (b - 1, b - 1, bm1),
+                                          (a - 1, b - 1, al),
+                                          (b - 1, a - 1, ring.neg(al))))
     else:  # sp
         g = alg.g
         basis = alg._bmap
@@ -763,23 +771,18 @@ def _lift_any(X, l):
                     xs = ring.shift(x, l)
                     if kind == "A" and i == j:
                         u = ring.add(one, xs)
-                        F = [list(row) for row in mx.eye(ring, d)]
-                        F[i - 1][i - 1] = u
-                        F[g + i - 1][g + i - 1] = ring.inv(u)
-                        mat = mx.mul(ring, mat, tuple(tuple(r) for r in F))
-                    else:
-                        F = [list(row) for row in mx.eye(ring, d)]
-                        for (a, b, coeff) in basis[_name(kind, i, j)]:
-                            term = (
-                                xs
-                                if coeff == 1
-                                else ring.mul(xs, ring.from_int(coeff))
-                            )
-                            F[a][b] = ring.add(F[a][b], term)
-                        mat = mx.mul(ring, mat, tuple(tuple(r) for r in F))
+                        delta = ((i - 1, i - 1, xs),
+                                 (g + i - 1, g + i - 1, ring.sub(ring.inv(u), one)))
+                    else:  # I + xs * (basis matrix) is exactly symplectic
+                        delta = tuple(
+                            (a, b, xs if coeff == 1
+                             else ring.mul(xs, ring.from_int(coeff)))
+                            for (a, b, coeff) in basis[_name(kind, i, j)]
+                        )
+                    _times_factor(ring, mat, delta)
     fam_map = {"sl": "SL", "so": "SO", "sp": "Sp"}
     desc = matgroups.GroupDescriptor(fam_map[fam], d, ring)
-    return matgroups.FilteredElement(desc, mat)
+    return matgroups.FilteredElement(desc, tuple(tuple(r) for r in mat))
 
 
 def linearize(g, n):

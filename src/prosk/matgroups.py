@@ -339,16 +339,18 @@ def enumerate_kernel(desc, n):
     return out
 
 
-def enumerate_quotient(desc, budget=10_000_000):
+def enumerate_quotient(desc):
     """Every element of the group at its truncation; count is checked
-    against the order formula."""
+    against the order formula, and against PROSK_BUDGET_MB before any
+    element is built."""
     if desc.family == "Nottingham":
         from . import nottingham
 
-        return nottingham.enumerate_quotient(desc, budget=budget)
+        return nottingham.enumerate_quotient(desc)
+    from . import _bfs  # local: _bfs imports this module
+
     total = group_order(desc)
-    if total > budget:
-        raise BudgetExceeded(f"group has {total} elements, budget {budget}")
+    _bfs.check_budget(total, 0, vectors=_bfs.ELEMENT_WORDS)
     ring = desc.ring
     desc1 = desc.truncated(1)
     reps1 = [m for m in _residue_matrices(desc1) if is_member(desc1, m)]
@@ -383,8 +385,11 @@ def sample_kernel(desc, n, rng):
 
 
 def sample_uniform(desc, rng):
-    """Uniform over the full group for SL (exact); for SO/Sp the residue
-    part is a bounded random word (kernel part stays exact)."""
+    """Uniform over the full group for SL (exact).  For SO/Sp the residue
+    part is the product of two Cayley transforms, which is NOT uniform: on
+    SO3(F_3), 12,000 draws at seed 0 give chi^2 = 278 on 23 df (ROADMAP
+    item 3).  The kernel part is an exact uniform draw from K_1 for every
+    family."""
     ring = desc.ring
     d = desc.d
     if desc.family == "SL":

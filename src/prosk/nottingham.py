@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BadLevelPair,
-    BudgetExceeded,
     DescriptorMismatch,
     IndexOutOfRange,
     InvariantViolated,
@@ -348,14 +347,16 @@ def from_canonical(desc, gammas):
     return g
 
 
-def enumerate_quotient(desc, budget=10_000_000):
+def enumerate_quotient(desc):
+    """Every element of the quotient, checked against PROSK_BUDGET_MB
+    before any element is built."""
     import itertools
+
+    from . import _bfs  # local: _bfs imports matgroups
 
     q = desc.ring.field.q
     N = desc.ring.N
-    total = q ** (N - 1)
-    if total > budget:
-        raise BudgetExceeded(f"group has {total} elements, budget {budget}")
+    _bfs.check_budget(q ** (N - 1), 0, vectors=_bfs.ELEMENT_WORDS)
     return [
         NottElement(desc, coeffs)
         for coeffs in itertools.product(range(q), repeat=N - 1)

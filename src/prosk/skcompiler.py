@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _bfs, _zpbatch
+from . import _bfs
 from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
@@ -163,9 +163,10 @@ def _tree_product(X, mod):
     n, d = X.shape[0], X.shape[1]
     P = 1 << (n - 1).bit_length()
     if P > n:
-        X = np.concatenate([X, _zpbatch.batch_eye(d, P - n)])
+        X = np.concatenate([X, np.broadcast_to(np.eye(d, dtype=np.int64),
+                                               (P - n, d, d))])
     while len(X) > 1:
-        X = _zpbatch.batch_mul(X[0::2], X[1::2], mod)
+        X = np.matmul(X[0::2], X[1::2]) % mod
     return X[0]
 
 
@@ -177,7 +178,7 @@ def evaluate(word, gens):
     - batched, for Z/p^N matrix groups with d (p^N - 1)^2 < 2^63 (the int64
       guard): the letters are gathered from the set's int64 letter table in
       chunks of 512, each chunk is reduced by a pairwise product tree of
-      `_zpbatch.batch_mul`, and the chunk products fold into the
+      `np.matmul` reduced mod p^N, and the chunk products fold into the
       accumulator;
     - scalar, for Z/p^N past the guard and for F_q[[t]] matrix groups: the
       letters fold one at a time through `ops.mul`.
@@ -211,7 +212,7 @@ def evaluate(word, gens):
         acc = np.eye(gens.descriptor.d, dtype=np.int64)
         for start in range(0, len(codes), _CHUNK):
             chunk = _tree_product(letters[codes[start : start + _CHUNK]], mod)
-            acc = _zpbatch.batch_mul(acc, chunk, mod)
+            acc = acc @ chunk % mod
         return FilteredElement(
             gens.descriptor, tuple(tuple(row) for row in acc.tolist())
         )

@@ -885,10 +885,20 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
     """Distance-to-uniform curve along one Monte Carlo run: sup-deviation and
     plug-in TV at checkpoint steps, with the exact convolution alongside when
     the group is small enough.  One trajectory batch serves every checkpoint,
-    so the rows are correlated in the way a single experiment would be."""
+    so the rows are correlated in the way a single experiment would be.
+
+    The schedule is counted before any step is taken, as in
+    `walk_statistics`: l_max x trials, plus l_max x |G| x |dirs| for the
+    exact convolution.  Past WALK_WORK_CAP it raises BudgetExceeded."""
     graph = build_graph(ops, gens, adjoin_identity=adjoin_identity, order=order)
     n = graph.order
     k = graph.perms.shape[0]
+    do_exact = exact if exact is not None else n <= CONV_CAP
+    work = l_max * trials + (l_max * n * k if do_exact else 0)
+    if work > WALK_WORK_CAP:
+        raise BudgetExceeded(
+            f"walk series of {l_max} steps x {trials} trials on {n} "
+            f"elements exceeds WALK_WORK_CAP={WALK_WORK_CAP}")
     if checkpoints is None:
         stride = max(1, l_max // 50)
         checkpoints = list(range(0, l_max + 1, stride))
@@ -897,7 +907,6 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
     cpset = set(int(c) for c in checkpoints)
     if min(cpset) < 0 or max(cpset) > l_max:
         raise UsageError(f"checkpoints outside [0, {l_max}]")
-    do_exact = exact if exact is not None else n <= CONV_CAP
     rng = np.random.default_rng(seed)
     state = np.full(trials, graph.root, dtype=np.int64)
     dist = None

@@ -4,9 +4,10 @@ Each test drives one end-to-end claim at full scale — bulk filtration laws,
 oracle exactness, compiler budgets, spectral sandwiches, walk
 equidistribution, CLI reproducibility — and prints a single summary line on
 success.  The per-module test files carry the fast frozen/property checks;
-this file is the slow, numbers-as-stated run.  The batched matrix engine
-_zpbatch carries the bulk matrix loops, and the Nottingham half of the bulk
-filtration run uses the library's own series engine (SeriesContext); every
+this file is the slow, numbers-as-stated run.  The bulk filtration run
+samples its matrices from the library's own exact lifts (`liealg._lift_any`,
+tabulated once per family and multiplied as int64 arrays), and its
+Nottingham half uses the library's series engine (SeriesContext); every
 batch path is spot-checked against the scalar reference implementation
 inside the same test.
 """
@@ -19,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from prosk import liealg, matgroups, rings, skcompiler as sk, spectral, verify
-from prosk import _zpbatch as zb
 from prosk.cli import main
 from prosk.errors import NotGenerating
 from prosk.matgroups import GroupDescriptor, ops_for
@@ -36,12 +36,52 @@ def _desc(text):
     return GroupDescriptor.parse(text)
 
 
-def _sample_depths(desc, depths, rng):
-    out = np.empty((len(depths), desc.d, desc.d), np.int64)
+def _kernel_lifts(desc):
+    """The library's lift of c * e_name at layer l, and its inverse, for every
+    layer 1..N-1, basis name and c in 0..p-1: int64 arrays [l - 1, name, c]."""
+    ring = desc.ring
+    alg = liealg.LieAlgebra(desc.family.lower(), desc.d, ring)
+    shape = (ring.N - 1, alg.dim, ring.p, desc.d, desc.d)
+    F, Finv = np.empty(shape, np.int64), np.empty(shape, np.int64)
+    for l in range(1, ring.N):
+        for k, name in enumerate(alg.basis_names()):
+            for c in range(ring.p):
+                f = liealg._lift_any(alg.from_coords({name: c}), l)
+                F[l - 1, k, c] = f.mat
+                Finv[l - 1, k, c] = matgroups.inv(f).mat
+    return F, Finv
+
+
+def _sample_depths(lifts, depths, rng):
+    """Exact-uniform samples of K_v, v = depths[i] per row, each with its
+    inverse: one draw c per row for every layer l >= v and basis name, the
+    lifts multiplied on the right and their inverses on the left."""
+    F, Finv = lifts
+    N, dim, p, d = F.shape[0] + 1, F.shape[1], F.shape[2], F.shape[3]
+    mod = p**N
+    g = np.broadcast_to(np.eye(d, dtype=np.int64), (len(depths), d, d)).copy()
+    gi = g.copy()
     for v in np.unique(depths):
-        mask = depths == v
-        out[mask] = zb.batch_sample_kernel(desc, int(v), int(mask.sum()), rng)
-    return out
+        rows = np.flatnonzero(depths == v)
+        a, ai = g[rows], gi[rows]
+        for l in range(v, N):
+            for k in range(dim):
+                c = rng.integers(0, p, len(rows), dtype=np.int64)
+                a = a @ F[l - 1, k, c] % mod
+                ai = Finv[l - 1, k, c] @ ai % mod
+        g[rows], gi[rows] = a, ai
+    return g, gi
+
+
+def _commutator(g, gi, h, hi, mod):
+    """[g, h] = g^-1 h^-1 g h, rows reduced after every product."""
+    return gi @ hi % mod @ g % mod @ h % mod
+
+
+def _depths(M, p, N):
+    """Depth of each matrix: the count of v <= N with M = I mod p^v."""
+    D = M - np.eye(M.shape[-1], dtype=np.int64)
+    return sum((D % p**v == 0).all(axis=(1, 2)) for v in range(1, N + 1))
 
 
 def _sample_series(ctx, depths, rng):
@@ -89,28 +129,33 @@ def test_criterion_1_filtration_bulk():
     for desc in matrix_descs:
         p, N = desc.ring.p, desc.ring.N
         mod = p**N
+        I = np.eye(desc.d, dtype=np.int64)
+        lifts = _kernel_lifts(desc)
         rng = np.random.default_rng(17)
         ns = rng.integers(1, N, PAIRS)
         ms = rng.integers(1, N, PAIRS)
-        g = _sample_depths(desc, ns, rng)
-        h = _sample_depths(desc, ms, rng)
-        assert zb.batch_member(desc, g[:200]).all(), desc.describe()
-        c = zb.batch_commutator(g, h, p, N)
-        dep = zb.batch_depth(c, p, N)
+        g, gi = _sample_depths(lifts, ns, rng)
+        h, hi = _sample_depths(lifts, ms, rng)
+        assert all(matgroups.is_member(desc, tuple(map(tuple, x.tolist())))
+                   for x in g[:200]), desc.describe()
+        assert not (g @ gi % mod - I).any(), desc.describe()
+        c = _commutator(g, gi, h, hi, mod)
+        dep = _depths(c, p, N)
         assert (dep >= np.minimum(ns + ms, N)).all(), desc.describe()
         # refinement: bumping either factor one level deeper moves the
         # commutator only inside K_{n+m+1}
-        gp = zb.batch_mul(g, _sample_depths(desc, np.minimum(ns + 1, N), rng), mod)
-        hp = zb.batch_mul(h, _sample_depths(desc, np.minimum(ms + 1, N), rng), mod)
-        c2 = zb.batch_commutator(gp, hp, p, N)
-        diff = zb.batch_mul(zb.batch_inv(c, p, N), c2, mod)
-        assert (zb.batch_depth(diff, p, N) >= np.minimum(ns + ms + 1, N)).all()
-        # scalar cross-check ties the batch engine to the reference path
+        g2, g2i = _sample_depths(lifts, np.minimum(ns + 1, N), rng)
+        h2, h2i = _sample_depths(lifts, np.minimum(ms + 1, N), rng)
+        c2 = _commutator(g @ g2 % mod, g2i @ gi % mod,
+                         h @ h2 % mod, h2i @ hi % mod, mod)
+        diff = _commutator(h, hi, g, gi, mod) @ c2 % mod  # [g, h]^-1 [g', h']
+        assert (_depths(diff, p, N) >= np.minimum(ns + ms + 1, N)).all()
+        # scalar cross-check ties the batch loop to the reference path
         ops = ops_for(desc)
         for i in range(6):
-            gi = matgroups.element(desc, [[int(x) for x in r] for r in g[i]])
-            hi = matgroups.element(desc, [[int(x) for x in r] for r in h[i]])
-            assert ops.depth(ops.commutator(gi, hi)) == int(dep[i])
+            a = matgroups.element(desc, g[i].tolist())
+            b = matgroups.element(desc, h[i].tolist())
+            assert ops.depth(ops.commutator(a, b)) == int(dep[i])
         checked += PAIRS
 
     for q in (5, 7, 9):

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ def test_budget_cap_exit_3(monkeypatch):
                "--gens", "sampled:3:7", "--l", "5", "--trials", "100",
                "--seed", "7"])
     assert rc == 3
+
+
+def test_walk_past_the_work_cap_exits_3(capsys):
+    """An over-long walk series is refused before its first step."""
+    t0 = time.perf_counter()
+    rc = main(["walk", "--group", "SL:d=2,Zp:p=3,N=2", "--gens", "sampled:3:7",
+               "--l", "1000000000", "--seed", "7"])
+    assert rc == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "WALK_WORK_CAP" in capsys.readouterr().err
 
 
 def test_seeded_rerun_identical(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from prosk import liealg
 from prosk.liealg import LieAlgebra, bracket, bracket_decompose, from_matrix
-from prosk.matgroups import GroupDescriptor, ops_for
+from prosk.matgroups import GroupDescriptor, is_member, ops_for
 from prosk.rings import Ring
 
 SL2 = LieAlgebra("sl", 2, Ring("Zp", 3, 3, 5))
@@ -135,6 +135,31 @@ def test_group_oracle_refines(desc_text, n, m):
             acc = ops.mul(acc, ops.commutator(a, b))
         gain = min(n + m + min(n, m), N)
         assert ops.depth(ops.mul(ops.inv(acc), r)) >= gain
+
+
+def _mod(X, l):
+    """X with every coordinate reduced mod pi^l."""
+    ring = X.algebra.ring
+    return X.algebra.from_coords(
+        {k: ring.reduce_level(v, l) for k, v in X.coords.items()})
+
+
+@pytest.mark.parametrize("alg", [
+    LieAlgebra("sl", 3, Ring("Zp", 3, 3, 6)),
+    LieAlgebra("so", 5, Ring("Zp", 5, 5, 4)),
+    LieAlgebra("sp", 4, Ring("Zp", 3, 3, 6)),
+    LieAlgebra("sl", 3, Ring("FqT", 0, 5, 4)),
+], ids=LieAlgebra.describe)
+def test_lift_linearize_roundtrip(alg):
+    """lift(X, l) is a group element, I + pi^l X mod pi^(2l): linearize
+    recovers X to its precision pi^l."""
+    rng = np.random.default_rng(40)
+    for l in range(1, alg.ring.N // 2 + 1):
+        for _ in range(15):
+            X = alg.random(rng)
+            g = liealg.lift(X, l)
+            assert is_member(g.descriptor, g.mat)
+            assert _mod(liealg.linearize(g, l), l) == _mod(X, l)
 
 
 # --- internal checks are raised, so they hold under python -O -----------------

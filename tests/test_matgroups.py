@@ -1,8 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from prosk import _zpbatch
-from prosk.errors import InvariantViolated, UsageError
+from prosk.errors import BudgetExceeded, InvariantViolated, UsageError
 from prosk.matgroups import (
     GroupDescriptor,
     element,
@@ -197,20 +198,23 @@ def test_descriptor_parse_errors():
         GroupDescriptor.parse("SO:d=3,Zp:p=2,N=2")
 
 
-# --- batched Z/p^N invariants (raised, so they hold under python -O) ---------
-
-
-def test_zpbatch_invariants_raise():
-    p, N = 5, 4
-    I = np.eye(2, dtype=np.int64)
-    M = (I + 5 * np.array([[1, 2], [3, 4]]))[None]
-    assert (_zpbatch.batch_mul(_zpbatch.batch_inv(M, p, N), M, p**N) == I).all()
-    with pytest.raises(InvariantViolated, match="Neumann"):
-        _zpbatch.batch_inv(np.array([[[2, 0], [0, 1]]]), p, N)  # not I mod p
-    with pytest.raises(InvariantViolated, match="inverse-sqrt"):
-        _zpbatch._newton_beta(np.array([2]), p, N)  # 1 - 2^2 = 2, no root mod 5
-    with pytest.raises(InvariantViolated, match="1-unit"):
-        _zpbatch._scalar_inv(np.array([5]), p, N)  # not a unit
+def test_enumeration_is_checked_against_the_budget(monkeypatch):
+    """The element count goes through PROSK_BUDGET_MB before any element
+    is built, so an oversized quotient raises at once."""
+    big = [GroupDescriptor.parse("SL:d=2,Zp:p=3,N=5"),  # 12,754,584 elements
+           GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=12")]  # 5^11
+    monkeypatch.delenv("PROSK_BUDGET_MB", raising=False)
+    for desc in big:
+        assert group_order(desc) > 10**7
+        with pytest.raises(BudgetExceeded):
+            enumerate_quotient(desc)
+    monkeypatch.setenv("PROSK_BUDGET_MB", "1")
+    desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=4")
+    assert group_order(desc) == 472_392
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="PROSK_BUDGET_MB=1"):
+        enumerate_quotient(desc)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_membership_and_count_checks_raise(monkeypatch):
