@@ -39,10 +39,10 @@ def main(argv=None):
     if args.checkpoints:
         stride = max(1, args.l // args.checkpoints)
         cps = sorted(set(list(range(0, args.l + 1, stride)) + [args.l]))
+    graph = spectral.build_graph(ops, list(gens.elements))
     series = spectral.walk_series(ops, list(gens.elements), l_max=args.l,
                                   trials=args.trials, seed=args.seed,
-                                  checkpoints=cps)
-    graph = spectral.build_graph(ops, list(gens.elements))
+                                  checkpoints=cps, graph=graph)
     rho = spectral.spectral_gap(graph)
     sched = spectral.mixing_length(rho, graph.order)
     last = series["rows"][-1]

@@ -207,14 +207,15 @@ def cmd_spectral(args):
 
 def cmd_walk(args):
     from .matgroups import ops_for
-    from .spectral import walk_series, walk_statistics
+    from .spectral import build_graph, walk_series, walk_statistics
 
     desc = _descriptor(args.group)
     ops = ops_for(desc)
     gens = _load_gens(desc, args.gens)
+    graph = build_graph(ops, list(gens.elements))
     rep = walk_series(
         ops, list(gens.elements), l_max=args.l, trials=args.trials,
-        seed=args.seed,
+        seed=args.seed, graph=graph,
     )
     payload = {"group": desc.describe(), "gens_source": gens.source}
     payload.update({k: v for k, v in rep.items() if k != "rows"})
@@ -222,7 +223,7 @@ def cmd_walk(args):
     if args.stats_coords:
         stats = walk_statistics(
             ops, list(gens.elements), trials=args.trials,
-            coordinates=args.stats_coords, seed=args.seed,
+            coordinates=args.stats_coords, seed=args.seed, graph=graph,
         )
         payload["statistics"] = stats.as_dict()
     fields = ["l", "sup_dev_mc", "tv_mc"] + (

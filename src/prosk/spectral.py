@@ -10,8 +10,8 @@ ops facade) comes from the group.  The group itself only has to quack like
 the quotient facades (identity / mul / inv / key / group_order /
 sample_uniform / serialize), so the tiny cyclic adapter below is a
 first-class citizen — it is both the non-FAb contrast family and the corpus
-for the exhaustive generating-set sweeps.  Those sweeps share one loop over
-left-multiplication tables computed once per group.
+for the exhaustive generating-set sweeps.  Those sweeps share one batched
+bitset BFS over left-multiplication tables computed once per group.
 
 The walk operator's norm rho comes from one solver, Lanczos on mean-zero
 vectors (`lanczos_gap`): every product is one `walk_matvec`, and its Krylov
@@ -43,7 +43,8 @@ MATVEC_CAP = 10**5  # walk products one gap solve may spend
 WALK_WORK_CAP = 10**10  # steps x (trials + exact convolution) of one walk
 _BREAKDOWN = 1e-12  # beta below this: the Krylov space is invariant
 SWEEP_WORK_CAP = 2 * 10**8  # exhaustive generating-set sweeps, gather units
-SWEEP_ELEMENT_CAP = 200  # exhaustive sweeps enumerate subsets of this many
+SWEEP_ELEMENT_CAP = 64  # exhaustive sweeps: one uint64 word holds a vertex set
+SWEEP_BLOCK = 1024  # unions whose bitset BFS runs together
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +172,6 @@ class CayleyGraph:
         """One step of the walk operator: average of v over S-translates.
         Valid because dirs is symmetric (as a set, s and s^-1 both appear)."""
         return v[self.perms].mean(axis=0)
-
-
-def _bfs_over_perms(perms, n, root=0):
-    """Index-frontier BFS: O(edges) total regardless of depth."""
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        cand = np.unique(perms[:, frontier].ravel())
-        cand = cand[dist[cand] < 0]
-        d += 1
-        dist[cand] = d
-        frontier = cand
-    return dist
 
 
 def build_graph(ops, gens, *, adjoin_identity=True, order=None):
@@ -444,26 +430,59 @@ class DiameterSurvey:
         }
 
 
-def _generating_unions(ops, elems, factor, work_cap):
+def _union_eccentricities(cperms, n, root, masks):
+    """One bitset BFS from `root` for every union of permutation classes in
+    `masks` (bit i selects cperms[i]), a block of unions at a time, as in
+    the multi-source traversal of Then et al. (PVLDB 8(4), 2014).  A vertex
+    set is one uint64 word and nbr[i, v] = {pi(v) : pi in cperms[i]}.
+    Returns the root's eccentricity per mask (the diameter: the graph is
+    vertex-transitive), -1 where the union does not reach all n vertices."""
+    one = np.uint64(1)
+    nbr = [np.bitwise_or.reduce(one << P.astype(np.uint64), axis=0)
+           for P in cperms]
+    verts = np.arange(n, dtype=np.uint64)
+    out = np.empty(len(masks), dtype=np.int64)
+    for lo in range(0, len(masks), SWEEP_BLOCK):
+        m = masks[lo : lo + SWEEP_BLOCK]
+        adj = np.zeros((len(m), n), dtype=np.uint64)
+        for i, row in enumerate(nbr):
+            adj[(m >> i & 1).astype(bool)] |= row
+        reached = frontier = np.full(len(m), one << np.uint64(root))
+        ecc = np.zeros(len(m), dtype=np.int64)
+        level = 0
+        while frontier.any():
+            level += 1
+            grown = np.bitwise_or.reduce(
+                adj * (frontier[:, None] >> verts & one), axis=1)
+            frontier = grown & ~reached
+            reached = reached | frontier
+            ecc[frontier != 0] = level
+        out[lo : lo + len(m)] = np.where(reached == np.uint64(2**n - 1),
+                                         ecc, -1)
+    return out
+
+
+def _generating_unions(ops, elems, factor):
     """The exhaustive sweep behind worst_case_diameter,
     monotonicity_exhaustive and extension_bound_check: the inverse-pair
-    classes of `elems`, and an iterator of (bits, diameter) over every
-    union of classes that generates (bit i selects classes[i]).  The class
-    permutations are tabulated once; each union costs one index BFS.  The
-    subset count is the hard wall: BudgetExceeded once
-    2^classes * |G| * factor * classes leaves the work cap."""
+    classes of `elems`, then the ascending masks of every union of classes
+    that generates (bit i selects classes[i]) and each one's diameter.  The
+    class permutations are tabulated once; every union runs through the
+    one bitset BFS of `_union_eccentricities`.  The subset count is the
+    hard wall: BudgetExceeded once 2^classes * |G| * factor * classes
+    leaves SWEEP_WORK_CAP."""
     n = len(elems)
     if n > SWEEP_ELEMENT_CAP:
         raise BudgetExceeded(
-            f"exhaustive sweep capped at {SWEEP_ELEMENT_CAP} elements, got "
-            f"{n}; use sampled mode"
+            f"exhaustive sweep capped at SWEEP_ELEMENT_CAP={SWEEP_ELEMENT_CAP}"
+            f" elements, got {n}; use sampled mode"
         )
     classes = inverse_pair_classes(ops, elems)
     c = len(classes)
-    if (2**c) * n * factor * c > work_cap:
+    if (2**c) * n * factor * c > SWEEP_WORK_CAP:
         raise BudgetExceeded(
-            f"{c} inverse-pair classes -> {2**c} symmetric sets over the "
-            f"work cap"
+            f"{c} inverse-pair classes -> {2**c} symmetric sets over "
+            f"SWEEP_WORK_CAP={SWEEP_WORK_CAP}"
         )
     backend = _bfs.backend_for(ops)
     batch = backend.embed(elems)
@@ -471,19 +490,13 @@ def _generating_unions(ops, elems, factor, work_cap):
                            backend.embed([x for cls in classes for x in cls]))
     cperms = np.split(rows, np.cumsum([len(cls) for cls in classes])[:-1])
     root = _bfs.positions(backend, batch, backend.identity())[0]
-
-    def sweep():
-        for bits in range(1, 2**c):
-            ps = np.concatenate([cperms[i] for i in range(c) if bits >> i & 1])
-            dist = _bfs_over_perms(ps, n, root=root)
-            if dist.min() >= 0:
-                yield bits, int(dist.max())
-
-    return classes, sweep()
+    masks = np.arange(1, 2**c, dtype=np.int64)
+    diam = _union_eccentricities(cperms, n, root, masks)
+    return classes, masks[diam >= 0], diam[diam >= 0]
 
 
 def worst_case_diameter(ops, *, elements=None, mode="exhaustive", trials=200,
-                        set_sizes=(2, 3, 4), seed=0, work_cap=SWEEP_WORK_CAP):
+                        set_sizes=(2, 3, 4), seed=0):
     """max over symmetric generating sets of diam(G, S).  Exhaustive mode
     sweeps every union of inverse-pair classes; sampled mode only certifies
     a lower bound and says so."""
@@ -508,59 +521,45 @@ def worst_case_diameter(ops, *, elements=None, mode="exhaustive", trials=200,
     elems = all_elements(ops) if elements is None else elements
     if len(elems) == 1:
         return DiameterSurvey(0, "exhaustive", [], 1, 1)
-    classes, sweep = _generating_unions(ops, elems, 2, work_cap)
-    best, witness, gen = -1, None, 0
-    for bits, d in sweep:
-        gen += 1
-        if d > best:
-            best, witness = d, bits
+    classes, bits, diam = _generating_unions(ops, elems, 2)
+    witness = int(bits[diam.argmax()])  # the first set at the maximum
     wit = [ops.serialize(x) for i, cls in enumerate(classes)
            if witness >> i & 1 for x in cls]
-    return DiameterSurvey(best, "exhaustive", wit, 2 ** len(classes) - 1, gen)
+    return DiameterSurvey(int(diam.max()), "exhaustive", wit,
+                          2 ** len(classes) - 1, len(bits))
 
 
 # ---------------------------------------------------------------------------
 # quotient comparisons
 
 
-def monotonicity_exhaustive(G_ops, Q_ops, proj, *, work_cap=SWEEP_WORK_CAP):
+def monotonicity_exhaustive(G_ops, Q_ops, proj):
     """diam(Q, pi(S)) <= diam(G, S) for every symmetric generating set S of
     G, plus the worst-case comparison.  Exhaustive-corpus sizes only.  The
-    quotient's whole left-multiplication table is computed once; pi(S)'s
-    permutations are rows of it."""
-    classes, sweep = _generating_unions(G_ops, all_elements(G_ops), 4,
-                                        work_cap)
+    quotient's whole left-multiplication table is computed once; the rows
+    for pi(S) run through the same bitset BFS as the sweep over G, one
+    batch over every generating S."""
+    classes, bits, dG = _generating_unions(G_ops, all_elements(G_ops), 4)
     backend = _bfs.backend_for(Q_ops)
     qbatch = backend.embed(all_elements(Q_ops))
     table = _bfs.left_perms(backend, qbatch, qbatch)
     qroot = _bfs.positions(backend, qbatch, backend.identity())[0]
-    qrows = [_bfs.positions(backend, qbatch,
-                            backend.embed([proj(x) for x in cls]))
-             for cls in classes]
-    checked = 0
-    violations = []
-    wcG = -1
-    wcQ = -1
-    for bits, dG in sweep:
-        chosen = [i for i in range(len(classes)) if bits >> i & 1]
-        rows = np.concatenate([qrows[i] for i in chosen])
-        qdist = _bfs_over_perms(table[rows], len(qbatch), root=qroot)
-        if qdist.min() < 0:
-            raise NotGenerating("projected set does not generate the quotient")
-        dQ = int(qdist.max())
-        checked += 1
-        wcG = max(wcG, dG)
-        wcQ = max(wcQ, dQ)
-        if dQ > dG:
-            violations.append({
-                "set": [G_ops.serialize(x)
-                        for i in chosen for x in classes[i]],
-                "diam_G": dG,
-                "diam_Q": dQ,
-            })
+    qperms = [table[_bfs.positions(backend, qbatch,
+                                   backend.embed([proj(x) for x in cls]))]
+              for cls in classes]
+    dQ = _union_eccentricities(qperms, len(qbatch), qroot, bits)
+    if (dQ < 0).any():
+        raise NotGenerating("projected set does not generate the quotient")
+    violations = [{
+        "set": [G_ops.serialize(x) for i, cls in enumerate(classes)
+                if bits[j] >> i & 1 for x in cls],
+        "diam_G": int(dG[j]),
+        "diam_Q": int(dQ[j]),
+    } for j in np.flatnonzero(dQ > dG)]
+    wcG, wcQ = int(dG.max(initial=-1)), int(dQ.max(initial=-1))
     return {
         "mode": "exhaustive",
-        "checked": checked,
+        "checked": len(bits),
         "violations": violations,
         "worst_case_G": wcG,
         "worst_case_Q": wcQ,
@@ -629,13 +628,12 @@ def extension_bound_check(G_ops, Q_ops, proj, kernel_elements, *, sets=20,
     violations = []
     diams = []
     if exhaustive:
-        _, sweep = _generating_unions(G_ops, all_elements(G_ops), 2,
-                                      SWEEP_WORK_CAP)
-        for bits, dG in sweep:
+        _, bits, diam = _generating_unions(G_ops, all_elements(G_ops), 2)
+        for b, dG in zip(bits.tolist(), diam.tolist()):
             checked += 1
             diams.append(dG)
             if dG > bound + 1e-9:
-                violations.append({"bits": bits, "diam_G": dG})
+                violations.append({"bits": b, "diam_G": dG})
     else:
         rng = np.random.default_rng(seed)
         for gens, g in _sampled_sets(G_ops, rng, sets, set_sizes):
@@ -786,7 +784,7 @@ class WalkReport:
 
 def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
                     seed=0, rng=None, adjoin_identity=True, order=None,
-                    exact=None):
+                    exact=None, graph=None):
     """Monte Carlo l-step walk against the exact convolution.
 
     Reports the sup deviation from uniform (the metric the coordinate
@@ -800,11 +798,15 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
     The schedule is counted before any step is taken: steps x trials, plus
     steps x |G| x |dirs| for the exact convolution.  Past WALK_WORK_CAP it
     raises BudgetExceeded (a gap near 1 schedules ~10^10 steps).
+
+    `graph`, when given, is the already built `build_graph(ops, gens,
+    adjoin_identity=..., order=...)` and is walked instead of a new one.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    graph = build_graph(ops, gens, adjoin_identity=adjoin_identity,
-                        order=order)
+    if graph is None:
+        graph = build_graph(ops, gens, adjoin_identity=adjoin_identity,
+                            order=order)
     n = graph.order
     rho = spectral_gap(graph)
     schedule = mixing_length(rho, n)
@@ -881,7 +883,7 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
 
 
 def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
-                adjoin_identity=True, order=None, exact=None):
+                adjoin_identity=True, order=None, exact=None, graph=None):
     """Distance-to-uniform curve along one Monte Carlo run: sup-deviation and
     plug-in TV at checkpoint steps, with the exact convolution alongside when
     the group is small enough.  One trajectory batch serves every checkpoint,
@@ -889,8 +891,11 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
 
     The schedule is counted before any step is taken, as in
     `walk_statistics`: l_max x trials, plus l_max x |G| x |dirs| for the
-    exact convolution.  Past WALK_WORK_CAP it raises BudgetExceeded."""
-    graph = build_graph(ops, gens, adjoin_identity=adjoin_identity, order=order)
+    exact convolution.  Past WALK_WORK_CAP it raises BudgetExceeded.
+    `graph` reuses an already built graph, as in `walk_statistics`."""
+    if graph is None:
+        graph = build_graph(ops, gens, adjoin_identity=adjoin_identity,
+                            order=order)
     n = graph.order
     k = graph.perms.shape[0]
     do_exact = exact if exact is not None else n <= CONV_CAP

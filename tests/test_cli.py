@@ -148,6 +148,26 @@ def test_walk_series_csv_and_stats(tmp_path):
     assert lines[0] == "l,sup_dev_mc,tv_mc,sup_dev_exact,tv_exact"
 
 
+def test_walk_with_stats_builds_one_graph(monkeypatch):
+    from prosk import spectral
+
+    calls = []
+    build = spectral.build_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "build_graph", counted)
+    rc = main([
+        "walk", "--group", "Nottingham,Fq[[t]]:q=5,N=3", "--gens", "sampled:3:7",
+        "--l", "10", "--trials", "1000", "--seed", "7",
+        "--stats-coords", "NottinghamCoeffs",
+    ])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_budget_cap_exit_3(monkeypatch):
     monkeypatch.setenv("PROSK_BUDGET_MB", "0")
     rc = main(["walk", "--group", "SL:d=2,Zp:p=3,N=3",

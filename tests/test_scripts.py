@@ -46,6 +46,25 @@ def test_mixing_curves(tmp_path, capsys):
     assert "|G|=25" in capsys.readouterr().out
 
 
+def test_mixing_curves_builds_one_graph(tmp_path, monkeypatch):
+    from prosk import spectral
+
+    calls = []
+    build = spectral.build_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "build_graph", counted)
+    rc = _script("mixing_curves").main([
+        "--group", "Nottingham,Fq[[t]]:q=5,N=3", "--gens", "sampled:3:7",
+        "--l", "10", "--trials", "1000", "--seed", "2",
+        "--out", str(tmp_path / "curves.json")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_mixing_curves_refuses_an_endless_walk(tmp_path):
     with pytest.raises(BudgetExceeded, match="WALK_WORK_CAP"):
         _script("mixing_curves").main([

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -177,6 +178,119 @@ def test_worst_case_sampled_mode():
     sv = worst_case_diameter(CyclicOps(60), mode="sampled", trials=40, seed=3)
     assert sv.mode == "sampled-lower-bound"
     assert 1 <= sv.value <= 30
+
+
+def test_sweep_caps_raise_before_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a permutation table was built")
+
+    monkeypatch.setattr(spectral._bfs, "left_perms", no_table)
+    for n, cap in ((65, "SWEEP_ELEMENT_CAP=64"), (40, "SWEEP_WORK_CAP=")):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=cap):
+            worst_case_diameter(CyclicOps(n))
+        assert time.perf_counter() - t0 < 1.0, n
+
+
+# --- the bitset sweep against a per-subset index BFS -------------------------
+
+
+def _translations(ops, elems, classes, image=lambda x: x):
+    """Reference left-translation rows of image(g) for every g of every
+    class, tabulated with ops.mul and a key dict, and the identity's index."""
+    index = {ops.key(x): j for j, x in enumerate(elems)}
+    rows = [[[index[ops.key(ops.mul(image(g), x))] for x in elems]
+             for g in cls] for cls in classes]
+    return rows, index[ops.key(ops.identity())]
+
+
+def _index_bfs(rows, root):
+    """Reference: one plain index BFS, distances from root (-1 unreached)."""
+    dist = [-1] * len(rows[0])
+    dist[root] = 0
+    frontier = [root]
+    while frontier:
+        grown = []
+        for v in frontier:
+            for row in rows:
+                w = row[v]
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    grown.append(w)
+        frontier = grown
+    return dist
+
+
+def _reference_unions(ops, elems):
+    classes = spectral.inverse_pair_classes(ops, elems)
+    rows, root = _translations(ops, elems, classes)
+    out = []
+    for bits in range(1, 2 ** len(classes)):
+        dist = _index_bfs([r for i, cls in enumerate(rows) if bits >> i & 1
+                           for r in cls], root)
+        if min(dist) >= 0:
+            out.append((bits, max(dist)))
+    return out
+
+
+def _reference_monotonicity(G, Q, proj):
+    gel, qel = spectral.all_elements(G), spectral.all_elements(Q)
+    classes = spectral.inverse_pair_classes(G, gel)
+    grows, groot = _translations(G, gel, classes)
+    qrows, qroot = _translations(Q, qel, classes, proj)
+    checked, violations, wcG, wcQ = 0, [], -1, -1
+    for bits in range(1, 2 ** len(classes)):
+        chosen = [i for i in range(len(classes)) if bits >> i & 1]
+        dG = _index_bfs([r for i in chosen for r in grows[i]], groot)
+        if min(dG) < 0:
+            continue
+        dQ = _index_bfs([r for i in chosen for r in qrows[i]], qroot)
+        assert min(dQ) >= 0
+        dG, dQ = max(dG), max(dQ)
+        checked += 1
+        wcG, wcQ = max(wcG, dG), max(wcQ, dQ)
+        if dQ > dG:
+            violations.append({
+                "set": [G.serialize(x) for i in chosen for x in classes[i]],
+                "diam_G": dG, "diam_Q": dQ})
+    return {"mode": "exhaustive", "checked": checked,
+            "violations": violations, "worst_case_G": wcG,
+            "worst_case_Q": wcQ, "worst_case_ok": wcQ <= wcG}
+
+
+def test_bitset_sweep_matches_index_bfs():
+    nott = ops_for(GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=3"))
+    cases = [(f"Z/{n}", CyclicOps(n), None) for n in range(2, 33)] + [
+        ("SL2(F_3)", ops_for(SL2_F3), None),
+        ("N(F_5)/K_3", nott, None),
+        ("Z/8 kernel", CyclicOps(8), [0, 2, 4, 6]),
+    ]
+    for label, ops, elems in cases:
+        elems = spectral.all_elements(ops) if elems is None else elems
+        _, bits, diam = spectral._generating_unions(ops, elems, 2)
+        got = list(zip(bits.tolist(), diam.tolist()))
+        assert got == _reference_unions(ops, elems), label
+
+
+def test_bitset_sweep_on_a_full_word():
+    # 64 vertices fill the uint64 vertex set; Z/64 with {+-1} has diameter 32
+    step = np.roll(np.arange(64), -1)
+    cls = np.stack([step, np.argsort(step)])
+    got = spectral._union_eccentricities([cls], 64, 0, np.array([1]))
+    assert got.tolist() == [32]
+
+
+def test_monotonicity_matches_index_bfs():
+    nott = ops_for(GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=3"))
+    # the folding map sends every set onto {+-1}: dQ = 3 beats small dG
+    fold = (CyclicOps(6), CyclicOps(6), lambda x: 0 if x == 0 else
+            1 if x <= 3 else 5)
+    for G, Q, proj in (cyclic_pair(27, 9), congruence_pair(nott, 2), fold):
+        assert monotonicity_exhaustive(G, Q, proj) == \
+            _reference_monotonicity(G, Q, proj)
+    assert monotonicity_exhaustive(*fold)["violations"]
+    with pytest.raises(NotGenerating, match="projected set"):
+        monotonicity_exhaustive(CyclicOps(4), CyclicOps(2), lambda x: 0)
 
 
 # --- sandwich and profiles ---------------------------------------------------
