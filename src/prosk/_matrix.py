@@ -32,11 +32,6 @@ def omega(ring, d):
     return tuple(tuple(r) for r in out)
 
 
-def zeros(ring, d):
-    zero = ring.zero
-    return tuple(tuple(zero for _ in range(d)) for _ in range(d))
-
-
 def add(ring, A, B):
     return tuple(
         tuple(ring.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
@@ -47,10 +42,6 @@ def sub(ring, A, B):
     return tuple(
         tuple(ring.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
     )
-
-
-def neg(ring, A):
-    return tuple(tuple(ring.neg(a) for a in row) for row in A)
 
 
 def mul(ring, A, B):
@@ -73,16 +64,8 @@ def mul(ring, A, B):
     return tuple(out)
 
 
-def smul(ring, c, A):
-    return tuple(tuple(ring.mul(c, a) for a in row) for row in A)
-
-
 def transpose(A):
     return tuple(zip(*A))
-
-
-def shift(ring, A, k):
-    return tuple(tuple(ring.shift(a, k) for a in row) for row in A)
 
 
 def unshift(ring, A, k):

@@ -14,14 +14,12 @@ ring) before being returned; a failure is a bug, not a data error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _matrix as mx
 from .errors import (
     AlgebraMismatch,
     BadLevelPair,
-    DescriptorMismatch,
     InvariantViolated,
     NotDeepEnough,
     OracleLevelRejected,
@@ -837,23 +835,23 @@ def _linearize_capped(g, n):
     return from_matrix(alg, M)
 
 
-def commutator_decompose(r, n, m, n0=1):
+def commutator_decompose(r, n, m):
     """Depth-graded oracle: express r in K_{n+m} as a product of at most
     A commutators [g_k, h_k], g_k in K_n, h_k in K_m, agreeing with r
     mod K_{2n+m}."""
     N = r.descriptor.ring.N
-    if not (n0 <= n <= m <= 2 * n):
-        raise BadLevelPair(f"need n0 <= n <= m <= 2n, got ({n}, {m})")
+    if not (1 <= n <= m <= 2 * n):
+        raise BadLevelPair(f"need 1 <= n <= m <= 2n, got ({n}, {m})")
     if m + 2 * n > N:
         raise OracleLevelRejected(f"m + 2n = {m + 2 * n} exceeds N = {N}")
-    return _commutator_decompose_capped(r, n, m, n0=n0)
+    return _commutator_decompose_capped(r, n, m)
 
 
-def _commutator_decompose_capped(r, n, m, n0=1):
+def _commutator_decompose_capped(r, n, m):
     desc = r.descriptor
     N = desc.ring.N
-    if not (n0 <= n <= m <= 2 * n):
-        raise BadLevelPair(f"need n0 <= n <= m <= 2n, got ({n}, {m})")
+    if not (1 <= n <= m <= 2 * n):
+        raise BadLevelPair(f"need 1 <= n <= m <= 2n, got ({n}, {m})")
     if m + 2 * n > N and 2 * (n + m) < N:
         raise OracleLevelRejected(
             "capped oracle needs 2(n+m) >= N when 2n+m overshoots"

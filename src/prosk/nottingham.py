@@ -182,17 +182,6 @@ class SeriesContext:
         pw = self.power(acc, a + 1)
         return (acc + self.smul(lam_planes, pw)) % self.p
 
-    def depth(self, F):
-        """Batched depth from planes: first nonzero slot minus one."""
-        L = self.L
-        body = F.copy()
-        body[..., 0, 1] = 0  # remove the leading t
-        nz = body.any(axis=-2)  # (..., L)
-        has = nz.any(axis=-1)
-        first = np.argmax(nz, axis=-1)
-        depth = np.where(has, first - 1, L - 1)
-        return depth
-
     def first_difference_depth(self, A, B):
         """depth(x^-1 y) for the elements with planes A, B: slot where the
         series first differ, minus one; N if equal."""
@@ -280,7 +269,7 @@ def generator(desc, n, lam):
     N = desc.ring.N
     if not 1 <= n <= N - 1:
         raise IndexOutOfRange(f"generator index {n} not in [1, {N - 1}]")
-    lam = int(lam.code) if hasattr(lam, "code") else int(lam)
+    lam = int(lam)
     if not 0 <= lam < desc.ring.field.q:
         raise UsageError("generator coefficient out of range")
     coeffs = [0] * (N - 1)

@@ -13,13 +13,13 @@ polynomial coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DescriptorMismatch,
     EvenCharacteristic,
+    InvariantViolated,
     NoSquareRoot,
     NotAUnit,
     NotDeepEnough,
@@ -87,7 +87,7 @@ def _smallest_irreducible(p, k):
         coeffs = [(code // p**i) % p for i in range(k)] + [1]
         if _is_irreducible(coeffs, p):
             return coeffs
-    raise AssertionError("no irreducible polynomial found")
+    raise InvariantViolated(f"no monic irreducible of degree {k} over F_{p}")
 
 
 class FqField:
@@ -154,9 +154,6 @@ class FqField:
         """Image of the integer n under Z -> F_q (prime subfield)."""
         return n % self.p
 
-    def elem(self, code):
-        return FqElem(self, int(code) % self.q)
-
     # vectorized code arithmetic (numpy index arrays in, int64 out)
 
     def add_codes(self, a, b):
@@ -179,51 +176,6 @@ def get_field(q):
     if q not in _FIELD_CACHE:
         _FIELD_CACHE[q] = FqField(q)
     return _FIELD_CACHE[q]
-
-
-@dataclass(frozen=True)
-class FqElem:
-    """An element of F_q, identified by its table code."""
-
-    field: FqField
-    code: int
-
-    def __add__(self, other):
-        self._chk(other)
-        return FqElem(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._chk(other)
-        return FqElem(
-            self.field, self.field.add(self.code, self.field.neg(other.code))
-        )
-
-    def __mul__(self, other):
-        self._chk(other)
-        return FqElem(self.field, self.field.mul(self.code, other.code))
-
-    def __neg__(self):
-        return FqElem(self.field, self.field.neg(self.code))
-
-    def inv(self):
-        return FqElem(self.field, self.field.inv(self.code))
-
-    def _chk(self, other):
-        if self.field.q != other.field.q:
-            raise DescriptorMismatch("mixed F_q fields")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqElem)
-            and self.field.q == other.field.q
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.code))
-
-    def __repr__(self):
-        return f"Fq({self.field.q})#{self.code}"
 
 
 class Ring:
@@ -419,12 +371,6 @@ class Ring:
             if self.is_unit(a):
                 return a
 
-    def residue(self, a):
-        """Image in the residue field, as an FqElem."""
-        if self.kind == "Zp":
-            return FqElem(self.field, a % self.p)
-        return FqElem(self.field, a[0])
-
     # -- wrapped elements --------------------------------------------------
 
     def elem(self, x):
@@ -440,7 +386,7 @@ class Ring:
             return RingElem(self, x % self.modulus)
         if isinstance(x, int):
             return RingElem(self, self.from_int(x))
-        codes = [c.code if isinstance(c, FqElem) else int(c) for c in x]
+        codes = [int(c) for c in x]
         if len(codes) > self.N:
             raise UsageError("too many series coefficients")
         codes = codes + [0] * (self.N - len(codes))

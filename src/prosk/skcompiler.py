@@ -24,7 +24,6 @@ from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
     InvariantViolated,
-    NotGenerating,
     OracleLevelRejected,
     PrecisionExceedsTruncation,
     UsageError,

@@ -11,17 +11,23 @@ the quotient facades (identity / mul / inv / key / group_order /
 sample_uniform / serialize), so the tiny cyclic adapter below is a
 first-class citizen — it is both the non-FAb contrast family and the corpus
 for the exhaustive generating-set sweeps.  Those sweeps share one batched
-bitset BFS over left-multiplication tables computed once per group.
+bitset BFS over left-multiplication tables computed once per group, and
+refuse a group past SWEEP_ELEMENT_CAP by its order, before enumerating it.
+The sampled sweeps share one draw loop (`_generating_draws`).
 
 The walk operator's norm rho comes from one solver, Lanczos on mean-zero
 vectors (`lanczos_gap`): every product is one `walk_matvec`, and its Krylov
-basis is counted against PROSK_BUDGET_MB beside the graph.
+basis is counted against PROSK_BUDGET_MB beside the graph.  The walk's
+float law comes from one loop (`_laws`), its Monte Carlo batch and the one
+WALK_WORK_CAP check from another (`_walk`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -45,6 +51,8 @@ _BREAKDOWN = 1e-12  # beta below this: the Krylov space is invariant
 SWEEP_WORK_CAP = 2 * 10**8  # exhaustive generating-set sweeps, gather units
 SWEEP_ELEMENT_CAP = 64  # exhaustive sweeps: one uint64 word holds a vertex set
 SWEEP_BLOCK = 1024  # unions whose bitset BFS runs together
+SET_SIZES = (2, 3, 4)  # sampled generating sets draw this many elements
+CONTRAST_ORDER_CAP = 200_000  # cyclic contrast levels stop past this order
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +198,9 @@ def build_graph(ops, gens, *, adjoin_identity=True, order=None):
     return CayleyGraph(ops, dirs, perms, run.dist, backend, run.states)
 
 
-def diameter_bfs(ops, gens, *, order=None):
+def diameter_bfs(ops, gens):
     """Exact diameter of Cay(G, S u S^-1): the identity's eccentricity."""
-    return build_graph(ops, gens, order=order).diameter
+    return build_graph(ops, gens).diameter
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +217,24 @@ class GapSolve(NamedTuple):
     residual: float
 
 
-def spectral_gap(graph, *, tol=GAP_TOL):
+def spectral_gap(graph):
     """Norm of the walk operator on mean-zero functions,
     rho = max(|lambda_min|, lambda_max) over them, from `lanczos_gap`."""
     if not is_symmetric(graph.ops, graph.dirs):
         raise NotSymmetricSet("walk directions are not closed under inverse")
     if graph.order == 1:
         return 0.0
-    return lanczos_gap(graph, tol=tol).rho
+    return lanczos_gap(graph).rho
 
 
-def lanczos_gap(graph, *, tol=GAP_TOL):
+def lanczos_gap(graph):
     """Lanczos for both ends of the walk operator's spectrum on mean-zero
     functions (a symmetric matrix there, since the directions are closed
     under inverse), from a fixed-seed start.  Each step takes the
     three-term recurrence, then reorthogonalizes fully against the whole
     basis (one classical Gram-Schmidt pass).  The run stops when the Ritz
     residuals |beta_m s_{m,i}| of the smallest and the largest Ritz value
-    are both <= tol, or at breakdown (beta ~ 0, or a basis of all n - 1
+    are both <= GAP_TOL, or at breakdown (beta ~ 0, or a basis of all n - 1
     mean-zero dimensions): the Krylov space is then invariant and the Ritz
     values are exact.  The tridiagonal eigenproblem is solved every 8 steps, and every
     m/4 steps past m = 32, so a long run does not pay one per step.
@@ -236,7 +244,7 @@ def lanczos_gap(graph, *, tol=GAP_TOL):
     When it is full before convergence, the run restarts from the
     normalized sum of the two extreme Ritz vectors.  BudgetExceeded when
     not even two basis vectors fit, or when MATVEC_CAP walk products leave
-    a residual above tol."""
+    a residual above GAP_TOL."""
     n, k = graph.order, len(graph.perms)
     work = k + 2  # a walk product's k gathers, w, and one projection
     size = min(n - 1, _bfs.vectors_that_fit(n, k) - work)
@@ -269,13 +277,14 @@ def lanczos_gap(graph, *, tol=GAP_TOL):
                 theta, S = np.linalg.eigh(T)
                 res = 0.0 if exact else beta[-1] * float(
                     np.abs(S[-1, [0, -1]]).max())
-                if res <= tol:
+                if res <= GAP_TOL:
                     rho = min(max(abs(theta[0]), theta[-1]), 1.0)
                     return GapSolve(float(rho), matvecs, restarts, res)
                 if matvecs >= MATVEC_CAP:
                     raise BudgetExceeded(
                         f"gap solver stopped at MATVEC_CAP={MATVEC_CAP} walk "
-                        f"products with Ritz residual {res:.3g} > tol {tol:g}"
+                        f"products with Ritz residual {res:.3g} > "
+                        f"GAP_TOL={GAP_TOL:g}"
                     )
                 if m == size:
                     v = (S[:, 0] + S[:, -1]) @ B
@@ -287,6 +296,17 @@ def lanczos_gap(graph, *, tol=GAP_TOL):
 
 # ---------------------------------------------------------------------------
 # mixing profiles
+
+
+def _laws(graph, steps):
+    """The walk's exact law after l = 0..steps steps from the root, as float
+    vectors: one walk product per step."""
+    v = np.zeros(graph.order)
+    v[graph.root] = 1.0
+    yield v
+    for _ in range(steps):
+        v = graph.walk_matvec(v)
+        yield v
 
 
 def mixing_profile(graph, l_max, *, exact=None):
@@ -315,14 +335,7 @@ def mixing_profile(graph, l_max, *, exact=None):
         return out
     if n > CONV_CAP:
         raise BudgetExceeded(f"convolution vector of {n} entries over cap")
-    v = np.zeros(n)
-    v[graph.root] = 1.0
-    out = []
-    for l in range(l_max + 1):
-        out.append(float(np.abs(v - 1.0 / n).max()))
-        if l < l_max:
-            v = graph.walk_matvec(v)
-    return out
+    return [float(np.abs(v - 1.0 / n).max()) for v in _laws(graph, l_max)]
 
 
 @dataclass
@@ -338,29 +351,18 @@ class SpectralReport:
     exact_profile: bool
 
     def as_dict(self):
-        prof = [float(x) for x in self.profile]
-        out = {
-            "order": self.order,
-            "set_size": self.set_size,
-            "diameter": self.diameter,
-            "rho": self.rho,
-            "inv_gap": self.inv_gap,
-            "sandwich_lower": self.sandwich_lower,
-            "sandwich_upper": self.sandwich_upper,
-            "profile": prof,
-            "exact_profile": self.exact_profile,
-        }
+        out = asdict(self)
+        out["profile"] = [float(x) for x in self.profile]
         if self.exact_profile:
             out["profile_exact"] = [str(x) for x in self.profile]
         return out
 
 
-def spectral_report(ops, gens, *, l_max=50, exact=None, tol=GAP_TOL,
-                    adjoin_identity=True):
+def spectral_report(ops, gens, *, l_max=50, adjoin_identity=True):
     """Diameter, gap, and mixing profile for one (G, S); checks the sandwich
     (diam-1)/log|G| <= 1/(1-rho) <= |S| diam^2 before returning."""
     graph = build_graph(ops, gens, adjoin_identity=adjoin_identity)
-    rho = spectral_gap(graph, tol=tol)
+    rho = spectral_gap(graph)
     n = graph.order
     diam = graph.diameter
     k = len(graph.dirs)
@@ -371,7 +373,7 @@ def spectral_report(ops, gens, *, l_max=50, exact=None, tol=GAP_TOL,
     inv_gap = 1.0 / (1.0 - rho)
     lower = (diam - 1) / math.log(n) if n > 1 else 0.0
     upper = float(k * diam * diam) if n > 1 else 1.0
-    profile = mixing_profile(graph, l_max, exact=exact)
+    profile = mixing_profile(graph, l_max)
     rep = SpectralReport(
         order=n,
         set_size=k,
@@ -383,7 +385,7 @@ def spectral_report(ops, gens, *, l_max=50, exact=None, tol=GAP_TOL,
         profile=profile,
         exact_profile=not isinstance(profile[0], float),
     )
-    if not (lower <= inv_gap + tol and inv_gap <= upper + tol):
+    if not (lower <= inv_gap + GAP_TOL and inv_gap <= upper + GAP_TOL):
         raise InvariantViolated(
             f"sandwich violated: {lower} / {inv_gap} / {upper}"
         )
@@ -421,13 +423,7 @@ class DiameterSurvey:
     generating: int
 
     def as_dict(self):
-        return {
-            "value": self.value,
-            "mode": self.mode,
-            "witness": self.witness,
-            "examined": self.examined,
-            "generating": self.generating,
-        }
+        return asdict(self)
 
 
 def _union_eccentricities(cperms, n, root, masks):
@@ -462,21 +458,30 @@ def _union_eccentricities(cperms, n, root, masks):
     return out
 
 
+def _sweep_corpus(ops, elements=None):
+    """The elements an exhaustive sweep runs over: `elements`, or the whole
+    group, enumerated only once its order is known to be within
+    SWEEP_ELEMENT_CAP.  BudgetExceeded past the cap."""
+    n = ops.group_order() if elements is None else len(elements)
+    if n > SWEEP_ELEMENT_CAP:
+        raise BudgetExceeded(
+            f"exhaustive sweep capped at SWEEP_ELEMENT_CAP={SWEEP_ELEMENT_CAP}"
+            f" elements, got {n}; use sampled mode"
+        )
+    return all_elements(ops) if elements is None else elements
+
+
 def _generating_unions(ops, elems, factor):
     """The exhaustive sweep behind worst_case_diameter,
     monotonicity_exhaustive and extension_bound_check: the inverse-pair
     classes of `elems`, then the ascending masks of every union of classes
     that generates (bit i selects classes[i]) and each one's diameter.  The
     class permutations are tabulated once; every union runs through the
-    one bitset BFS of `_union_eccentricities`.  The subset count is the
+    one bitset BFS of `_union_eccentricities`.  `elems` comes from
+    `_sweep_corpus`, within SWEEP_ELEMENT_CAP; the subset count is the
     hard wall: BudgetExceeded once 2^classes * |G| * factor * classes
     leaves SWEEP_WORK_CAP."""
     n = len(elems)
-    if n > SWEEP_ELEMENT_CAP:
-        raise BudgetExceeded(
-            f"exhaustive sweep capped at SWEEP_ELEMENT_CAP={SWEEP_ELEMENT_CAP}"
-            f" elements, got {n}; use sampled mode"
-        )
     classes = inverse_pair_classes(ops, elems)
     c = len(classes)
     if (2**c) * n * factor * c > SWEEP_WORK_CAP:
@@ -495,21 +500,29 @@ def _generating_unions(ops, elems, factor):
     return classes, masks[diam >= 0], diam[diam >= 0]
 
 
+def _generating_draws(ops, rng, attempts, set_sizes):
+    """`attempts` draws of k uniform elements, k chosen from `set_sizes`:
+    yields (gens, graph) for each draw that generates, graph being the bare
+    Cayley graph (no identity adjoined; it would add no distance)."""
+    for _ in range(attempts):
+        k = int(rng.choice(list(set_sizes)))
+        gens = [ops.sample_uniform(rng) for _ in range(k)]
+        try:
+            graph = build_graph(ops, gens, adjoin_identity=False)
+        except NotGenerating:
+            continue
+        yield gens, graph
+
+
 def worst_case_diameter(ops, *, elements=None, mode="exhaustive", trials=200,
-                        set_sizes=(2, 3, 4), seed=0):
+                        seed=0):
     """max over symmetric generating sets of diam(G, S).  Exhaustive mode
-    sweeps every union of inverse-pair classes; sampled mode only certifies
-    a lower bound and says so."""
+    sweeps every union of inverse-pair classes; sampled mode draws `trials`
+    sets of SET_SIZES elements, only certifies a lower bound and says so."""
     if mode == "sampled":
         rng = np.random.default_rng(seed)
         best, witness, gen = -1, [], 0
-        for t in range(trials):
-            k = int(rng.choice(list(set_sizes)))
-            gens = [ops.sample_uniform(rng) for _ in range(k)]
-            try:
-                g = build_graph(ops, gens, adjoin_identity=False)
-            except NotGenerating:
-                continue
+        for gens, g in _generating_draws(ops, rng, trials, SET_SIZES):
             gen += 1
             if g.diameter > best:
                 best = g.diameter
@@ -518,7 +531,7 @@ def worst_case_diameter(ops, *, elements=None, mode="exhaustive", trials=200,
             raise NotGenerating(f"no generating draw in {trials} trials")
         return DiameterSurvey(best, "sampled-lower-bound", witness, trials, gen)
 
-    elems = all_elements(ops) if elements is None else elements
+    elems = _sweep_corpus(ops, elements)
     if len(elems) == 1:
         return DiameterSurvey(0, "exhaustive", [], 1, 1)
     classes, bits, diam = _generating_unions(ops, elems, 2)
@@ -539,7 +552,7 @@ def monotonicity_exhaustive(G_ops, Q_ops, proj):
     quotient's whole left-multiplication table is computed once; the rows
     for pi(S) run through the same bitset BFS as the sweep over G, one
     batch over every generating S."""
-    classes, bits, dG = _generating_unions(G_ops, all_elements(G_ops), 4)
+    classes, bits, dG = _generating_unions(G_ops, _sweep_corpus(G_ops), 4)
     backend = _bfs.backend_for(Q_ops)
     qbatch = backend.embed(all_elements(Q_ops))
     table = _bfs.left_perms(backend, qbatch, qbatch)
@@ -567,20 +580,13 @@ def monotonicity_exhaustive(G_ops, Q_ops, proj):
     }
 
 
-def _sampled_sets(ops, rng, count, set_sizes):
-    """Generating draws only: k uniform elements, graph built to check
-    coverage; retried until `count` sets pass."""
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 30 * count:
-        attempts += 1
-        k = int(rng.choice(list(set_sizes)))
-        gens = [ops.sample_uniform(rng) for _ in range(k)]
-        try:
-            g = build_graph(ops, gens)
-        except NotGenerating:
-            continue
-        out.append((gens, g))
+def _sampled_sets(ops, rng, count):
+    """(gens, diameter) for the first `count` generating draws of SET_SIZES
+    elements, within 30 * count attempts; each graph is dropped once its
+    diameter is read."""
+    attempts = 30 * count
+    draws = _generating_draws(ops, rng, attempts, SET_SIZES)
+    out = [(gens, g.diameter) for gens, g in itertools.islice(draws, count)]
     if len(out) < count:
         raise NotGenerating(
             f"only {len(out)} of {count} draws generated after {attempts} tries"
@@ -588,19 +594,15 @@ def _sampled_sets(ops, rng, count, set_sizes):
     return out
 
 
-def monotonicity_sampled(G_ops, Q_ops, proj, *, sets=20, set_sizes=(2, 3, 4),
-                         seed=0):
+def monotonicity_sampled(G_ops, Q_ops, proj, *, sets=20, seed=0):
     """Per-set diam(Q, pi(S)) <= diam(G, S) on sampled generating sets (the
     big-G regime where exhaustion is off the table)."""
     rng = np.random.default_rng(seed)
-    checked = 0
     violations = []
     rows = []
-    for gens, g in _sampled_sets(G_ops, rng, sets, set_sizes):
-        dG = g.diameter
+    for gens, dG in _sampled_sets(G_ops, rng, sets):
         image = [proj(x) for x in symmetrize(G_ops, gens)]
         dQ = build_graph(Q_ops, image, adjoin_identity=False).diameter
-        checked += 1
         rows.append({"diam_G": dG, "diam_Q": dQ})
         if dQ > dG:
             violations.append({
@@ -610,45 +612,35 @@ def monotonicity_sampled(G_ops, Q_ops, proj, *, sets=20, set_sizes=(2, 3, 4),
             })
     return {
         "mode": "sampled",
-        "checked": checked,
+        "checked": len(rows),
         "violations": violations,
         "pairs": rows,
     }
 
 
 def extension_bound_check(G_ops, Q_ops, proj, kernel_elements, *, sets=20,
-                          set_sizes=(2, 3, 4), seed=0, exhaustive=False):
+                          seed=0, exhaustive=False):
     """diam(G, S) <= (2 diam(Q) + 1)(diam(K) + 1/2) - 1/2 with worst-case
     right-hand side, for every enumerated or sampled generating set of G.
     The kernel and quotient sweeps must be exhaustive-feasible."""
     wcQ = worst_case_diameter(Q_ops).value
     wcK = worst_case_diameter(G_ops, elements=kernel_elements).value
     bound = (2 * wcQ + 1) * (wcK + 0.5) - 0.5
-    checked = 0
-    violations = []
-    diams = []
     if exhaustive:
-        _, bits, diam = _generating_unions(G_ops, all_elements(G_ops), 2)
-        for b, dG in zip(bits.tolist(), diam.tolist()):
-            checked += 1
-            diams.append(dG)
-            if dG > bound + 1e-9:
-                violations.append({"bits": b, "diam_G": dG})
+        _, bits, diam = _generating_unions(G_ops, _sweep_corpus(G_ops), 2)
+        diams = diam.tolist()
+        violations = [{"bits": b, "diam_G": d}
+                      for b, d in zip(bits.tolist(), diams) if d > bound + 1e-9]
     else:
-        rng = np.random.default_rng(seed)
-        for gens, g in _sampled_sets(G_ops, rng, sets, set_sizes):
-            checked += 1
-            diams.append(g.diameter)
-            if g.diameter > bound + 1e-9:
-                violations.append({
-                    "set": [G_ops.serialize(x) for x in gens],
-                    "diam_G": g.diameter,
-                })
+        draws = _sampled_sets(G_ops, np.random.default_rng(seed), sets)
+        diams = [d for _, d in draws]
+        violations = [{"set": [G_ops.serialize(x) for x in gens], "diam_G": d}
+                      for gens, d in draws if d > bound + 1e-9]
     return {
         "worst_case_Q": wcQ,
         "worst_case_K": wcK,
         "bound": bound,
-        "checked": checked,
+        "checked": len(diams),
         "max_diam_G": max(diams) if diams else 0,
         "violations": violations,
     }
@@ -763,29 +755,37 @@ class WalkReport:
     marginals: list
 
     def as_dict(self):
-        return {
-            "order": self.order,
-            "set_size": self.set_size,
-            "steps": self.steps,
-            "trials": self.trials,
-            "coordinates": self.coordinates,
-            "rho": self.rho,
-            "schedule": self.schedule,
-            "sup_dev_mc": self.sup_dev_mc,
-            "tv_mc": self.tv_mc,
-            "sup_dev_exact": self.sup_dev_exact,
-            "tv_exact": self.tv_exact,
-            "scaled_sup_exact": self.scaled_sup_exact,
-            "mc_vs_exact_sup": self.mc_vs_exact_sup,
-            "mc_vs_exact_tv": self.mc_vs_exact_tv,
-            "marginals": self.marginals,
-        }
+        return asdict(self)
+
+
+def _walk(graph, steps, trials, seed):
+    """One Monte Carlo batch of `trials` walks from the root, stepped
+    `steps` times with a direction drawn per walk and step: yields
+    (l, states, law) for l = 0..steps, law being the exact distribution
+    after l steps from `_laws` when |G| <= CONV_CAP, else None.
+
+    The work is counted before any step is taken: steps x trials, plus
+    steps x |G| x |dirs| for the exact law.  Past WALK_WORK_CAP it raises
+    BudgetExceeded (a gap near 1 schedules ~10^10 steps)."""
+    n, k = graph.order, len(graph.perms)
+    exact = n <= CONV_CAP
+    if steps * trials + (steps * n * k if exact else 0) > WALK_WORK_CAP:
+        raise BudgetExceeded(
+            f"walk of {steps} steps x {trials} trials on {n} elements "
+            f"exceeds WALK_WORK_CAP={WALK_WORK_CAP}")
+    rng = np.random.default_rng(seed)
+    state = np.full(trials, graph.root, dtype=np.int64)
+    laws = _laws(graph, steps) if exact else itertools.repeat(None)
+    for l, law in zip(range(steps + 1), laws):
+        if l:
+            state = graph.perms[rng.integers(0, k, size=trials), state]
+        yield l, state, law
 
 
 def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
-                    seed=0, rng=None, adjoin_identity=True, order=None,
-                    exact=None, graph=None):
-    """Monte Carlo l-step walk against the exact convolution.
+                    seed=0, order=None, graph=None):
+    """Monte Carlo l-step walk against the exact convolution, both read at
+    the last step of `_walk` (steps defaults to the mixing schedule).
 
     Reports the sup deviation from uniform (the metric the coordinate
     equidistribution statements are phrased in), total variation, and — when
@@ -795,46 +795,20 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
     headline closeness figures are the sup deviation and the per-marginal
     distances; the joint tv_mc is reported anyway, next to its noise floor.
 
-    The schedule is counted before any step is taken: steps x trials, plus
-    steps x |G| x |dirs| for the exact convolution.  Past WALK_WORK_CAP it
-    raises BudgetExceeded (a gap near 1 schedules ~10^10 steps).
-
     `graph`, when given, is the already built `build_graph(ops, gens,
-    adjoin_identity=..., order=...)` and is walked instead of a new one.
+    order=...)` and is walked instead of a new one.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     if graph is None:
-        graph = build_graph(ops, gens, adjoin_identity=adjoin_identity,
-                            order=order)
+        graph = build_graph(ops, gens, order=order)
     n = graph.order
     rho = spectral_gap(graph)
     schedule = mixing_length(rho, n)
     if steps is None:
         steps = schedule
-    if exact is None:
-        exact = n <= CONV_CAP
     k = len(graph.dirs)
-    work = steps * trials + (steps * n * k if exact else 0)
-    if work > WALK_WORK_CAP:
-        raise BudgetExceeded(
-            f"walk schedule of {steps} steps x {trials} trials on {n} "
-            f"elements (rho = {rho}) exceeds WALK_WORK_CAP={WALK_WORK_CAP}")
     u = 1.0 / n
-
-    mu = None
-    if exact:
-        mu = np.zeros(n)
-        mu[graph.root] = 1.0
-        for _ in range(steps):
-            mu = graph.walk_matvec(mu)
-
-    state = np.zeros(trials, dtype=np.int64)
-    for _ in range(steps):
-        choice = rng.integers(0, k, size=trials)
-        state = graph.perms[choice, state].astype(np.int64)
-    counts = np.bincount(state, minlength=n)
-    emp = counts / trials
+    _, state, mu = deque(_walk(graph, steps, trials, seed), maxlen=1)[0]
+    emp = np.bincount(state, minlength=n) / trials
 
     sup_mc = float(np.abs(emp - u).max())
     tv_mc = float(0.5 * np.abs(emp - u).sum())
@@ -883,27 +857,16 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
 
 
 def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
-                adjoin_identity=True, order=None, exact=None, graph=None):
+                graph=None):
     """Distance-to-uniform curve along one Monte Carlo run: sup-deviation and
-    plug-in TV at checkpoint steps, with the exact convolution alongside when
-    the group is small enough.  One trajectory batch serves every checkpoint,
-    so the rows are correlated in the way a single experiment would be.
-
-    The schedule is counted before any step is taken, as in
-    `walk_statistics`: l_max x trials, plus l_max x |G| x |dirs| for the
-    exact convolution.  Past WALK_WORK_CAP it raises BudgetExceeded.
-    `graph` reuses an already built graph, as in `walk_statistics`."""
+    plug-in TV at checkpoint steps, with the exact law alongside when the
+    group is small enough.  One `_walk` batch serves every checkpoint, so
+    the rows are correlated in the way a single experiment would be, and
+    the walk's work cap applies before any step.  `graph` reuses an already
+    built graph, as in `walk_statistics`."""
     if graph is None:
-        graph = build_graph(ops, gens, adjoin_identity=adjoin_identity,
-                            order=order)
+        graph = build_graph(ops, gens)
     n = graph.order
-    k = graph.perms.shape[0]
-    do_exact = exact if exact is not None else n <= CONV_CAP
-    work = l_max * trials + (l_max * n * k if do_exact else 0)
-    if work > WALK_WORK_CAP:
-        raise BudgetExceeded(
-            f"walk series of {l_max} steps x {trials} trials on {n} "
-            f"elements exceeds WALK_WORK_CAP={WALK_WORK_CAP}")
     if checkpoints is None:
         stride = max(1, l_max // 50)
         checkpoints = list(range(0, l_max + 1, stride))
@@ -912,18 +875,8 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
     cpset = set(int(c) for c in checkpoints)
     if min(cpset) < 0 or max(cpset) > l_max:
         raise UsageError(f"checkpoints outside [0, {l_max}]")
-    rng = np.random.default_rng(seed)
-    state = np.full(trials, graph.root, dtype=np.int64)
-    dist = None
-    if do_exact:
-        dist = np.zeros(n)
-        dist[graph.root] = 1.0
     rows = []
-    for l in range(0, l_max + 1):
-        if l > 0:
-            state = graph.perms[rng.integers(0, k, size=trials), state]
-            if do_exact:
-                dist = graph.walk_matvec(dist)
+    for l, state, law in _walk(graph, l_max, trials, seed):
         if l in cpset:
             emp = np.bincount(state, minlength=n) / trials
             row = {
@@ -931,16 +884,16 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
                 "sup_dev_mc": float(np.abs(emp - 1.0 / n).max()),
                 "tv_mc": float(0.5 * np.abs(emp - 1.0 / n).sum()),
             }
-            if do_exact:
-                row["sup_dev_exact"] = float(np.abs(dist - 1.0 / n).max())
-                row["tv_exact"] = float(0.5 * np.abs(dist - 1.0 / n).sum())
+            if law is not None:
+                row["sup_dev_exact"] = float(np.abs(law - 1.0 / n).max())
+                row["tv_exact"] = float(0.5 * np.abs(law - 1.0 / n).sum())
             rows.append(row)
     return {
         "order": int(n),
-        "directions": int(k),
+        "directions": len(graph.perms),
         "trials": int(trials),
         "l_max": int(l_max),
-        "exact": bool(do_exact),
+        "exact": law is not None,
         "rows": rows,
     }
 
@@ -949,12 +902,13 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
 # growth series
 
 
-def cyclic_contrast_series(p, n_max, *, order_cap=200_000):
+def cyclic_contrast_series(p, n_max):
     """diam(Z/p^n, {+-1}) for n = 1..n_max — the one-generator non-FAb
-    family, measured (BFS) rather than assumed.  Growth is exponential in n."""
+    family, measured (BFS) rather than assumed.  Growth is exponential in n;
+    the levels stop at CONTRAST_ORDER_CAP elements."""
     out = []
     for n in range(1, n_max + 1):
-        if p**n > order_cap:
+        if p**n > CONTRAST_ORDER_CAP:
             break
         g = build_graph(CyclicOps(p**n, p=p), [1], adjoin_identity=False)
         out.append({"level": n, "order": p**n, "diameter": g.diameter})
@@ -963,32 +917,24 @@ def cyclic_contrast_series(p, n_max, *, order_cap=200_000):
 
 def quotient_diameter_series(desc, levels, *, sets_per_level=3, set_size=3,
                              seed=0):
-    """max over sampled generating sets of diam at each congruence level."""
+    """max over sampled generating sets of diam at each congruence level:
+    the first `sets_per_level` generating draws of `set_size` elements,
+    within 20 * sets_per_level attempts."""
     from .matgroups import ops_for
 
     rng = np.random.default_rng(seed)
     out = []
     for n in levels:
         lops = ops_for(desc.truncated(n))
-        best = 0
-        got = 0
-        attempts = 0
-        while got < sets_per_level and attempts < 20 * sets_per_level:
-            attempts += 1
-            gens = [lops.sample_uniform(rng) for _ in range(set_size)]
-            try:
-                g = build_graph(lops, gens)
-            except NotGenerating:
-                continue
-            got += 1
-            best = max(best, g.diameter)
-        if got == 0:
+        draws = _generating_draws(lops, rng, 20 * sets_per_level, (set_size,))
+        diams = [g.diameter for _, g in itertools.islice(draws, sets_per_level)]
+        if not diams:
             raise NotGenerating(f"no generating draw at level {n}")
         out.append({
             "level": int(n),
             "order": lops.group_order(),
-            "diameter": int(best),
-            "sets": got,
+            "diameter": max(diams),
+            "sets": len(diams),
         })
     return out
 

@@ -17,3 +17,35 @@ def test_no_assert_statements_in_library():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/prosk: {found}"
+
+
+def _callee(call):
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def test_every_keyword_only_parameter_has_a_caller():
+    # a keyword-only knob that no call passes by keyword is dead weight: each
+    # one must be set by name somewhere in the library, tests, scripts or
+    # benchmark.  Calls are matched by callee name (a class name stands for
+    # its __init__), so this errs towards finding a caller.
+    root = SRC.parent.parent
+    passed = set()
+    for path in sorted(p for d in ("src", "tests", "scripts", "perfbench")
+                       for p in (root / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        passed |= {(_callee(node), kw.arg) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) for kw in node.keywords}
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inits = {f: node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for f in node.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = inits.get(node, node.name)
+                unused += [f"{path.name}:{name}({a.arg})"
+                           for a in node.args.kwonlyargs
+                           if (name, a.arg) not in passed]
+    assert not unused, f"keyword-only parameters no caller sets: {unused}"

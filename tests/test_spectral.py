@@ -532,3 +532,80 @@ def test_spectral_suite_records_violated_sandwich(monkeypatch):
     assert sandwich["checked"] == sandwich["failed"] == 5
     assert all("sandwich violated" in f["error"] for f in sandwich["failures"])
     assert sum(p["failed"] for p in rep["properties"]) == 5
+
+
+# --- the shared walk, law and draw loops -------------------------------------
+
+
+def test_walk_statistics_is_the_last_row_of_walk_series():
+    # one graph, one seed: both read the same Monte Carlo batch and law
+    ops = ops_for(GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=4"))
+    graph = build_graph(ops, [ops.deserialize(c) for c in ([1, 0, 2], [0, 3, 1])])
+    L = 23
+    w = walk_statistics(ops, None, steps=L, trials=3000, seed=4, graph=graph)
+    row = walk_series(ops, None, l_max=L, trials=3000, seed=4,
+                      graph=graph)["rows"][-1]
+    assert row["l"] == L
+    for field in ("sup_dev_mc", "tv_mc", "sup_dev_exact", "tv_exact"):
+        assert getattr(w, field) == row[field], field
+
+
+def test_float_profile_is_the_walk_series_exact_column():
+    graph = build_graph(CyclicOps(40), [1, 7])
+    series = walk_series(None, None, l_max=30, trials=10, seed=0,
+                         checkpoints=range(31), graph=graph)
+    assert series["exact"]
+    assert mixing_profile(graph, 30, exact=False) == [
+        r["sup_dev_exact"] for r in series["rows"]]
+
+
+def test_sampled_surveys_frozen():
+    # recorded before the draw loops were merged; the seeded draws must not move
+    sv = worst_case_diameter(CyclicOps(60), mode="sampled", trials=25, seed=0)
+    assert (sv.value, sv.witness, sv.examined, sv.generating) == (
+        15, [34, 43], 25, 19)
+    sl9 = ops_for(GroupDescriptor.parse("SL:d=2,Zp:p=3,N=2"))
+    sv = worst_case_diameter(sl9, mode="sampled", trials=25, seed=3)
+    assert (sv.value, sv.witness, sv.generating) == (
+        15, [[[0, 1], [8, 0]], [[1, 5], [7, 0]]], 22)
+
+    rep = monotonicity_sampled(*cyclic_pair(64, 8), sets=8, seed=2)
+    assert [(r["diam_G"], r["diam_Q"]) for r in rep["pairs"]] == [
+        (5, 2), (4, 2), (3, 2), (8, 2), (6, 2), (4, 4), (5, 2), (4, 2)]
+    rep = monotonicity_sampled(*congruence_pair(sl9, 1), sets=6, seed=4)
+    assert [(r["diam_G"], r["diam_Q"]) for r in rep["pairs"]] == [
+        (5, 2), (5, 2), (6, 3), (8, 3), (6, 3), (9, 3)]
+
+    rows = spectral.quotient_diameter_series(
+        GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=6"), [2, 3, 4], seed=2)
+    assert [(r["order"], r["diameter"], r["sets"]) for r in rows] == [
+        (5, 2, 3), (25, 4, 3), (125, 4, 3)]
+    rows = spectral.quotient_diameter_series(
+        GroupDescriptor.parse("SL:d=2,Zp:p=3,N=2"), [1, 2], sets_per_level=4,
+        set_size=2, seed=5)
+    assert [(r["order"], r["diameter"], r["sets"]) for r in rows] == [
+        (24, 3, 4), (648, 9, 4)]
+
+
+def test_sweeps_check_the_cap_before_enumerating(monkeypatch):
+    # SL2(Z/3^4) has 472,392 elements: the order alone must refuse the sweep
+    big = ops_for(GroupDescriptor.parse("SL:d=2,Zp:p=3,N=4"))
+    enumerate_all = spectral.all_elements
+
+    def refuse_big(ops):
+        if ops is big:
+            raise AssertionError("the whole group was enumerated")
+        return enumerate_all(ops)
+
+    monkeypatch.setattr(spectral, "all_elements", refuse_big)
+    sweeps = (
+        lambda: worst_case_diameter(big),
+        lambda: monotonicity_exhaustive(*congruence_pair(big, 1)),
+        lambda: extension_bound_check(big, CyclicOps(2), lambda g: 0,
+                                      [big.identity()], exhaustive=True),
+    )
+    for sweep in sweeps:
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="SWEEP_ELEMENT_CAP"):
+            sweep()
+        assert time.perf_counter() - t0 < 1.0
