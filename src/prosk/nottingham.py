@@ -49,6 +49,12 @@ class SeriesContext:
                 for r in range(k):
                     C[i, j, r] = (code // p**r) % p
         self.C = C
+        # binom[m, i] = C(m, i) mod p, for the Hasse derivatives in compose
+        binom = np.zeros((L, L), dtype=np.int64)
+        binom[:, 0] = 1
+        for m in range(1, L):
+            binom[m, 1:] = (binom[m - 1, 1:] + binom[m - 1, :-1]) % p
+        self.binom = binom
 
     # -- conversions ------------------------------------------------------
 
@@ -139,18 +145,56 @@ class SeriesContext:
         return result
 
     def compose(self, G, F):
-        """G(F), Horner over G's coefficients."""
-        L = self.L
-        Gr = G.reshape(-1, self.k, L)
+        """G(F), by the cheaper of two exact schedules.
+
+        Horner over G's coefficients takes deg G products.  When F = t + h
+        with h of valuation v >= 2 (over a batch, the smallest v), the
+        Hasse-Taylor expansion G(t + h) = sum_{i <= I} (D^(i) G) h^i, with
+        I = floor((L - 1) / v) and D^(i) the i-th Hasse derivative, takes I
+        (nested in h); it runs when I < deg G.  A deep inner series, like a
+        compile residual, then costs a few products instead of L - 1.
+        """
+        Gr = G.reshape(-1, self.k, self.L)
         support = np.flatnonzero(Gr.any(axis=(0, 1)))
         if len(support) == 0:
             return np.zeros(np.broadcast_shapes(G.shape, F.shape), dtype=np.int64)
-        top = support[-1]
+        top = int(support[-1])
+        I = self._taylor_terms(F)
+        if I is not None and I < top:
+            return self._taylor(G, F, I)
+        return self._horner(G, F, top)
+
+    def _horner(self, G, F, top):
+        """G(F) for G of degree top: top products."""
         R = np.zeros(np.broadcast_shapes(G.shape, F.shape), dtype=np.int64)
         R[..., :, 0] = G[..., :, top]
         for j in range(top - 1, -1, -1):
             R = self.mul(R, F)
             R[..., :, 0] = (R[..., :, 0] + G[..., :, j]) % self.p
+        return R
+
+    def _taylor_terms(self, F):
+        """floor((L - 1) / v) when every series of F is t + h with v(h) >= v
+        >= 2, v the smallest valuation (0 for F = t); None when some F[0] != 0
+        or F[1] != t."""
+        Fr = F.reshape(-1, self.k, self.L)
+        if Fr[:, :, 0].any() or (Fr[:, 0, 1] != 1).any() or Fr[:, 1:, 1].any():
+            return None
+        tail = np.flatnonzero(Fr[:, :, 2:].any(axis=(0, 1)))
+        return (self.L - 1) // (int(tail[0]) + 2) if len(tail) else 0
+
+    def _taylor(self, G, F, I):
+        """sum_{i <= I} (D^(i) G) h^i for F = t + h, as D^(0) G + h (D^(1) G +
+        h (...)): I products.  (D^(i) G)_m = C(m + i, i) g_{m+i}."""
+        L, p = self.L, self.p
+        h = F.copy()
+        h[..., 0, 1] = 0
+        R = np.zeros(np.broadcast_shapes(G.shape, F.shape), dtype=np.int64)
+        for i in range(I, -1, -1):
+            if i < I:
+                R = self.mul(R, h)
+            R[..., : L - i] += G[..., i:] * self.binom[i:, i] % p
+            R %= p
         return R
 
     def solve_right(self, Y, X):
@@ -470,7 +514,7 @@ def _oracle_solve(desc, R_codes, n, m):
     return lam, mu
 
 
-def _gen_codes(q, L, a, lam):
+def _gen_codes(L, a, lam):
     out = np.zeros(L, dtype=np.int64)
     out[1] = 1
     if a + 1 < L:
@@ -493,7 +537,7 @@ def _single_commutator(ctx, a, coeff_codes, b):
     if a + 1 < ctx.L:
         for r in range(ctx.k):
             x[:, r, a + 1] = (coeff_codes // ctx.p**r) % ctx.p
-    y = ctx.planes_from_codes(_gen_codes(ctx.q, ctx.L, b, 1))
+    y = ctx.planes_from_codes(_gen_codes(ctx.L, b, 1))
     xy = ctx.compose(np.broadcast_to(y, x.shape), x)  # x * y
     yx = ctx.compose(x, np.broadcast_to(y, x.shape))  # y * x
     return ctx.solve_right(xy, yx)
@@ -558,8 +602,6 @@ def format_series(elem):
 
 
 class NottinghamOps:
-    n0 = 1
-
     def __init__(self, desc):
         self.descriptor = desc
 

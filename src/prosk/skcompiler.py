@@ -12,10 +12,11 @@ the telescoping bound B^i * l0, never against observed lengths.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -112,6 +113,7 @@ class GeneratingSet:
             (desc.describe() + "|" + blob).encode()
         ).hexdigest()[:16]
         self._letters = None
+        self._blocks = None
 
     def __len__(self):
         return len(self.elements)
@@ -121,7 +123,8 @@ class GeneratingSet:
         """Every generator and its inverse, indexed by the packed op code
         (idx << 1) | sign-bit, built on first use: a (2k, d, d) int64 array
         over Z/p^N within the int64 guard, a (2k, kL, kL) int64 array of
-        power matrices for the Nottingham group, the elements otherwise."""
+        power matrices for the Nottingham group (the base of `blocks`), the
+        elements otherwise."""
         if self._letters is None:
             ops = ops_for(self.descriptor)
             letters = [x for g in self.elements for x in (g, ops.inv(g))]
@@ -131,6 +134,29 @@ class GeneratingSet:
                 letters = np.array([x.mat for x in letters], dtype=np.int64)
             self._letters = letters
         return self._letters
+
+    @property
+    def blocks(self):
+        """(table, b) for the Nottingham group, built from `letters` on first
+        use: table[(c_1 ... c_b) in base 2k] = M[c_1] @ ... @ M[c_b] % p over
+        the power matrices M, read-only, b the longest block length in 3, 2,
+        1 whose (2k)^b entries fit in _BLOCK_BYTES (216 entries, 1.35 MB,
+        for 3 generators and kL = 28)."""
+        if self._blocks is None:
+            M = self.letters
+            n, m = M.shape[0], M.shape[1]
+            p = self.descriptor.ring.p
+            b = next(b for b in (3, 2, 1)
+                     if n**b * M[0].nbytes <= _BLOCK_BYTES)
+            table = M
+            for _ in range(b - 1):
+                out = np.empty((n, len(table), m, m), dtype=np.int64)
+                np.matmul(M[:, None], table[None], out=out)
+                out %= p
+                table = out.reshape(-1, m, m)
+            table.setflags(write=False)
+            self._blocks = table, b
+        return self._blocks
 
 
 def sample_generating_set(desc, k, seed, source=None):
@@ -147,6 +173,7 @@ def sample_generating_set(desc, k, seed, source=None):
 
 
 _CHUNK = 512  # letters gathered per product tree; bounds the transient arrays
+_BLOCK_BYTES = 4 << 20  # cap on a Nottingham set's letter-block table
 
 
 def _int64_products(desc):
@@ -154,6 +181,17 @@ def _int64_products(desc):
     its reduction: d (p^N - 1)^2 < 2^63."""
     ring = desc.ring
     return ring.kind == "Zp" and desc.d * (ring.modulus - 1) ** 2 < 2**63
+
+
+@functools.cache
+def _unreduced_products(p, n):
+    """Largest s with (p - 1) (n (p - 1))^s < 2^63: a vector over F_p times
+    s matrices over F_p of size n x n stays exact in int64 before one
+    reduction mod p."""
+    s = 1
+    while (p - 1) * (n * (p - 1)) ** (s + 1) < 2**63:
+        s += 1
+    return s
 
 
 def _tree_product(X, mod):
@@ -183,9 +221,12 @@ def evaluate(word, gens):
       letters fold one at a time through `ops.mul`.
 
     The Nottingham group folds right to left: a flat (kL,) int64 vector of
-    coefficient planes starts at t and takes `acc = acc @ M[code] % p` per
-    letter, M the set's (2k, kL, kL) table of the letters' power matrices
-    (the F_p-linear maps f -> f o s).
+    coefficient planes starts at t and is multiplied by the power matrices
+    of the letters (the F_p-linear maps f -> f o s), b letters at a time
+    from the set's block table (`GeneratingSet.blocks`, b = 3 within its
+    byte cap), the 0 to b - 1 letters left over one at a time.  The vector
+    is reduced mod p only every s products, s the largest with
+    (p - 1) (kL (p - 1))^s < 2^63 (s = 8 at q = 5, N = 27).
     """
     ops = ops_for(gens.descriptor)
     n_gens = len(gens.elements)
@@ -202,9 +243,20 @@ def evaluate(word, gens):
         # acc <- acc o s is right-to-left accumulation: s1...sk = sk o ... o s1,
         # so feed the word reversed.
         p = gens.descriptor.ring.p
+        table, b = gens.blocks
+        rev = codes[::-1].astype(np.int64)
+        cut = len(rev) - len(rev) % b
+        idx = rev[0:cut:b]
+        for j in range(1, b):
+            idx = idx * len(letters) + rev[j:cut:b]
+        mats = [table[i] for i in idx.tolist()]
+        mats += [letters[c] for c in rev[cut:].tolist()]
+        s = _unreduced_products(p, letters.shape[1])
         acc = ops.eval_begin()
-        for code in codes[::-1].tolist():
-            acc = acc @ letters[code] % p
+        for start in range(0, len(mats), s):
+            for M in mats[start : start + s]:
+                acc = np.dot(acc, M)
+            acc %= p
         return ops.eval_finish(acc)
     if isinstance(letters, np.ndarray):
         mod = gens.descriptor.ring.modulus
@@ -293,22 +345,14 @@ class CompileCertificate:
     residual_depth: int
     plan: str
     A: int
-    gens_id: str
+    gens: str  # the generating set's id
+
+    @property
+    def gens_id(self):  # the name perfbench/workloads.py checks
+        return self.gens
 
     def as_dict(self):
-        return {
-            "n": self.n,
-            "length": self.length,
-            "B": self.B,
-            "D": self.D,
-            "i": self.i,
-            "l0": self.l0,
-            "budget": self.budget,
-            "residual_depth": self.residual_depth,
-            "plan": self.plan,
-            "A": self.A,
-            "gens": self.gens_id,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +473,7 @@ class CompilerSession:
             residual_depth=int(rd),
             plan=plan.kind,
             A=plan.arity(ops),
-            gens_id=self.gens.id,
+            gens=self.gens.id,
         )
         return word, cert
 

@@ -24,6 +24,7 @@ WALK_WORK_CAP check from another (`_walk`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -426,6 +427,21 @@ class DiameterSurvey:
         return asdict(self)
 
 
+@functools.cache
+def _sweep_workspace():
+    """The bitset BFS's work memory, allocated on first use and kept.
+    Per-call (block, n) arrays of up to 512 KB came from mmap or from a
+    trimmed heap top depending on the allocator's history, so whether each
+    call paged them in anew (hundreds of page faults a sweep) changed with
+    the process's environment and memory layout."""
+    return np.empty((2, SWEEP_BLOCK * SWEEP_ELEMENT_CAP), dtype=np.uint64)
+
+
+def _sweep_work(rows, n):
+    """Two (rows, n) uint64 arrays over the kept workspace."""
+    return _sweep_workspace()[:, : rows * n].reshape(2, rows, n)
+
+
 def _union_eccentricities(cperms, n, root, masks):
     """One bitset BFS from `root` for every union of permutation classes in
     `masks` (bit i selects cperms[i]), a block of unions at a time, as in
@@ -440,16 +456,20 @@ def _union_eccentricities(cperms, n, root, masks):
     out = np.empty(len(masks), dtype=np.int64)
     for lo in range(0, len(masks), SWEEP_BLOCK):
         m = masks[lo : lo + SWEEP_BLOCK]
-        adj = np.zeros((len(m), n), dtype=np.uint64)
+        adj, bits = _sweep_work(len(m), n)  # updated in place
+        adj[:] = 0
         for i, row in enumerate(nbr):
-            adj[(m >> i & 1).astype(bool)] |= row
+            sel = (m >> i & 1).astype(bool)[:, None]
+            np.bitwise_or(adj, row, out=adj, where=sel)
         reached = frontier = np.full(len(m), one << np.uint64(root))
         ecc = np.zeros(len(m), dtype=np.int64)
         level = 0
         while frontier.any():
             level += 1
-            grown = np.bitwise_or.reduce(
-                adj * (frontier[:, None] >> verts & one), axis=1)
+            np.right_shift(frontier[:, None], verts, out=bits)
+            bits &= one
+            bits *= adj
+            grown = np.bitwise_or.reduce(bits, axis=1)
             frontier = grown & ~reached
             reached = reached | frontier
             ecc[frontier != 0] = level

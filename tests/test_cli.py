@@ -69,6 +69,9 @@ def test_compile_roundtrip(tmp_path, capsys):
     got = evaluate(word, gens)
     want = ops.deserialize(rep["report"]["target"])
     assert ops.key(got, level=4) == ops.key(want, level=4)
+    assert set(cert) == {"n", "length", "B", "D", "i", "l0", "budget",
+                         "residual_depth", "plan", "A", "gens"}
+    assert cert["gens"] == gens.id
 
 
 def test_compile_nottingham_series_target(tmp_path):

@@ -252,3 +252,96 @@ def test_batched_compose_and_difference_depth_match_scalar(q):
         assert rows[i].tolist() == nottingham.mul(g, h).to_codes().tolist()
         assert dep[i] == nottingham.commutator(g, h).depth()
     assert dep[-1] == N and len(set(dep.tolist())) > 3
+
+
+# --- Hasse-Taylor composition ------------------------------------------------
+# compose picks Taylor (I products) over Horner (deg G products) when the
+# inner series is t + h with I = (L - 1) // v(h) < deg G; both are exact.
+
+
+def _inner(ctx, rng, v, batch=()):
+    """Planes of t + h, h random of valuation v (v < L)."""
+    codes = np.zeros(batch + (ctx.L,), dtype=np.int64)
+    codes[..., 1] = 1
+    codes[..., v:] = rng.integers(0, ctx.q, batch + (ctx.L - v,))
+    codes[..., v] = rng.integers(1, ctx.q, batch)
+    return ctx.planes_from_codes(codes)
+
+
+def _counted_compose(monkeypatch, ctx, G, F):
+    calls = []
+    real = nottingham.SeriesContext.mul
+
+    def counted(self, A, B):
+        calls.append(1)
+        return real(self, A, B)
+
+    monkeypatch.setattr(nottingham.SeriesContext, "mul", counted)
+    out = ctx.compose(G, F)
+    monkeypatch.undo()
+    return out, len(calls)
+
+
+def _degree(G):
+    return int(np.flatnonzero(G.reshape(-1, G.shape[-2], G.shape[-1])
+                              .any(axis=(0, 1)))[-1])
+
+
+@pytest.mark.parametrize("q", [5, 9, 25])
+def test_taylor_compose_matches_horner(monkeypatch, q):
+    L = 28
+    ctx = nottingham.series_context(q, L)
+    rng = np.random.default_rng(40 + q)
+    for v in (2, 3, 5, 7, 10, 14, 27):  # shallow to deep inner series
+        for _ in range(3):
+            codes = rng.integers(0, q, L)
+            codes[L - 1] = rng.integers(1, q)  # deg G = L - 1
+            G = ctx.planes_from_codes(codes)
+            F = _inner(ctx, rng, v)
+            out, muls = _counted_compose(monkeypatch, ctx, G, F)
+            assert (out == ctx._horner(G, F, L - 1)).all()
+            I = (L - 1) // v
+            assert ctx._taylor_terms(F) == I
+            assert muls == min(I, L - 1)
+    # a batch of mixed depths takes the smallest: v = 3, I = 9
+    G = ctx.planes_from_codes(rng.integers(0, q, (12, L)))
+    F = np.concatenate([_inner(ctx, rng, v, (3,)) for v in (3, 8, 12, 20)])
+    out, muls = _counted_compose(monkeypatch, ctx, G, F)
+    assert (out == ctx._horner(G, F, _degree(G))).all()
+    assert muls == 9 < _degree(G)
+    # batched G over one inner series, and the transpose
+    F = _inner(ctx, rng, 6)
+    assert (ctx.compose(G, F) == ctx._horner(G, F, _degree(G))).all()
+    g = G[0]
+    F = np.stack([_inner(ctx, rng, v) for v in (4, 9, 13)])
+    assert (ctx.compose(g, F) == ctx._horner(g, F, _degree(g))).all()
+
+
+@pytest.mark.parametrize("q", [5, 9, 25])
+def test_compose_keeps_horner_where_taylor_costs_more(monkeypatch, q):
+    L = 20
+    ctx = nottingham.series_context(q, L)
+    rng = np.random.default_rng(50 + q)
+    # the identity inner series: G(t) = G with no product
+    G = ctx.planes_from_codes(rng.integers(0, q, (4, L)))
+    out, muls = _counted_compose(monkeypatch, ctx, G, ctx.t())
+    assert (out == G).all() and muls == 0
+    # deg G <= I: Horner, deg G products
+    F = _inner(ctx, rng, 3)  # I = 6
+    for deg in (2, 5, 6):
+        codes = np.zeros(L, dtype=np.int64)
+        codes[: deg + 1] = rng.integers(1, q, deg + 1)
+        G = ctx.planes_from_codes(codes)
+        out, muls = _counted_compose(monkeypatch, ctx, G, F)
+        assert muls == deg and (out == ctx._horner(G, F, deg)).all()
+    # F[0] != 0 or F[1] != t: Horner at every depth
+    G = ctx.planes_from_codes(rng.integers(0, q, L))
+    for lin in ((1, 1), (0, 2)):
+        codes = np.zeros(L, dtype=np.int64)
+        codes[:2] = lin
+        codes[12:] = rng.integers(0, q, L - 12)
+        F = ctx.planes_from_codes(codes)
+        assert ctx._taylor_terms(F) is None
+        out, muls = _counted_compose(monkeypatch, ctx, G, F)
+        top = _degree(G)
+        assert muls == top and (out == ctx._horner(G, F, top)).all()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosk import matgroups, nottingham
+from prosk import matgroups, nottingham, skcompiler
 from prosk.errors import InvariantViolated, NotGenerating, UsageError
 from prosk.matgroups import GroupDescriptor, element, ops_for
 from prosk.skcompiler import (
@@ -105,9 +105,11 @@ ENGINE_GROUPS = [
     ("SL:d=2,Zp:p=3,N=19", True),
     ("SL:d=2,Zp:p=3,N=20", False),
     ("SL:d=2,Fq[[t]]:q=9,N=4", False),
-    # Nottingham letters are (kL, kL) power matrices: k = 1, 2 below
+    # Nottingham letters are (kL, kL) power matrices: k = 1, 2 below; at
+    # q = 13 fewer products (7 against 8 at q = 5) run between reductions
     ("Nottingham,Fq[[t]]:q=5,N=27", True),
     ("Nottingham,Fq[[t]]:q=9,N=12", True),
+    ("Nottingham,Fq[[t]]:q=13,N=20", True),
 ]
 # both sides of the 512-letter chunk edge, and several chunks
 WORD_LENGTHS = (0, 1, 2, 511, 512, 513, 2000)
@@ -167,6 +169,46 @@ def test_letter_table_built_once(monkeypatch, text, owner, builder):
     first = gens.letters
     assert gens.letters is first
     assert len(calls) == (3 if builder == "inv" else 6)
+    if builder == "power_matrix":  # the block table adds no power matrix
+        table, b = gens.blocks
+        kL = first.shape[1]
+        assert b == 3 and table.shape == (216, kL, kL)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert gens.blocks[0] is table and len(calls) == 6
+
+
+def test_nottingham_block_table_rows_and_fallback(monkeypatch):
+    # row (c1 c2 c3) in base 6 is M[c1] @ M[c2] @ M[c3] % p; below the byte
+    # cap evaluate falls back to pairs, then single letters, unchanged
+    desc = GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=9")
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, 3, 11)
+    M, p = gens.letters, desc.ring.p
+    table, b = gens.blocks
+    for c1, c2, c3 in ((0, 0, 0), (1, 4, 2), (5, 3, 5)):
+        want = M[c1] @ M[c2] @ M[c3] % p
+        assert (table[(c1 * 6 + c2) * 6 + c3] == want).all()
+    rng = np.random.default_rng(14)
+    words = [rng.integers(0, 6, n).astype(np.int32)
+             for n in (0, 1, 2, 3, 4, 5, 97)]
+    want = [_fold(ops, gens, w) for w in words]
+    mat_bytes = M[0].nbytes
+    for cap, blen in ((36 * mat_bytes, 2), (36 * mat_bytes - 1, 1)):
+        monkeypatch.setattr(skcompiler, "_BLOCK_BYTES", cap)
+        small = GeneratingSet(desc, gens.elements)
+        assert small.blocks[1] == blen and len(small.blocks[0]) == 6**blen
+        for w, g in zip(words, want):
+            assert evaluate(Word(small.id, w), small) == g
+
+
+def test_unreduced_products_bound():
+    # s is the largest count with (p - 1) (n (p - 1))^s < 2^63
+    assert skcompiler._unreduced_products(5, 28) == 8
+    assert skcompiler._unreduced_products(13, 21) == 7
+    for p, n in ((2, 2), (2, 40), (3, 13), (5, 28), (13, 21), (31, 64)):
+        s = skcompiler._unreduced_products(p, n)
+        assert (p - 1) * (n * (p - 1)) ** s < 2**63
+        assert (p - 1) * (n * (p - 1)) ** (s + 1) >= 2**63
 
 
 # --- base tables -------------------------------------------------------------
@@ -223,7 +265,11 @@ def test_compile_exact_and_budgeted():
             assert OPS.key(got, level=n) == OPS.key(target, level=n)
             assert cert.length == len(word) <= cert.budget
             assert cert.residual_depth >= n
-            assert cert.gens_id == GENS.id
+            assert cert.gens == GENS.id
+    # the certificate's fields, in order, with the set's id last
+    assert list(cert.as_dict()) == ["n", "length", "B", "D", "i", "l0",
+                                    "budget", "residual_depth", "plan", "A",
+                                    "gens"]
 
 
 def test_compile_certificate_exponent():
