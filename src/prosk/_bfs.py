@@ -7,19 +7,16 @@ every frontier state with every direction, laid out frontier-major; for
 each key the first candidate in that order wins, and new states enter in
 discovery order.  Tables multiply on the right (state * direction), graphs
 on the left (direction * state).  `left_perms` tabulates left translations
-over any enumerated batch: graph permutations, the inverse-pair class
+over any enumerated stack: graph permutations, the inverse-pair class
 permutations of the exhaustive sweeps, and whole multiplication tables of
 small quotients.
 
-The arithmetic comes from a backend chosen from the group, never from its
-size:
-
-  ZpBackend      Z/p^N matrices as (B, d, d) int64 arrays, keys packed
-                 base p^N into one int64, so (p^N)^(d^2) < 2^63;
-  NottBackend    Nottingham quotients as coefficient planes (B, k, L), keys
-                 packed base p from the planes of t^2..t^N;
-  ScalarBackend  the ops facade (F_q[[t]] matrices, wider Z/p^N,
-                 CyclicOps): one ops.mul per product, keys interned to int64.
+The engine runs on a group facade's batch surface (`matgroups.BatchOps`):
+`stack`/`unstack` convert elements to and from a stack with a leading batch
+axis, `outer` multiplies two stacks every-by-every, `keys` gives one int64
+per element, and `identity_stack` starts the walk.  The facade alone picks
+the layout, the product and the keys, from the group and never from its
+size; the engine only sees arrays.
 
 Word ops are packed ints: (generator_index << 1) | (0 for +1, 1 for -1), so
 with directions laid out g_0, g_0^-1, g_1, g_1^-1, ... a direction's index
@@ -34,9 +31,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolated, NotGenerating
-from .matgroups import FilteredElement, ops_for
+from .matgroups import ops_for
 
 _BYTES_PER_STATE = 72  # key + parent + op + dist + element slack
+_BYTES_PER_RECORD = 32  # a BFS state's key, parent, op, dist and sorted key
+_BYTES_PER_OBJECT = 32  # the Python int behind an object stack entry
 _BYTES_PER_EDGE = 4  # one int32 permutation entry per direction
 _BYTES_PER_FLOAT = 8  # one float64 entry per state, per vector over them
 _CHUNK = 1 << 16  # BFS candidates (products) held at once
@@ -53,17 +52,19 @@ def _bytes_per_state(dirs, vectors=0):
             + _BYTES_PER_FLOAT * vectors)
 
 
-def check_budget(states, dirs, vectors=0):
-    """BudgetExceeded unless `states` states with `dirs` directions, and
-    `vectors` float64 vectors over them, fit."""
-    need = states * _bytes_per_state(dirs, vectors)
+def _charge(need, what):
     mb = budget_mb()
     if need > mb * 2**20:
         raise BudgetExceeded(
+            f"{what} needs ~{need >> 20} MB > PROSK_BUDGET_MB={mb}")
+
+
+def check_budget(states, dirs, vectors=0):
+    """BudgetExceeded unless `states` states with `dirs` directions, and
+    `vectors` float64 vectors over them, fit."""
+    _charge(states * _bytes_per_state(dirs, vectors),
             f"enumerating {states} elements x {dirs} directions"
-            f"{f' + {vectors} vectors' if vectors else ''} needs "
-            f"~{need >> 20} MB > PROSK_BUDGET_MB={mb}"
-        )
+            f"{f' + {vectors} vectors' if vectors else ''}")
 
 
 def vectors_that_fit(states, dirs):
@@ -73,105 +74,15 @@ def vectors_that_fit(states, dirs):
     return max(spare, 0) // (_BYTES_PER_FLOAT * states)
 
 
-# ---------------------------------------------------------------------------
-# backends: embed elements as a batch, outer products, int64 keys
-
-
-class ZpBackend:
-    def __init__(self, desc):
-        self.desc = desc
-        self.d = desc.d
-        self.mod = desc.ring.p**desc.ring.N
-        self._weights = self.mod ** np.arange(self.d * self.d, dtype=np.int64)
-
-    def embed(self, elems):
-        mats = np.array([x.mat for x in elems], dtype=np.int64)
-        return mats.reshape(len(elems), self.d, self.d)
-
-    def identity(self):
-        return np.eye(self.d, dtype=np.int64)[None]
-
-    def outer(self, A, B, left=False):
-        """Entry i * len(B) + j is A[i] * B[j], or B[j] * A[i] if left."""
-        X, Y = (B[None], A[:, None]) if left else (A[:, None], B[None])
-        return (np.matmul(X, Y) % self.mod).reshape(-1, self.d, self.d)
-
-    def keys(self, X):
-        return X.reshape(len(X), -1) @ self._weights
-
-    def element(self, X, i):
-        return FilteredElement(self.desc, tuple(tuple(int(v) for v in row)
-                                                for row in X[i]))
-
-
-class NottBackend:
-    def __init__(self, desc):
-        from .nottingham import series_context  # only Nottingham runs need it
-
-        self.desc = desc
-        self.ctx = series_context(desc.ring.field.q, desc.ring.N + 1)
-        digits = self.ctx.k * (desc.ring.N - 1)
-        self._weights = self.ctx.p ** np.arange(digits, dtype=np.int64)
-
-    def embed(self, elems):
-        codes = np.array([x.to_codes() for x in elems], dtype=np.int64)
-        return self.ctx.planes_from_codes(codes.reshape(-1, self.ctx.L))
-
-    def identity(self):
-        return self.ctx.t((1,))
-
-    def outer(self, A, B, left=False):
-        """As ZpBackend.outer; the product a * b is the series b(a(t))."""
-        X, Y = (B[None], A[:, None]) if left else (A[:, None], B[None])
-        return self.ctx.compose(Y, X).reshape(-1, self.ctx.k, self.ctx.L)
-
-    def keys(self, P):
-        return P[:, :, 2:].reshape(len(P), -1) @ self._weights
-
-    def element(self, P, i):
-        from .nottingham import _from_planes
-
-        return _from_planes(self.desc, P[i])
-
-
-class ScalarBackend:
-    def __init__(self, ops):
-        self.ops = ops
-        self._ids = {}  # ops.key -> int64 key, in order of first sight
-
-    def embed(self, elems):
-        out = np.empty(len(elems), dtype=object)
-        for i, x in enumerate(elems):
-            out[i] = x
-        return out
-
-    def identity(self):
-        return self.embed([self.ops.identity()])
-
-    def outer(self, A, B, left=False):
-        mul = self.ops.mul
-        return self.embed([mul(b, a) if left else mul(a, b)
-                           for a in A for b in B])
-
-    def keys(self, X):
-        ids, key = self._ids, self.ops.key
-        return np.fromiter((ids.setdefault(key(x), len(ids)) for x in X),
-                           dtype=np.int64, count=len(X))
-
-    def element(self, X, i):
-        return X[i]
-
-
-def backend_for(ops):
-    desc = getattr(ops, "descriptor", None)
-    if desc is None:
-        return ScalarBackend(ops)
-    if desc.family == "Nottingham":
-        return NottBackend(desc)
-    ring = desc.ring
-    if ring.kind == "Zp" and (ring.p**ring.N) ** (desc.d * desc.d) < 2**63:
-        return ZpBackend(desc)
-    return ScalarBackend(ops)
+def _check_bfs_budget(one, states):
+    """BudgetExceeded unless a `bfs` of `states` states fits: each state's
+    stack entries (the bytes of the one-state stack `one`, and a Python int
+    behind each entry of an object stack) and its record, held twice at the
+    end, in the per-level pieces and in their concatenation."""
+    held = one.nbytes + (one.size * _BYTES_PER_OBJECT
+                         if one.dtype == object else 0)
+    _charge(states * 2 * (held + _BYTES_PER_RECORD),
+            f"a BFS over {states} elements of {held} B each")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +90,7 @@ def backend_for(ops):
 
 
 class Enumeration(NamedTuple):
-    """States in discovery order (a backend batch) with their keys, BFS-tree
+    """States in discovery order (an ops stack) with their keys, BFS-tree
     parents (-1 at the identity), the index of the direction that reached
     each state, and distances from the identity."""
 
@@ -190,15 +101,16 @@ class Enumeration(NamedTuple):
     dist: np.ndarray
 
 
-def bfs(backend, dirs, expected, *, left):
-    """Enumerate the subgroup that the batch `dirs` generates, which must
-    have `expected` elements (NotGenerating otherwise).  A level expands
-    _CHUNK candidates at a time, so its transient arrays stay bounded."""
-    check_budget(expected, len(dirs))
+def bfs(ops, dirs, expected, *, left):
+    """Enumerate the subgroup that the stack `dirs` of the facade `ops`
+    generates, which must have `expected` elements (NotGenerating
+    otherwise).  A level expands _CHUNK candidates at a time, so its
+    transient arrays stay bounded."""
+    frontier = ops.identity_stack()
+    _check_bfs_budget(frontier, expected)
     k = len(dirs)
     step = max(1, _CHUNK // max(k, 1))  # frontier states per expansion
-    frontier = backend.identity()
-    seen = backend.keys(frontier)  # every key so far, sorted
+    seen = ops.keys(frontier)  # every key so far, sorted
     states, keys = [frontier], [seen]
     parent = [np.full(1, -1, dtype=np.int64)]
     op = [np.zeros(1, dtype=np.int32)]
@@ -207,8 +119,8 @@ def bfs(backend, dirs, expected, *, left):
     while k and count <= expected:
         found = []
         for lo in range(0, len(frontier), step):
-            cand = backend.outer(frontier[lo : lo + step], dirs, left=left)
-            ckeys = backend.keys(cand)
+            cand = ops.outer(frontier[lo : lo + step], dirs, left=left)
+            ckeys = ops.keys(cand)
             uniq, first = np.unique(ckeys, return_index=True)
             pos = np.searchsorted(seen, uniq)
             fresh = seen[np.minimum(pos, len(seen) - 1)] != uniq
@@ -246,22 +158,22 @@ class KeyIndex:
         return np.where(self._sorted[pos] == keys, self._sorter[pos], -1)
 
 
-def positions(backend, elements, items):
-    """Index in the batch `elements` of each element of the batch `items`."""
-    idx = KeyIndex(backend.keys(elements)).find(backend.keys(items))
+def positions(ops, elements, items):
+    """Index in the stack `elements` of each element of the stack `items`."""
+    idx = KeyIndex(ops.keys(elements)).find(ops.keys(items))
     if (idx < 0).any():
         raise InvariantViolated("element missing from the enumeration")
     return idx
 
 
-def left_perms(backend, elements, dirs):
+def left_perms(ops, elements, dirs):
     """perms[a, j] = index in `elements` of dirs[a] * elements[j] (both
-    backend batches; `elements` must be closed under the translations)."""
+    stacks of `ops`; `elements` must be closed under the translations)."""
     check_budget(len(elements), len(dirs))
-    find = KeyIndex(backend.keys(elements)).find
+    find = KeyIndex(ops.keys(elements)).find
     perms = np.empty((len(dirs), len(elements)), dtype=np.int32)
     for a in range(len(dirs)):
-        perms[a] = find(backend.keys(backend.outer(dirs[a : a + 1], elements)))
+        perms[a] = find(ops.keys(ops.outer(dirs[a : a + 1], elements)))
     if (perms < 0).any():
         raise InvariantViolated("left-translate left the group")
     return perms
@@ -276,9 +188,9 @@ class ShortestWordTable:
     {g_i, g_i^-1}: the BFS tree of one right-multiplication `bfs` of the
     quotient.  Immutable after construction."""
 
-    def __init__(self, level, backend, run, project):
+    def __init__(self, level, ops, run, project):
         self.level = level
-        self._backend = backend
+        self._ops = ops
         self._project = project
         self._index = KeyIndex(run.keys)
         self._parent = run.parent
@@ -288,16 +200,16 @@ class ShortestWordTable:
 
     def word_for(self, g):
         """Packed ops (np.int32) of the stored shortest word for g's coset."""
-        key = self._backend.keys(self._backend.embed([self._project(g)]))
+        key = self._ops.keys(self._ops.stack([self._project(g)]))
         i = int(self._index.find(key)[0])
         if i < 0:
             raise NotGenerating(f"coset key {int(key[0])} missing from table")
-        ops = []
+        word = []
         while self._parent[i] >= 0:
-            ops.append(self._op[i])
+            word.append(self._op[i])
             i = self._parent[i]
-        ops.reverse()
-        return np.array(ops, dtype=np.int32)
+        word.reverse()
+        return np.array(word, dtype=np.int32)
 
 
 def build_table(ops, gens, level):
@@ -308,8 +220,5 @@ def build_table(ops, gens, level):
     for g in gens:
         gq = ops.project(g, level)
         dirs += [gq, qops.inv(gq)]
-    backend = backend_for(qops)
-    run = bfs(backend, backend.embed(dirs), ops.quotient_order(level),
-              left=False)
-    return ShortestWordTable(level, backend, run,
-                             lambda g: ops.project(g, level))
+    run = bfs(qops, qops.stack(dirs), ops.quotient_order(level), left=False)
+    return ShortestWordTable(level, qops, run, lambda g: ops.project(g, level))

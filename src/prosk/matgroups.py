@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from . import _matrix as mx
 from .errors import (
     BudgetExceeded,
@@ -450,13 +452,53 @@ def ops_for(desc):
     return MatrixOps(desc)
 
 
-class MatrixOps:
-    """Uniform handle used by the compiler and the verifier."""
+class BatchOps:
+    """The batch surface of a group facade, on which `_bfs` and
+    `skcompiler.evaluate` run.  A stack holds elements along a leading batch
+    axis in a layout the facade picks; a subclass supplies `stack`,
+    `unstack`, `product` and `keys`."""
+
+    def identity_stack(self):
+        """A stack of one element, the identity."""
+        return self.stack([self.identity()])
+
+    def outer(self, A, B, left=False):
+        """The stack whose entry i * len(B) + j is A[i] * B[j], or
+        B[j] * A[i] if left."""
+        X, Y = (B[None], A[:, None]) if left else (A[:, None], B[None])
+        return self.product(X, Y).reshape((-1,) + A.shape[1:])
+
+    def _keys(self, digits, base):
+        """int64 keys of the rows of `digits` (entries in [0, base)), equal
+        exactly for equal rows: packed base `base` when a row fits in an
+        int64, otherwise interned in order of first sight on this facade."""
+        n = digits.shape[1]
+        if base**n < 2**63:
+            return digits @ base ** np.arange(n, dtype=np.int64)
+        ids = self.__dict__.setdefault("_ids", {})
+        return np.fromiter((ids.setdefault(row, len(ids))
+                            for row in map(tuple, digits.tolist())),
+                           dtype=np.int64, count=len(digits))
+
+
+class MatrixOps(BatchOps):
+    """Uniform handle used by the compiler and the verifier.
+
+    Stacks are numpy arrays.  Over Z/p^N an element is a (d, d) array of
+    residues, int64 when a d x d product cannot overflow before its
+    reduction (d (p^N - 1)^2 < 2^63), Python ints (dtype object) past that.
+    Over F_q[[t]]/t^N it is (d, d, k, N) coefficient planes (q = p^k, see
+    `nottingham.SeriesContext`), whose entry products are series products
+    summed over the inner index."""
 
     n0 = 1
 
     def __init__(self, desc):
         self.descriptor = desc
+        if desc.ring.kind == "FqT":  # the series arithmetic of the planes
+            from .nottingham import series_context
+
+            self.ctx = series_context(desc.ring.q, desc.ring.N)
 
     def identity(self):
         return identity(self.descriptor)
@@ -511,3 +553,55 @@ class MatrixOps:
 
     def deserialize(self, raw):
         return element(self.descriptor, raw)
+
+    # stacks
+
+    def stack(self, elems):
+        """The elements as one stack: (B, d, d) residues over Z/p^N,
+        (B, d, d, k, N) planes over F_q[[t]]."""
+        desc = self.descriptor
+        ring, d = desc.ring, desc.d
+        if ring.kind == "FqT":
+            codes = np.array([x.mat for x in elems], dtype=np.int64)
+            return self.ctx.planes_from_codes(codes.reshape(-1, d, d, ring.N))
+        wide = d * (ring.modulus - 1) ** 2 >= 2**63
+        mats = np.array([x.mat for x in elems],
+                        dtype=object if wide else np.int64)
+        return mats.reshape(-1, d, d)
+
+    def unstack(self, X):
+        """The elements of the stack X, in order."""
+        desc, entry = self.descriptor, int
+        if desc.ring.kind == "FqT":
+            X, entry = self.ctx.codes_from_planes(X), tuple
+        return [FilteredElement(desc, tuple(tuple(map(entry, row))
+                                            for row in m))
+                for m in X.tolist()]
+
+    def product(self, A, B):
+        """Entrywise group products A[i] * B[i] of two stacks, broadcast
+        over their batch axes."""
+        ring = self.descriptor.ring
+        if ring.kind == "Zp":
+            return np.matmul(A, B) % ring.modulus
+        ctx = self.ctx
+        # (..., i, l, 1) * (..., 1, l, j), summed over l
+        T = ctx.mul(A[..., :, :, None, :, :], B[..., None, :, :, :, :])
+        return T.sum(axis=-4) % ctx.p
+
+    def entry_codes(self, X):
+        """(B, d, d) integers in [0, q^N) for the stack X: each entry's
+        residue over Z/p^N (q = p), its coefficient codes read base q,
+        t^0 lowest, over F_q[[t]]/t^N."""
+        ring = self.descriptor.ring
+        if ring.kind == "Zp":
+            return X
+        return self.ctx.codes_from_planes(X) @ ring.q ** np.arange(ring.N)
+
+    def keys(self, X):
+        """One int64 key per element of the stack X, equal exactly for equal
+        elements: the residues packed base p^N, or the plane digits base p,
+        when q^(d^2 N) < 2^63, and interned past that."""
+        ring = self.descriptor.ring
+        base = ring.modulus if ring.kind == "Zp" else ring.p
+        return self._keys(X.reshape(len(X), -1), base)

@@ -26,6 +26,7 @@ from .errors import (
     OracleLevelRejected,
     UsageError,
 )
+from .matgroups import BatchOps
 from .rings import get_field
 
 _CTX_CACHE: dict = {}
@@ -601,7 +602,10 @@ def format_series(elem):
 # the uniform ops facade
 
 
-class NottinghamOps:
+class NottinghamOps(BatchOps):
+    """Uniform handle used by the compiler and the verifier.  Stacks are
+    (B, k, L) coefficient planes."""
+
     def __init__(self, desc):
         self.descriptor = desc
 
@@ -660,6 +664,29 @@ class NottinghamOps:
         if len(raw) != N - 1 or any(not 0 <= int(c) < q for c in raw):
             raise UsageError("bad coefficient vector")
         return NottElement(self.descriptor, raw)
+
+    # stacks
+
+    def stack(self, elems):
+        """The elements as (B, k, L) planes."""
+        ctx = _ctx_of(self.descriptor)
+        codes = np.array([x.to_codes() for x in elems]).reshape(-1, ctx.L)
+        return ctx.planes_from_codes(codes)
+
+    def unstack(self, P):
+        """The elements of the planes P, in order."""
+        return [_from_planes(self.descriptor, x) for x in P]
+
+    def product(self, A, B):
+        """Entrywise products A[i] * B[i] = B[i](A[i](t)), broadcast over
+        the batch axes."""
+        return _ctx_of(self.descriptor).compose(B, A)
+
+    def keys(self, P):
+        """One int64 key per element: the base-p digits of the planes of
+        t^2..t^N, packed when q^(N-1) < 2^63, and interned past that."""
+        return self._keys(P[:, :, 2:].reshape(len(P), -1),
+                          self.descriptor.ring.p)
 
     # word-evaluation hooks: a word folds right to left over flat planes
     # (k*L vectors), each letter one F_p-linear map f -> f o s

@@ -29,7 +29,7 @@ from .errors import (
     PrecisionExceedsTruncation,
     UsageError,
 )
-from .matgroups import FilteredElement, ops_for
+from .matgroups import ops_for
 
 # ---------------------------------------------------------------------------
 # words
@@ -121,18 +121,17 @@ class GeneratingSet:
     @property
     def letters(self):
         """Every generator and its inverse, indexed by the packed op code
-        (idx << 1) | sign-bit, built on first use: a (2k, d, d) int64 array
-        over Z/p^N within the int64 guard, a (2k, kL, kL) int64 array of
-        power matrices for the Nottingham group (the base of `blocks`), the
-        elements otherwise."""
+        (idx << 1) | sign-bit, built on first use: for a matrix group the
+        `ops.stack` of them ((2k, d, d) residues over Z/p^N, (2k, d, d, k, N)
+        planes over F_q[[t]]), for the Nottingham group a (2k, kL, kL) int64
+        array of power matrices (the base of `blocks`)."""
         if self._letters is None:
             ops = ops_for(self.descriptor)
             letters = [x for g in self.elements for x in (g, ops.inv(g))]
             if hasattr(ops, "power_matrix"):
-                letters = np.array([ops.power_matrix(x) for x in letters])
-            elif _int64_products(self.descriptor):
-                letters = np.array([x.mat for x in letters], dtype=np.int64)
-            self._letters = letters
+                self._letters = np.array([ops.power_matrix(x) for x in letters])
+            else:
+                self._letters = ops.stack(letters)
         return self._letters
 
     @property
@@ -176,13 +175,6 @@ _CHUNK = 512  # letters gathered per product tree; bounds the transient arrays
 _BLOCK_BYTES = 4 << 20  # cap on a Nottingham set's letter-block table
 
 
-def _int64_products(desc):
-    """True when a d x d product over Z/p^N cannot overflow int64 before
-    its reduction: d (p^N - 1)^2 < 2^63."""
-    ring = desc.ring
-    return ring.kind == "Zp" and desc.d * (ring.modulus - 1) ** 2 < 2**63
-
-
 @functools.cache
 def _unreduced_products(p, n):
     """Largest s with (p - 1) (n (p - 1))^s < 2^63: a vector over F_p times
@@ -194,31 +186,26 @@ def _unreduced_products(p, n):
     return s
 
 
-def _tree_product(X, mod):
-    """Ordered product of the stacked matrices X (n >= 1, d, d): pad to a
-    power of two with the identity, then multiply neighbours pairwise."""
-    n, d = X.shape[0], X.shape[1]
-    P = 1 << (n - 1).bit_length()
-    if P > n:
-        X = np.concatenate([X, np.broadcast_to(np.eye(d, dtype=np.int64),
-                                               (P - n, d, d))])
+def _tree_product(ops, X):
+    """Ordered product of the n >= 1 elements of the stack X, as a stack of
+    one: neighbours multiply pairwise, an odd last one waits a round."""
     while len(X) > 1:
-        X = np.matmul(X[0::2], X[1::2]) % mod
-    return X[0]
+        Y = ops.product(X[0:-1:2], X[1::2])
+        X = np.concatenate([Y, X[-1:]]) if len(X) % 2 else Y
+    return X
 
 
 def evaluate(word, gens):
     """Left-to-right product of the word over realized generators.
 
-    Two engines, picked from the group, both exact:
+    Two engines, picked from the group, both exact.
 
-    - batched, for Z/p^N matrix groups with d (p^N - 1)^2 < 2^63 (the int64
-      guard): the letters are gathered from the set's int64 letter table in
-      chunks of 512, each chunk is reduced by a pairwise product tree of
-      `np.matmul` reduced mod p^N, and the chunk products fold into the
-      accumulator;
-    - scalar, for Z/p^N past the guard and for F_q[[t]] matrix groups: the
-      letters fold one at a time through `ops.mul`.
+    A matrix group's letters are gathered from the set's letter stack
+    (`GeneratingSet.letters`) in chunks of 512; each chunk, and then the
+    stack of chunk products, is reduced by a pairwise product tree of
+    `ops.product`.  The stack's layout, and so the arithmetic, is the
+    facade's: int64 or Python-int residues over Z/p^N, coefficient planes
+    over F_q[[t]].
 
     The Nottingham group folds right to left: a flat (kL,) int64 vector of
     coefficient planes starts at t and is multiplied by the power matrices
@@ -258,19 +245,11 @@ def evaluate(word, gens):
                 acc = np.dot(acc, M)
             acc %= p
         return ops.eval_finish(acc)
-    if isinstance(letters, np.ndarray):
-        mod = gens.descriptor.ring.modulus
-        acc = np.eye(gens.descriptor.d, dtype=np.int64)
-        for start in range(0, len(codes), _CHUNK):
-            chunk = _tree_product(letters[codes[start : start + _CHUNK]], mod)
-            acc = acc @ chunk % mod
-        return FilteredElement(
-            gens.descriptor, tuple(tuple(row) for row in acc.tolist())
-        )
-    acc = ops.identity()
-    for code in codes.tolist():
-        acc = ops.mul(acc, letters[code])
-    return acc
+    if not len(codes):
+        return ops.identity()
+    chunks = [_tree_product(ops, letters[codes[start : start + _CHUNK]])
+              for start in range(0, len(codes), _CHUNK)]
+    return ops.unstack(_tree_product(ops, np.concatenate(chunks)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ coordinate statistics.
 
 Everything here works against an enumerated graph from the one BFS engine in
 `_bfs`: elements in discovery order from the identity, one
-left-multiplication permutation per walk direction.  The engine's backend
-(int64 matrices over Z/p^N, Nottingham coefficient planes, or the scalar
-ops facade) comes from the group.  The group itself only has to quack like
-the quotient facades (identity / mul / inv / key / group_order /
-sample_uniform / serialize), so the tiny cyclic adapter below is a
-first-class citizen — it is both the non-FAb contrast family and the corpus
-for the exhaustive generating-set sweeps.  Those sweeps share one batched
+left-multiplication permutation per walk direction.  The engine runs on the
+group facade's stacks (`matgroups.BatchOps`), whose layout the facade picks.
+The group itself only has to quack like the quotient facades (identity /
+mul / inv / key / group_order / sample_uniform / serialize, and the stack
+methods), so the tiny cyclic adapter below is a first-class citizen — it is
+both the non-FAb contrast family and the corpus for the exhaustive
+generating-set sweeps.  Those sweeps share one batched
 bitset BFS over left-multiplication tables computed once per group, and
 refuse a group past SWEEP_ELEMENT_CAP by its order, before enumerating it.
 The sampled sweeps share one draw loop (`_generating_draws`).
@@ -42,6 +42,7 @@ from .errors import (
     NotSymmetricSet,
     UsageError,
 )
+from .matgroups import BatchOps
 
 EXACT_CONV_CAP = 3000  # integer-arithmetic convolution up to here
 CONV_CAP = 500_000  # float convolution (one vector, gathers only)
@@ -60,9 +61,10 @@ CONTRAST_ORDER_CAP = 200_000  # cyclic contrast levels stop past this order
 # cyclic adapter
 
 
-class CyclicOps:
+class CyclicOps(BatchOps):
     """Additive Z/nZ behind the same duck-typed surface as the quotient
-    facades.  `p` marks a Z/p^e instance so digit coordinates make sense."""
+    facades.  `p` marks a Z/p^e instance so digit coordinates make sense.
+    Stacks are int64 vectors of residues, which are their own keys."""
 
     def __init__(self, n, p=None):
         if n < 1:
@@ -97,6 +99,22 @@ class CyclicOps:
 
     def deserialize(self, raw):
         return int(raw) % self.n
+
+    def stack(self, elems):
+        """The residues as one int64 vector."""
+        return np.array(elems, dtype=np.int64).reshape(-1)
+
+    def unstack(self, X):
+        """The residues of the stack X, as Python ints."""
+        return X.tolist()
+
+    def product(self, A, B):
+        """Entrywise sums mod n, broadcast over the batch axes."""
+        return (A + B) % self.n
+
+    def keys(self, X):
+        """The residues themselves."""
+        return X
 
 
 def cyclic_group(p, e):
@@ -163,19 +181,18 @@ class CayleyGraph:
     the BFS distance from the identity (so dist.max() is the diameter — the
     graph is vertex-transitive)."""
 
-    def __init__(self, ops, dirs, perms, dist, backend, states):
+    def __init__(self, ops, dirs, perms, dist, states):
         self.ops = ops
         self.dirs = dirs
         self.perms = perms
         self.dist = dist
-        self.states = states  # a batch of the backend below
-        self._backend = backend
+        self.states = states  # an ops stack
         self.order = perms.shape[1]
         self.root = 0
         self.diameter = int(dist.max()) if self.order else 0
 
     def element(self, i):
-        return self._backend.element(self.states, i)
+        return self.ops.unstack(self.states[i : i + 1])[0]
 
     def walk_matvec(self, v):
         """One step of the walk operator: average of v over S-translates.
@@ -192,11 +209,10 @@ def build_graph(ops, gens, *, adjoin_identity=True, order=None):
     if order is None:
         order = ops.group_order()
     dirs = symmetrize(ops, gens, include_identity=adjoin_identity)
-    backend = _bfs.backend_for(ops)
-    batch = backend.embed(dirs)
-    run = _bfs.bfs(backend, batch, order, left=True)
-    perms = _bfs.left_perms(backend, run.states, batch)
-    return CayleyGraph(ops, dirs, perms, run.dist, backend, run.states)
+    batch = ops.stack(dirs)
+    run = _bfs.bfs(ops, batch, order, left=True)
+    perms = _bfs.left_perms(ops, run.states, batch)
+    return CayleyGraph(ops, dirs, perms, run.dist, run.states)
 
 
 def diameter_bfs(ops, gens):
@@ -509,12 +525,11 @@ def _generating_unions(ops, elems, factor):
             f"{c} inverse-pair classes -> {2**c} symmetric sets over "
             f"SWEEP_WORK_CAP={SWEEP_WORK_CAP}"
         )
-    backend = _bfs.backend_for(ops)
-    batch = backend.embed(elems)
-    rows = _bfs.left_perms(backend, batch,
-                           backend.embed([x for cls in classes for x in cls]))
+    batch = ops.stack(elems)
+    rows = _bfs.left_perms(ops, batch,
+                           ops.stack([x for cls in classes for x in cls]))
     cperms = np.split(rows, np.cumsum([len(cls) for cls in classes])[:-1])
-    root = _bfs.positions(backend, batch, backend.identity())[0]
+    root = _bfs.positions(ops, batch, ops.identity_stack())[0]
     masks = np.arange(1, 2**c, dtype=np.int64)
     diam = _union_eccentricities(cperms, n, root, masks)
     return classes, masks[diam >= 0], diam[diam >= 0]
@@ -573,12 +588,11 @@ def monotonicity_exhaustive(G_ops, Q_ops, proj):
     for pi(S) run through the same bitset BFS as the sweep over G, one
     batch over every generating S."""
     classes, bits, dG = _generating_unions(G_ops, _sweep_corpus(G_ops), 4)
-    backend = _bfs.backend_for(Q_ops)
-    qbatch = backend.embed(all_elements(Q_ops))
-    table = _bfs.left_perms(backend, qbatch, qbatch)
-    qroot = _bfs.positions(backend, qbatch, backend.identity())[0]
-    qperms = [table[_bfs.positions(backend, qbatch,
-                                   backend.embed([proj(x) for x in cls]))]
+    qbatch = Q_ops.stack(all_elements(Q_ops))
+    table = _bfs.left_perms(Q_ops, qbatch, qbatch)
+    qroot = _bfs.positions(Q_ops, qbatch, Q_ops.identity_stack())[0]
+    qperms = [table[_bfs.positions(Q_ops, qbatch,
+                                   Q_ops.stack([proj(x) for x in cls]))]
               for cls in classes]
     dQ = _union_eccentricities(qperms, len(qbatch), qroot, bits)
     if (dQ < 0).any():
@@ -691,10 +705,8 @@ def _coordinate_codes(graph, kind):
             raise UsageError("NottinghamCoeffs needs a Nottingham quotient")
         q = desc.ring.field.q
         N = desc.ring.N
-        codes = np.array(
-            [graph.element(i).coeffs for i in range(graph.order)],
-            dtype=np.int64,
-        )
+        codes = np.array([x.coeffs for x in ops.unstack(graph.states)],
+                         dtype=np.int64).reshape(graph.order, N - 1)
         labels = [f"A{k}" for k in range(2, N + 1)]
         return codes, [q] * (N - 1), labels
     if kind == "FirstKind":
@@ -704,41 +716,15 @@ def _coordinate_codes(graph, kind):
         ring = desc.ring
         d = desc.d
         labels = [f"x{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-        if ring.kind == "Zp":
-            p = ring.p
-            mats = graph.states  # (order, d, d) int64 from the Z/p^N backend
-            if mats.dtype == object:
-                mats = np.array([x.mat for x in mats], dtype=np.int64)
-            delta = (mats - np.eye(d, dtype=np.int64) * 1) % (p**ring.N)
-            if (delta % p).any():
-                raise UsageError(
-                    "FirstKind reads (g - 1)/P: walk the level-1 kernel"
-                )
-            codes = (delta // p).reshape(graph.order, d * d)
-            m = p ** (ring.N - 1)
-            return codes.astype(np.int64), [m] * (d * d), labels
-        # Fq[[t]]: entries are coefficient tuples; (g - 1)/t drops slot 0
-        q = ring.field.q
-        codes = np.empty((graph.order, d * d), dtype=np.int64)
-        for i in range(graph.order):
-            g = graph.element(i)
-            flat = []
-            for r in range(d):
-                for cidx in range(d):
-                    entry = list(g.mat[r][cidx])
-                    if r == cidx:
-                        entry[0] = ring.field.sub_codes(
-                            np.array([entry[0]]), np.array([1]))[0]
-                    if entry[0] != 0:
-                        raise UsageError(
-                            "FirstKind reads (g - 1)/P: walk the level-1 kernel"
-                        )
-                    acc = 0
-                    for cpos in range(len(entry) - 1, 0, -1):
-                        acc = acc * q + int(entry[cpos])
-                    flat.append(acc)
-            codes[i] = flat
-        return codes, [q ** (ring.N - 1)] * (d * d), labels
+        # entries of g - 1 as integers base q; (g - 1)/P drops the lowest digit
+        q, N = ring.field.q, ring.N
+        eye = np.eye(d, dtype=np.int64)
+        delta = (ops.entry_codes(graph.states) - eye) % q**N
+        if (delta % q).any():
+            raise UsageError(
+                "FirstKind reads (g - 1)/P: walk the level-1 kernel")
+        codes = (delta // q).reshape(graph.order, d * d).astype(np.int64)
+        return codes, [q ** (N - 1)] * (d * d), labels
     if kind == "SecondKind":
         p = getattr(ops, "p", None)
         if p is None:
@@ -746,9 +732,8 @@ def _coordinate_codes(graph, kind):
                 "SecondKind is only wired for abelian Z/p^e test quotients"
             )
         e = round(math.log(ops.n, p))
-        vals = graph.states.astype(np.int64)
         digits = np.empty((graph.order, e), dtype=np.int64)
-        rest = vals.copy()
+        rest = graph.states.copy()
         for j in range(e):
             digits[:, j] = rest % p
             rest //= p

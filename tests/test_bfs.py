@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from prosk import _bfs
-from prosk.matgroups import GroupDescriptor, ops_for
+from prosk.errors import BudgetExceeded
+from prosk.matgroups import GroupDescriptor, MatrixOps, ops_for
 from prosk.skcompiler import sample_generating_set
 from prosk.spectral import CyclicOps, build_graph, symmetrize
 
@@ -49,7 +50,10 @@ def _table_dirs(text, level, seed):
 
 TABLE_CASES = (
     [("SL:d=2,Zp:p=3,N=2", 2, 1), ("SO:d=3,Zp:p=3,N=2", 2, 2),
-     ("SL:d=3,Fq[[t]]:q=2,N=1", 1, 3)]
+     ("SL:d=3,Fq[[t]]:q=2,N=1", 1, 3),
+     # F_q[[t]] planes: k = 2 runs the field tensor, N = 2 the series carry
+     ("SL:d=2,Fq[[t]]:q=9,N=1", 1, 20), ("SL:d=2,Fq[[t]]:q=3,N=2", 2, 20),
+     ("SL:d=2,Fq[[t]]:q=5,N=3", 2, 20)]  # 15,000 cosets
     + [("Nottingham,Fq[[t]]:q=5,N=6", n, 300) for n in range(2, 7)]
     + [("Nottingham,Fq[[t]]:q=9,N=4", n, 4) for n in range(2, 5)]
 )
@@ -59,41 +63,89 @@ TABLE_CASES = (
 def test_right_bfs_matches_reference(text, level, seed):
     qops, dirs = _table_dirs(text, level, seed)
     keys, parent, op, dist = reference_bfs(qops, dirs, left=False)
-    backend = _bfs.backend_for(qops)
-    run = _bfs.bfs(backend, backend.embed(dirs), len(keys), left=False)
+    run = _bfs.bfs(qops, qops.stack(dirs), len(keys), left=False)
     assert run.parent.tolist() == parent
     assert run.op.tolist() == op
     assert run.dist.tolist() == dist
-    assert [qops.key(backend.element(run.states, i))
-            for i in range(len(keys))] == keys
+    assert [qops.key(x) for x in qops.unstack(run.states)] == keys
 
 
 def test_right_bfs_matches_reference_cyclic():
     ops = CyclicOps(12)
     dirs = [4, 8, 3, 9]
     keys, parent, op, dist = reference_bfs(ops, dirs, left=False)
-    run = _bfs.bfs(_bfs.backend_for(ops), np.array(dirs, dtype=object), 12,
-                   left=False)
-    assert run.states.tolist() == keys
+    run = _bfs.bfs(ops, ops.stack(dirs), 12, left=False)
+    assert ops.unstack(run.states) == keys
     assert (run.parent.tolist(), run.op.tolist(), run.dist.tolist()) == (
         parent, op, dist)
 
 
-def test_backend_follows_the_group():
-    def kind(text):
-        return type(_bfs.backend_for(ops_for(GroupDescriptor.parse(text))))
+def test_stack_layout_follows_the_group():
+    # the facade picks the layout from the ring, never from the order; a
+    # stack round-trips and its products are the scalar products
+    cases = [
+        ("SL:d=2,Zp:p=3,N=19", (2, 2), np.int64),  # 2 (3^19 - 1)^2 < 2^63
+        ("SL:d=2,Zp:p=3,N=20", (2, 2), object),
+        ("SO:d=3,Fq[[t]]:q=9,N=4", (3, 3, 2, 4), np.int64),  # (d, d, k, N)
+        ("Nottingham,Fq[[t]]:q=5,N=27", (1, 28), np.int64),  # (k, L)
+    ]
+    rng = np.random.default_rng(21)
+    for text, shape, dtype in cases:
+        ops = ops_for(GroupDescriptor.parse(text))
+        elems = [ops.identity()] + [ops.sample_uniform(rng) for _ in range(3)]
+        X = ops.stack(elems)
+        assert X.shape == (4,) + shape and X.dtype == dtype, text
+        assert ops.unstack(X) == elems
+        assert ops.unstack(ops.identity_stack()) == [ops.identity()]
+        assert ops.unstack(ops.outer(X, X)) == [ops.mul(a, b) for a in elems
+                                                for b in elems]
+    ops = CyclicOps(12)
+    X = ops.stack([0, 5, 11])
+    assert X.shape == (3,) and X.dtype == np.int64
+    assert ops.unstack(ops.outer(X, X, left=True)) == [
+        (a + b) % 12 for a in (0, 5, 11) for b in (0, 5, 11)]
 
-    assert kind("SL:d=2,Zp:p=3,N=9") is _bfs.ZpBackend  # (3^9)^4 < 2^63
-    assert kind("SL:d=2,Zp:p=3,N=10") is _bfs.ScalarBackend
-    assert kind("SL:d=3,Fq[[t]]:q=2,N=1") is _bfs.ScalarBackend
-    assert kind("Nottingham,Fq[[t]]:q=5,N=27") is _bfs.NottBackend
-    assert type(_bfs.backend_for(CyclicOps(12))) is _bfs.ScalarBackend
+
+@pytest.mark.parametrize("text", ["SO:d=3,Zp:p=3,N=5",
+                                  "SL:d=2,Fq[[t]]:q=9,N=6"])
+def test_interned_keys_are_injective(text):
+    # (3^5)^9 and 9^(4 * 6) pass 2^63, so keys are interned, not packed:
+    # equal exactly for equal elements, across calls on one facade
+    ops = ops_for(GroupDescriptor.parse(text))
+    rng = np.random.default_rng(22)
+    elems = [ops.sample_uniform(rng) for _ in range(40)]
+    drawn = [elems[i] for i in rng.integers(0, 40, 120)]
+    keys = ops.keys(ops.stack(drawn)).tolist()
+    assert ops.keys(ops.stack(drawn[::-1])).tolist() == keys[::-1]
+    by_key = {}
+    for k, x in zip(keys, drawn):
+        assert by_key.setdefault(k, ops.key(x)) == ops.key(x)
+    assert len(by_key) == len({ops.key(x) for x in drawn})
+
+
+def test_bfs_charges_its_stacked_states(monkeypatch):
+    # SL3(F_2[[t]]/t^2): 43,008 states of 144 B planes each, 5.9 MB stacked,
+    # so a 5 MB budget refuses the walk before any product is taken
+    desc = GroupDescriptor.parse("SL:d=3,Fq[[t]]:q=2,N=2")
+    ops = ops_for(desc)
+    assert ops.group_order() == 43_008
+    assert ops.identity_stack().nbytes == 144
+    gens = [ops.sample_uniform(np.random.default_rng(23)) for _ in range(3)]
+    products = []
+    monkeypatch.setattr(MatrixOps, "outer",
+                        lambda *args, **kw: products.append(1))
+    monkeypatch.setenv("PROSK_BUDGET_MB", "5")
+    with pytest.raises(BudgetExceeded, match="PROSK_BUDGET_MB=5"):
+        _bfs.build_table(ops, gens, 2)
+    assert not products
 
 
 GRAPH_CASES = [
     ("SL:d=2,Zp:p=3,N=2", 2, 5),
     ("SO:d=3,Zp:p=3,N=2", 2, 6),
     ("SL:d=3,Fq[[t]]:q=2,N=1", 2, 7),
+    ("SL:d=2,Fq[[t]]:q=9,N=1", 2, 20),
+    ("SL:d=2,Fq[[t]]:q=3,N=2", 2, 20),
     ("Nottingham,Fq[[t]]:q=5,N=4", 2, 8),
     ("Nottingham,Fq[[t]]:q=9,N=3", 4, 9),  # abelian: needs 4 generators
 ]

@@ -95,7 +95,8 @@ def test_evaluate_bounds_check():
 
 # --- evaluation engines ------------------------------------------------------
 # evaluate picks its engine from the group; each must equal the plain
-# left-to-right ops.mul fold exactly.
+# left-to-right ops.mul fold exactly.  The flag says whether the letters are
+# an int64 array (else Python ints, dtype object).
 
 ENGINE_GROUPS = [
     ("SL:d=2,Zp:p=3,N=8", True),
@@ -104,7 +105,8 @@ ENGINE_GROUPS = [
     # the int64 guard d (p^N - 1)^2 < 2^63 sits between N=19 and N=20
     ("SL:d=2,Zp:p=3,N=19", True),
     ("SL:d=2,Zp:p=3,N=20", False),
-    ("SL:d=2,Fq[[t]]:q=9,N=4", False),
+    # (6, d, d, k, N) coefficient planes, k = 2
+    ("SL:d=2,Fq[[t]]:q=9,N=4", True),
     # Nottingham letters are (kL, kL) power matrices: k = 1, 2 below; at
     # q = 13 fewer products (7 against 8 at q = 5) run between reductions
     ("Nottingham,Fq[[t]]:q=5,N=27", True),
@@ -123,20 +125,21 @@ def _fold(ops, gens, codes):
     return acc
 
 
-@pytest.mark.parametrize("text,batched", ENGINE_GROUPS)
-def test_evaluate_engines_match_scalar_fold(text, batched):
+@pytest.mark.parametrize("text,int64", ENGINE_GROUPS)
+def test_evaluate_engines_match_scalar_fold(text, int64):
     desc = GroupDescriptor.parse(text)
     ops = ops_for(desc)
     gens = sample_generating_set(desc, 3, 11)
     letters = gens.letters
-    assert isinstance(letters, np.ndarray) == batched
-    if batched:
-        if desc.family == "Nottingham":
-            kL = desc.ring.field.k * (desc.ring.N + 1)
-            assert letters.shape == (6, kL, kL)
-        else:
-            assert letters.shape == (6, desc.d, desc.d)
-        assert letters.dtype == np.int64
+    ring, d = desc.ring, desc.d
+    if desc.family == "Nottingham":
+        kL = ring.field.k * (ring.N + 1)
+        assert letters.shape == (6, kL, kL)
+    elif ring.kind == "FqT":
+        assert letters.shape == (6, d, d, ring.field.k, ring.N)
+    else:
+        assert letters.shape == (6, d, d)
+    assert letters.dtype == (np.int64 if int64 else object)
     rng = np.random.default_rng(12)
     for n in WORD_LENGTHS:
         codes = rng.integers(0, 6, n).astype(np.int32)

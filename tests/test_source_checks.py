@@ -49,3 +49,20 @@ def test_every_keyword_only_parameter_has_a_caller():
                            for a in node.args.kwonlyargs
                            if (name, a.arg) not in passed]
     assert not unused, f"keyword-only parameters no caller sets: {unused}"
+
+
+def test_bfs_engine_leaves_the_layout_to_the_ops():
+    # the group facades pick a stack's layout, product and keys; the engine
+    # names no element type, series arithmetic or backend of its own
+    tree = ast.parse((SRC / "_bfs.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[-1] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "").split(".")[-1]}
+            imported |= {a.name for a in node.names}
+    assert not imported & {"nottingham", "series_context", "FilteredElement"}
+    classes = [node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    assert not [c for c in classes if "Backend" in c], classes

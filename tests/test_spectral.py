@@ -475,6 +475,35 @@ def test_first_kind_on_kernel():
     assert [m["support"] for m in w.marginals] == [3, 3, 3, 3]
 
 
+@pytest.mark.parametrize("text,depth,order", [
+    ("SL:d=2,Zp:p=3,N=2", 1, 27),
+    ("SL:d=2,Zp:p=3,N=21", 20, 27),  # Python-int stack past the int64 guard
+    # coefficient planes, k = 2; sample_kernel draws from the F_3-points
+    ("SL:d=2,Fq[[t]]:q=9,N=2", 1, 27),
+])
+def test_first_kind_codes_read_the_entries(text, depth, order):
+    # the codes of (g - 1)/P against the entries of each element's matrix
+    ops = ops_for(GroupDescriptor.parse(text))
+    ring = ops.descriptor.ring
+    q = ring.field.q
+    rng = np.random.default_rng(12)
+    g = build_graph(ops, [ops.sample_kernel(depth, rng) for _ in range(8)],
+                    order=order)
+    codes, supports, _ = spectral._coordinate_codes(g, "FirstKind")
+    want = []
+    for i in range(g.order):
+        mat = g.element(i).mat
+        if ring.kind == "Zp":
+            want.append([(e - (r == c)) % ring.modulus // ring.p
+                         for r, row in enumerate(mat)
+                         for c, e in enumerate(row)])
+        else:  # the identity only moves the dropped slot t^0
+            want.append([sum(x * q**j for j, x in enumerate(e[1:]))
+                         for row in mat for e in row])
+    assert codes.tolist() == want
+    assert supports == [q ** (ring.N - 1)] * 4
+
+
 def test_walk_series_deterministic():
     z = CyclicOps(30)
     a = walk_series(z, [1, 7], l_max=25, trials=4000, seed=5)
@@ -487,12 +516,12 @@ def test_walk_series_deterministic():
     assert a["rows"][-1]["tv_exact"] < 0.05 < a["rows"][1]["tv_exact"]
 
 
-# --- the batched Z/p^N backend -----------------------------------------------
+# --- the batched Z/p^N stacks ------------------------------------------------
 
 
 def test_fast_path_matches_scalar():
     # a group of 17,496 elements and its level-2 image, both enumerated on
-    # int64 matrices (the backend depends on the ring, not the order)
+    # int64 matrices (the stack layout depends on the ring, not the order)
     desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=3")
     ops = ops_for(desc)
     rng = np.random.default_rng(63)
