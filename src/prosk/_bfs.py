@@ -74,14 +74,17 @@ def vectors_that_fit(states, dirs):
     return max(spare, 0) // (_BYTES_PER_FLOAT * states)
 
 
-def _check_bfs_budget(one, states):
+def _check_bfs_budget(ops, one, states, candidates):
     """BudgetExceeded unless a `bfs` of `states` states fits: each state's
     stack entries (the bytes of the one-state stack `one`, and a Python int
     behind each entry of an object stack) and its record, held twice at the
-    end, in the per-level pieces and in their concatenation."""
+    end, in the per-level pieces and in their concatenation; and one chunk
+    of `candidates` products, each `ops.product_copies()` stack entries at
+    the product's peak."""
     held = one.nbytes + (one.size * _BYTES_PER_OBJECT
                          if one.dtype == object else 0)
-    _charge(states * 2 * (held + _BYTES_PER_RECORD),
+    _charge(states * 2 * (held + _BYTES_PER_RECORD)
+            + candidates * held * ops.product_copies(),
             f"a BFS over {states} elements of {held} B each")
 
 
@@ -107,9 +110,9 @@ def bfs(ops, dirs, expected, *, left):
     otherwise).  A level expands _CHUNK candidates at a time, so its
     transient arrays stay bounded."""
     frontier = ops.identity_stack()
-    _check_bfs_budget(frontier, expected)
     k = len(dirs)
     step = max(1, _CHUNK // max(k, 1))  # frontier states per expansion
+    _check_bfs_budget(ops, frontier, expected, min(step, expected) * k)
     seen = ops.keys(frontier)  # every key so far, sorted
     states, keys = [frontier], [seen]
     parent = [np.full(1, -1, dtype=np.int64)]

@@ -112,7 +112,7 @@ class LieAlgebra:
         coords = {}
         for name, _ in self._basis:
             pay = (
-                ring.from_int(int(rng.integers(0, ring.field.q)))
+                ring.from_code(int(rng.integers(0, ring.field.q)))
                 if residue_only
                 else ring.rand(rng)
             )

@@ -682,6 +682,11 @@ class NottinghamOps(BatchOps):
         the batch axes."""
         return _ctx_of(self.descriptor).compose(B, A)
 
+    def product_copies(self):
+        """The compose's running product and its plane convolutions: 3 to
+        3.5 copies measured under tracemalloc at q = 5, 9, charged 3 + k."""
+        return 3 + _ctx_of(self.descriptor).k
+
     def keys(self, P):
         """One int64 key per element: the base-p digits of the planes of
         t^2..t^N, packed when q^(N-1) < 2^63, and interned past that."""

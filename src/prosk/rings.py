@@ -262,6 +262,14 @@ class Ring:
             return n % self.modulus
         return (self.field.from_int(n),) + (0,) * (self.N - 1)
 
+    def from_code(self, c):
+        """The constant with residue code c (0 <= c < q): the integer c
+        over Z/p^N, the constant series of the F_q element c over F_q[[t]]
+        (where `from_int` would reduce c mod p)."""
+        if self.kind == "Zp":
+            return c
+        return (c,) + (0,) * (self.N - 1)
+
     def add(self, a, b):
         if self.kind == "Zp":
             return (a + b) % self.modulus

@@ -17,9 +17,15 @@ The sampled sweeps share one draw loop (`_generating_draws`).
 
 The walk operator's norm rho comes from one solver, Lanczos on mean-zero
 vectors (`lanczos_gap`): every product is one `walk_matvec`, and its Krylov
-basis is counted against PROSK_BUDGET_MB beside the graph.  The walk's
-float law comes from one loop (`_laws`), its Monte Carlo batch and the one
-WALK_WORK_CAP check from another (`_walk`).
+basis is counted against PROSK_BUDGET_MB beside the graph.  The basis is
+kept semi-orthogonal by partial reorthogonalization (Simon's
+omega-recurrence decides which steps pay a Gram-Schmidt pass), and only the
+two extreme Ritz pairs of the tridiagonal matrix are computed, by Sturm
+bisection and inverse iteration.  The walk's float law comes from one loop
+(`_laws`), its Monte Carlo batch and the one WALK_WORK_CAP check from
+another (`_walk`).  Both step by contiguous gathers: a walk product takes
+one per direction, a Monte Carlo step one over the flattened permutations
+for the whole batch, written into the batch's state buffer.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ GAP_TOL = 1e-9  # Ritz residual at which an end of the spectrum is found
 MATVEC_CAP = 10**5  # walk products one gap solve may spend
 WALK_WORK_CAP = 10**10  # steps x (trials + exact convolution) of one walk
 _BREAKDOWN = 1e-12  # beta below this: the Krylov space is invariant
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_REORTH = math.sqrt(_EPS)  # orthogonality loss that triggers a Gram-Schmidt
 SWEEP_WORK_CAP = 2 * 10**8  # exhaustive generating-set sweeps, gather units
 SWEEP_ELEMENT_CAP = 64  # exhaustive sweeps: one uint64 word holds a vertex set
 SWEEP_BLOCK = 1024  # unions whose bitset BFS runs together
@@ -195,9 +204,17 @@ class CayleyGraph:
         return self.ops.unstack(self.states[i : i + 1])[0]
 
     def walk_matvec(self, v):
-        """One step of the walk operator: average of v over S-translates.
-        Valid because dirs is symmetric (as a set, s and s^-1 both appear)."""
-        return v[self.perms].mean(axis=0)
+        """One step of the walk operator: average of v over S-translates,
+        (A v)[j] = sum_a v[perms[a, j]] / |S|.  Valid because dirs is
+        symmetric (as a set, s and s^-1 both appear).  One contiguous
+        gather per direction, summed in direction order and divided once,
+        which is bit for bit v[perms].mean(axis=0) without its (|S|, n)
+        temporary."""
+        out = v.take(self.perms[0])
+        for row in self.perms[1:]:
+            out += v.take(row)
+        out /= len(self.perms)
+        return out
 
 
 def build_graph(ops, gens, *, adjoin_identity=True, order=None):
@@ -226,12 +243,14 @@ def diameter_bfs(ops, gens):
 
 class GapSolve(NamedTuple):
     """One Lanczos run: rho, the walk products it spent, its explicit
-    restarts, and the larger extreme Ritz residual when it stopped."""
+    restarts, the larger extreme Ritz residual when it stopped, and the
+    steps that reorthogonalized against the whole basis."""
 
     rho: float
     matvecs: int
     restarts: int
     residual: float
+    reorths: int
 
 
 def spectral_gap(graph):
@@ -244,17 +263,103 @@ def spectral_gap(graph):
     return lanczos_gap(graph).rho
 
 
+def _omega_step(om, prev, a, b, j, noise):
+    """Simon's recurrence for the loss of orthogonality: from estimates of
+    |v_j . v_i| (om, i <= j) and |v_{j-1} . v_i| (prev, i < j), those of
+    |v_{j+1} . v_i| for i <= j + 1.  a[:j+1] and b[:j+1] are the Lanczos
+    coefficients so far (b[j] the norm that made v_{j+1}); `noise` is the
+    rounding a step adds."""
+    t = b[:j] * om[1:] + (a[:j] - a[j]) * om[:j]
+    if j:
+        t[1:] += b[: j - 1] * om[: j - 1]
+        t -= b[j - 1] * prev
+    t += np.copysign(noise, t)
+    return np.concatenate((t / b[j], (noise, 1.0)))
+
+
+def _count_below(a, b2, x, pivmin):
+    """The eigenvalues below x of the tridiagonal T with diagonal a and
+    squared off-diagonal b2 (b2[0] = 0): the negative pivots of the LDL^T
+    factorization of T - x (Sturm's sequence), a pivot of magnitude below
+    pivmin counting as -pivmin."""
+    d, below = 1.0, 0
+    for ai, bi in zip(a, b2):
+        d = ai - x - bi / d
+        if d < pivmin:
+            below += 1
+            if d > -pivmin:
+                d = -pivmin
+    return below
+
+
+def _extreme_ritz(a, b):
+    """The smallest and the largest eigenpair of the symmetric tridiagonal
+    T with diagonal a (m entries) and off-diagonal b (m - 1 entries), each
+    as (theta, s) with s a unit vector: Sturm bisection to working
+    precision (Parlett, ch. 7) from the Gershgorin interval, then inverse
+    iteration from a shift just outside the spectrum, where T - shift is
+    definite and its LDL^T factorization is stable.  O(m) per bisection
+    step."""
+    m = len(a)
+    rad = np.zeros(m)
+    rad[:-1] += np.abs(b)
+    rad[1:] += np.abs(b)
+    lo, hi = float((a - rad).min()), float((a + rad).max())
+    tol = 2 * _EPS * max(abs(lo), abs(hi), 1.0)
+    b2 = [0.0] + (b * b).tolist()
+    pivmin = _TINY * max(1.0, max(b2))
+    al, bl = a.tolist(), b.tolist()
+    out = []
+    for end in (0, m - 1):  # count(x) > end <=> x is past the end
+        x0, x1 = lo - tol, hi + tol
+        while x1 - x0 > tol:
+            mid = 0.5 * (x0 + x1)
+            if _count_below(al, b2, mid, pivmin) > end:
+                x1 = mid
+            else:
+                x0 = mid
+        # tol past the end, so T - shift is definite by at least tol
+        shift = x0 - tol if end == 0 else x1 + tol
+        s = np.ones(m)
+        for _ in range(3):
+            s = _shifted_solve(al, bl, shift, s.tolist())
+            s /= np.linalg.norm(s)
+        out.append((0.5 * (x0 + x1), s))
+    return out
+
+
+def _shifted_solve(a, b, shift, y):
+    """x with (T - shift) x = y for the tridiagonal T with diagonal a and
+    off-diagonal b, by its LDL^T factorization without pivoting (stable
+    where T - shift is definite)."""
+    m = len(a)
+    d, z = [a[0] - shift] + [0.0] * (m - 1), y
+    for i in range(1, m):
+        ell = b[i - 1] / d[i - 1]
+        d[i] = a[i] - shift - ell * b[i - 1]
+        z[i] -= ell * z[i - 1]
+    x = [zi / di for zi, di in zip(z, d)]
+    for i in range(m - 2, -1, -1):
+        x[i] -= b[i] / d[i] * x[i + 1]
+    return np.array(x)
+
+
 def lanczos_gap(graph):
     """Lanczos for both ends of the walk operator's spectrum on mean-zero
     functions (a symmetric matrix there, since the directions are closed
     under inverse), from a fixed-seed start.  Each step takes the
-    three-term recurrence, then reorthogonalizes fully against the whole
-    basis (one classical Gram-Schmidt pass).  The run stops when the Ritz
-    residuals |beta_m s_{m,i}| of the smallest and the largest Ritz value
-    are both <= GAP_TOL, or at breakdown (beta ~ 0, or a basis of all n - 1
-    mean-zero dimensions): the Krylov space is then invariant and the Ritz
-    values are exact.  The tridiagonal eigenproblem is solved every 8 steps, and every
-    m/4 steps past m = 32, so a long run does not pay one per step.
+    three-term recurrence and advances Simon's omega-recurrence, which
+    estimates how far the new vector has drifted from orthogonality to the
+    basis (Math. Comp. 42, 1984).  Only when an estimate passes sqrt(eps)
+    is the vector reorthogonalized against the whole basis (one classical
+    Gram-Schmidt pass), and then the next one too; the basis stays
+    semi-orthogonal, which keeps the Ritz values at working precision.
+    The run stops when the Ritz residuals |beta_m s_{m,i}| of the smallest
+    and the largest Ritz value are both <= GAP_TOL, or at breakdown (beta ~
+    0, or a basis of all n - 1 mean-zero dimensions): the Krylov space is
+    then invariant and the Ritz values are exact.  Only the two extreme
+    Ritz pairs are computed (`_extreme_ritz`), every 8 steps, and every m/4
+    steps past m = 32.
 
     The basis is counted against PROSK_BUDGET_MB beside the graph and a
     walk product's gathers; it holds as many vectors as fit, at most n - 1.
@@ -268,35 +373,46 @@ def lanczos_gap(graph):
     if size < min(n - 1, 2):
         _bfs.check_budget(n, k, vectors=min(n - 1, 2) + work)  # raises
     V = np.empty((size, n))  # rows are touched (and paged in) as used
+    alpha, beta = np.empty(size), np.empty(size)
+    noise = _EPS * math.sqrt(n)  # rounding per step, |A| <= 1
     v = np.random.default_rng(0x5EC7).standard_normal(n)
-    matvecs = restarts = 0
+    matvecs = restarts = reorths = 0
     while True:
         v -= v.mean()
         V[0] = v / np.linalg.norm(v)
-        alpha, beta = [], []
+        om, prev = np.ones(1), np.zeros(0)
+        again = False  # the vector after a reorthogonalized one is too
         check = 8
         for m in range(1, size + 1):
+            j = m - 1
             B = V[:m]
             w = graph.walk_matvec(B[-1])
             matvecs += 1
             w -= w.mean()  # keep the constants (eigenvalue 1) out
-            if m > 1:
-                w -= beta[-1] * B[-2]
-            alpha.append(float(B[-1] @ w))
-            w -= alpha[-1] * B[-1]
-            w -= (B @ w) @ B  # full reorthogonalization
-            beta.append(float(np.linalg.norm(w)))
-            exact = beta[-1] <= _BREAKDOWN or m == n - 1
+            if j:
+                w -= beta[j - 1] * B[-2]
+            alpha[j] = B[-1] @ w
+            w -= alpha[j] * B[-1]
+            beta[j] = np.linalg.norm(w)
+            if beta[j] > _BREAKDOWN:
+                om, prev = _omega_step(om, prev, alpha, beta, j, noise), om
+            if again or (beta[j] > _BREAKDOWN
+                         and np.abs(om[:-2]).max(initial=0.0) > _REORTH):
+                w -= (B @ w) @ B
+                beta[j] = np.linalg.norm(w)
+                om[:-1] = noise
+                reorths += 1
+                again = not again
+            exact = beta[j] <= _BREAKDOWN or m == n - 1
             if exact or m == size or m >= check or matvecs >= MATVEC_CAP:
-                T = np.diag(alpha)
-                T[range(m - 1), range(1, m)] = beta[:-1]
-                T[range(1, m), range(m - 1)] = beta[:-1]
-                theta, S = np.linalg.eigh(T)
-                res = 0.0 if exact else beta[-1] * float(
-                    np.abs(S[-1, [0, -1]]).max())
+                (lo, s_lo), (hi, s_hi) = _extreme_ritz(alpha[:m],
+                                                       beta[: m - 1])
+                res = 0.0 if exact else float(
+                    beta[j] * max(abs(s_lo[-1]), abs(s_hi[-1])))
                 if res <= GAP_TOL:
-                    rho = min(max(abs(theta[0]), theta[-1]), 1.0)
-                    return GapSolve(float(rho), matvecs, restarts, res)
+                    rho = min(max(abs(lo), hi), 1.0)
+                    return GapSolve(float(rho), matvecs, restarts, res,
+                                    reorths)
                 if matvecs >= MATVEC_CAP:
                     raise BudgetExceeded(
                         f"gap solver stopped at MATVEC_CAP={MATVEC_CAP} walk "
@@ -304,11 +420,11 @@ def lanczos_gap(graph):
                         f"GAP_TOL={GAP_TOL:g}"
                     )
                 if m == size:
-                    v = (S[:, 0] + S[:, -1]) @ B
+                    v = (s_lo + s_hi) @ B
                     restarts += 1
                     break
                 check = m + max(8, m // 4)
-            V[m] = w / beta[-1]
+            V[m] = w / beta[j]
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +883,10 @@ def _walk(graph, steps, trials, seed):
     """One Monte Carlo batch of `trials` walks from the root, stepped
     `steps` times with a direction drawn per walk and step: yields
     (l, states, law) for l = 0..steps, law being the exact distribution
-    after l steps from `_laws` when |G| <= CONV_CAP, else None.
+    after l steps from `_laws` when |G| <= CONV_CAP, else None.  A step is
+    one gather over the flattened permutations, at d * |G| + state for the
+    drawn direction d, written over the previous states: `states` is one
+    buffer, valid until the next step.
 
     The work is counted before any step is taken: steps x trials, plus
     steps x |G| x |dirs| for the exact law.  Past WALK_WORK_CAP it raises
@@ -779,11 +898,15 @@ def _walk(graph, steps, trials, seed):
             f"walk of {steps} steps x {trials} trials on {n} elements "
             f"exceeds WALK_WORK_CAP={WALK_WORK_CAP}")
     rng = np.random.default_rng(seed)
-    state = np.full(trials, graph.root, dtype=np.int64)
+    flat = graph.perms.ravel()  # flat[d * n + j] = perms[d, j]
+    state = np.full(trials, graph.root, dtype=flat.dtype)
     laws = _laws(graph, steps) if exact else itertools.repeat(None)
     for l, law in zip(range(steps + 1), laws):
         if l:
-            state = graph.perms[rng.integers(0, k, size=trials), state]
+            d = rng.integers(0, k, size=trials)
+            d *= n
+            d += state
+            flat.take(d, out=state, mode="wrap")  # indices are in range
         yield l, state, law
 
 

@@ -140,6 +140,26 @@ def test_bfs_charges_its_stacked_states(monkeypatch):
     assert not products
 
 
+def test_bfs_charges_one_chunk_of_products(monkeypatch):
+    # the same group: its states and records take ~14 MB, a chunk of
+    # 65,532 candidate products of 144 B planes, each 2d + k = 7 copies at
+    # the product's peak, ~63 MB more; a 40 MB budget refuses the walk
+    desc = GroupDescriptor.parse("SL:d=3,Fq[[t]]:q=2,N=2")
+    ops = ops_for(desc)
+    assert ops.product_copies() == 7
+    states_mb = 43_008 * 2 * (144 + _bfs._BYTES_PER_RECORD) / 2**20
+    chunk_mb = (_bfs._CHUNK // 6) * 6 * 144 * 7 / 2**20
+    assert states_mb < 40 < states_mb + chunk_mb
+    gens = [ops.sample_uniform(np.random.default_rng(23)) for _ in range(3)]
+    products = []
+    monkeypatch.setattr(MatrixOps, "outer",
+                        lambda *args, **kw: products.append(1))
+    monkeypatch.setenv("PROSK_BUDGET_MB", "40")
+    with pytest.raises(BudgetExceeded, match="PROSK_BUDGET_MB=40"):
+        _bfs.build_table(ops, gens, 2)
+    assert not products
+
+
 GRAPH_CASES = [
     ("SL:d=2,Zp:p=3,N=2", 2, 5),
     ("SO:d=3,Zp:p=3,N=2", 2, 6),

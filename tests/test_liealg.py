@@ -180,3 +180,15 @@ def test_decomposition_checks_raise(monkeypatch):
     monkeypatch.setattr(liealg, "bracket", lambda P, W: P.algebra.zero())
     with pytest.raises(InvariantViolated, match="reproduce its input"):
         bracket_decompose(X)
+
+
+def test_residue_draws_reach_every_field_element():
+    # over F_9[[t]] a residue coordinate is any constant of F_9, not only
+    # the F_3-points that Z -> F_9 reaches
+    rng = np.random.default_rng(24)
+    codes = set()
+    for _ in range(20):
+        for pay in SL2T.random(rng, residue_only=True).coords.values():
+            assert pay[1:] == (0, 0)
+            codes.add(pay[0])
+    assert codes == set(range(1, 9))

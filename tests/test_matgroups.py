@@ -236,3 +236,15 @@ def test_membership_and_count_checks_raise(monkeypatch):
     with pytest.raises(InvariantViolated, match="Cayley transform"):
         matgroups._cayley_sample(SO3_5, rng)
 
+
+
+def test_kernel_draws_generate_k1_over_f9():
+    # K_1 of SL2(F_9[[t]]/t^2) has 9^3 elements; eight sample_kernel(1)
+    # draws generate it (the F_3-points alone span 27)
+    from prosk.spectral import build_graph
+
+    ops = ops_for(GroupDescriptor.parse("SL:d=2,Fq[[t]]:q=9,N=2"))
+    rng = np.random.default_rng(12)
+    g = build_graph(ops, [ops.sample_kernel(1, rng) for _ in range(8)],
+                    order=729)
+    assert g.order == 729

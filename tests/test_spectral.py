@@ -138,6 +138,49 @@ def test_lanczos_restarts_when_the_basis_is_over_budget(monkeypatch):
         lanczos_gap(g)
 
 
+def test_lanczos_reorthogonalizes_only_some_steps(monkeypatch):
+    # partial reorthogonalization: on SL2(Z/27) most steps take the
+    # three-term recurrence alone; the tridiagonal problem is solved by
+    # bisection and inverse iteration, never by a dense eigensolver
+    def dense(*args, **kw):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    ops = ops_for(GroupDescriptor.parse("SL:d=2,Zp:p=3,N=3"))
+    rng = np.random.default_rng(5)
+    g = build_graph(ops, [ops.sample_uniform(rng) for _ in range(3)])
+    assert g.order == 17496
+    run = lanczos_gap(g)
+    assert 0 < run.reorths < run.matvecs
+    assert run.residual <= spectral.GAP_TOL
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_lanczos_on_long_lazy_cycles(n):
+    # lazy {0, +-1} on Z/n: eigenvalues (1 + 2 cos(2 pi j / n)) / 3, and the
+    # Krylov space needs ~n/2 steps
+    j = np.arange(1, n)
+    want = np.abs((1 + 2 * np.cos(2 * np.pi * j / n)) / 3).max()
+    run = lanczos_gap(build_graph(CyclicOps(n), [1]))
+    assert abs(run.rho - want) <= 1e-9
+    assert run.reorths < run.matvecs
+
+
+def test_extreme_ritz_pairs_match_a_dense_solve():
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3, 10, 60):
+        a, b = rng.standard_normal(m), rng.standard_normal(m - 1)
+        b[m // 2 :: 7] = 0.0  # split blocks are fine too
+        T = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+        theta, S = np.linalg.eigh(T)
+        (lo, s_lo), (hi, s_hi) = spectral._extreme_ritz(a, b)
+        assert abs(lo - theta[0]) <= 1e-13 and abs(hi - theta[-1]) <= 1e-13
+        for s, want in ((s_lo, S[:, 0]), (s_hi, S[:, -1])):
+            assert np.linalg.norm(T @ s - (s @ T @ s) * s) <= 1e-12
+            assert abs(abs(s @ want) - 1.0) <= 1e-12
+
+
 def test_unconverged_gap_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "MATVEC_CAP", 5)
     g = build_graph(CyclicOps(200), [1])
@@ -478,8 +521,8 @@ def test_first_kind_on_kernel():
 @pytest.mark.parametrize("text,depth,order", [
     ("SL:d=2,Zp:p=3,N=2", 1, 27),
     ("SL:d=2,Zp:p=3,N=21", 20, 27),  # Python-int stack past the int64 guard
-    # coefficient planes, k = 2; sample_kernel draws from the F_3-points
-    ("SL:d=2,Fq[[t]]:q=9,N=2", 1, 27),
+    # coefficient planes, k = 2: eight kernel draws generate all of K_1
+    ("SL:d=2,Fq[[t]]:q=9,N=2", 1, 729),
 ])
 def test_first_kind_codes_read_the_entries(text, depth, order):
     # the codes of (g - 1)/P against the entries of each element's matrix
@@ -502,6 +545,64 @@ def test_first_kind_codes_read_the_entries(text, depth, order):
                          for row in mat for e in row])
     assert codes.tolist() == want
     assert supports == [q ** (ring.N - 1)] * 4
+
+
+# --- the walk's gathers against the indexing they replace --------------------
+
+
+def _indexed_walk(graph, steps, trials, seed):
+    """(states, law) after l = 0..steps steps by fancy indexing, as the walk
+    was first written: perms[d, state] and v[perms].mean(axis=0)."""
+    k = len(graph.perms)
+    rng = np.random.default_rng(seed)
+    state = np.full(trials, graph.root, dtype=np.int64)
+    law = np.zeros(graph.order)
+    law[graph.root] = 1.0
+    yield state, law
+    for _ in range(steps):
+        state = graph.perms[rng.integers(0, k, size=trials), state]
+        law = law[graph.perms].mean(axis=0)
+        yield state, law
+
+
+def _walk_graph(text):
+    if text == "Z/200":
+        return build_graph(CyclicOps(200), [1, 7])
+    ops = ops_for(GroupDescriptor.parse(text))
+    rng = np.random.default_rng(5)
+    return build_graph(ops, [ops.sample_uniform(rng) for _ in range(3)])
+
+
+@pytest.mark.parametrize("text,order", [
+    ("Z/200", 200),
+    ("SL:d=2,Zp:p=3,N=3", 17496),
+    ("Nottingham,Fq[[t]]:q=5,N=3", 25),
+])
+def test_walk_gathers_are_bit_identical_to_indexing(text, order):
+    g = _walk_graph(text)
+    assert g.order == order
+    steps, trials, seed = 30, 20_000, 3
+    ref = list(_indexed_walk(g, steps, trials, seed))
+    for (l, state, law), (want_state, want_law) in zip(
+            spectral._walk(g, steps, trials, seed), ref, strict=True):
+        assert (state == want_state).all(), l
+        assert (law == want_law).all(), l
+    n = g.order
+    want_rows = []
+    for l, (state, law) in enumerate(ref):
+        emp = np.bincount(state, minlength=n) / trials
+        want_rows.append({
+            "l": l,
+            "sup_dev_mc": float(np.abs(emp - 1.0 / n).max()),
+            "tv_mc": float(0.5 * np.abs(emp - 1.0 / n).sum()),
+            "sup_dev_exact": float(np.abs(law - 1.0 / n).max()),
+            "tv_exact": float(0.5 * np.abs(law - 1.0 / n).sum()),
+        })
+    out = walk_series(g.ops, None, l_max=steps, trials=trials, seed=seed,
+                      graph=g)
+    assert out["rows"] == want_rows
+    assert mixing_profile(g, steps, exact=False) == [
+        float(np.abs(law - 1.0 / n).max()) for _, law in ref]
 
 
 def test_walk_series_deterministic():
