@@ -8,6 +8,7 @@ in their own kernels.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import NotAUnit
 
@@ -77,8 +78,20 @@ def reduce_level(ring, A, m):
 
 
 def depth(ring, A):
-    """min valuation of A - I, capped at N; N means trivial at this truncation."""
+    """min valuation of A - I, capped at N; N means trivial at this truncation.
+
+    Over Z/p^N one gcd: p^depth = gcd(p^N, entries of A - I)."""
     d = len(A)
+    if ring.kind == "Zp":
+        flat = [a for row in A for a in row]
+        for k in range(0, d * d, d + 1):  # the diagonal of A - I
+            flat[k] -= 1
+        g = math.gcd(ring.modulus, *flat)
+        v = 0
+        while g > 1:
+            g //= ring.p
+            v += 1
+        return v
     one = ring.one
     best = ring.N
     for i in range(d):

@@ -8,19 +8,34 @@ Basis conventions (1-indexed names used in serialized coordinates):
   sp_2g: A_i_j = diag(E_ij, -E_ji); B_i_j (i<j) with Q-block E_ij+E_ji and
          B_i_i with Q-block 2E_ii; C_i_j mirrored in the S-block.
 
-Every decomposition is re-verified exactly (bracket arithmetic over the
-ring) before being returned; a failure is a bug, not a data error.
+The decomposition is linear over the ring, with coefficients +-1, 2, 1/2
+and 1/4, so each algebra gets one plan (`_Plan`, cached per family, d and
+ring), built once by running the reference decomposers `_decompose_sl`,
+`_decompose_so` and `_decompose_sp` on the basis vectors.  It holds the
+basis matrices, the map from (g - I) / pi^n to coordinates, the maps D_k to
+the left members P_k, the fixed right members W_k and their lifts.  Both
+`bracket_decompose` and the oracle run from it, over Z/p^N on integer
+arrays (int64 inside d^2 (p^N - 1)^2 < 2^63, Python ints past it), over
+F_q[[t]] on the base-p digits of the coefficients.  Every decomposition is
+re-verified exactly, sum_k [P_k, W_k] = X as one stacked matrix product,
+before being returned; a failure is a bug, not a data error.  Lifts over
+Z/p^N run on plain ints (`_ZpInts`), over F_q[[t]] on the ring's payload
+ops.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+
+import numpy as np
 
 from . import _matrix as mx
 from .errors import (
     AlgebraMismatch,
     BadLevelPair,
     InvariantViolated,
+    NoSquareRoot,
     NotDeepEnough,
     OracleLevelRejected,
     PrecisionExceedsTruncation,
@@ -28,9 +43,10 @@ from .errors import (
     UnsupportedCharacteristic,
     UsageError,
 )
-from .rings import Ring
+from .rings import Ring, RingElem, hensel_sqrt
 
 _SL_SCHEME_CACHE: dict[int, dict] = {}
+_PLAN_CACHE: dict[tuple, "_Plan"] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +469,29 @@ def bracket_decompose(X):
     """Write X as a sum of at most 2 (sl) or 3 (so, sp) brackets.
 
     Returns [(P_k, W_k), ...] with sum_k [P_k, W_k] == X exactly; the right
-    members W_k are fixed per algebra (independent of X).
+    members W_k are fixed per algebra (independent of X).  The pairs come
+    from the algebra's plan (`_plan`): P_k = c D_k for the coordinates c of
+    X, pairs with P_k = 0 dropped, in slot order, and the sum of brackets
+    is checked against X as one stacked matrix product before returning.
     """
     alg = X.algebra
-    if alg.family == "sl":
-        pairs = _decompose_sl(X)
-    elif alg.family == "so":
-        pairs = _decompose_so(X)
-    else:
-        pairs = _decompose_sp(X)
-    acc = alg.zero()
-    for P, W in pairs:
-        acc = acc + bracket(P, W)
-    if acc != X:
-        raise InvariantViolated("decomposition failed to reproduce its input")
-    return pairs
+    plan = _plan(alg.family, alg.d, alg.ring)
+    zero = alg.ring.zero
+    P = plan.solve(plan.planes([X.coords.get(name, zero)
+                                for name in plan.names]))
+    return [(LieVector(plan.alg, dict(zip(plan.names, plan.payloads(Pk)))),
+             W) for Pk, W in zip(P, plan.W) if Pk.any()]
+
+
+def _decompose(X):
+    """Every slot (P_k, W_k) of the reference decomposition of X, zero P_k
+    included; `bracket_decompose` drops those."""
+    family = X.algebra.family
+    if family == "sl":
+        return _decompose_sl(X)
+    if family == "so":
+        return _decompose_so(X)
+    return _decompose_sp(X)
 
 
 def _decompose_sl(X):
@@ -481,15 +505,10 @@ def _decompose_sl(X):
         b = X.coords.get("E_1_2", ring.zero)
         c = X.coords.get("E_2_1", ring.zero)
         half = ring.inv(ring.from_int(2))
-        pairs = []
         P1 = alg.from_coords({"E_1_2": ring.neg(b), "E_2_1": c})
         H = alg.from_coords({"D_1_2": half})
-        if not P1.is_zero():
-            pairs.append((P1, H))
         P2 = alg.from_coords({"E_1_2": a})
-        if not P2.is_zero():
-            pairs.append((P2, alg.from_coords({"E_2_1": ring.one})))
-        return pairs
+        return [(P1, H), (P2, alg.from_coords({"E_2_1": ring.one}))]
     table = _sl_scheme(d)
     P: dict = {}
     Q: dict = {}
@@ -503,13 +522,7 @@ def _decompose_sl(X):
             Q[bname] = ring.add(Q.get(bname, ring.zero), term)
     F = alg.from_coords({_name("E", i + 1, i): ring.one for i in range(1, d)})
     Ft = alg.from_coords({_name("E", i, i + 1): ring.one for i in range(1, d)})
-    pairs = []
-    Pv, Qv = alg.from_coords(P), alg.from_coords(Q)
-    if not Pv.is_zero():
-        pairs.append((Pv, F))
-    if not Qv.is_zero():
-        pairs.append((Qv, Ft))
-    return pairs
+    return [(alg.from_coords(P), F), (alg.from_coords(Q), Ft)]
 
 
 def _decompose_so(X):
@@ -538,12 +551,7 @@ def _decompose_so(X):
         P3 = alg.from_coords(
             {"X_2_3": ring.neg(ring.add(x12, x13)), "X_1_3": x23}
         )
-        pairs = []
-        if not P2.is_zero():
-            pairs.append((P2, W2))
-        if not P3.is_zero():
-            pairs.append((P3, W3))
-        return pairs
+        return [(P2, W2), (P3, W3)]
     work = {}
     for name, v in X.coords.items():
         _, a, b = name.split("_")
@@ -570,17 +578,8 @@ def _decompose_so(X):
         P3[_name("X", 2, d)] = ring.sub(P3.get(_name("X", 2, d), zero), r)
     if any(v != zero for v in work.values()):
         raise InvariantViolated("so decomposition left first-row residue")
-    pairs = []
     P1v = alg.from_coords({_name("X", a, b): v for (a, b), v in P1.items()})
-    if not P1v.is_zero():
-        pairs.append((P1v, W1))
-    P2v = alg.from_coords(P2)
-    if not P2v.is_zero():
-        pairs.append((P2v, W2))
-    P3v = alg.from_coords(P3)
-    if not P3v.is_zero():
-        pairs.append((P3v, W3))
-    return pairs
+    return [(P1v, W1), (alg.from_coords(P2), W2), (alg.from_coords(P3), W3)]
 
 
 def _decompose_sp(X):
@@ -671,7 +670,151 @@ def _decompose_sp(X):
         from_matrix(alg, emb(zg, nQ2, S2, zg)),
         from_matrix(alg, emb(eye, zg, zg, neye)),
     )
-    return [(L, R) for L, R in (pair1, pair2, pair3) if not L.is_zero()]
+    return [pair1, pair2, pair3]
+
+
+# ---------------------------------------------------------------------------
+# the per-algebra plan
+
+
+def _coefficient(ring, pay):
+    """The integer a plan stores for a ring constant: the residue over
+    Z/p^N; over F_q[[t]] the constant's code, which must lie in F_p."""
+    if ring.kind == "Zp":
+        return pay
+    if any(pay[1:]) or pay[0] >= ring.p:
+        raise InvariantViolated(f"plan coefficient {pay!r} is not in F_p")
+    return pay[0]
+
+
+class _Plan:
+    """One algebra's bracket decomposition as linear maps over its ring,
+    built once from the reference decomposers (`_decompose`) run on the
+    basis vectors; every coefficient is +-1, 2, 1/2 or 1/4.
+
+    The maps act on planes, (z, n) integer arrays of n coordinates or
+    matrix entries: over Z/p^N one plane of residues (z = 1), int64 when a
+    sum of d^2 products stays exact (d^2 (p^N - 1)^2 < 2^63) and Python
+    ints past that; over F_q[[t]]/t^N the N k base-p digits of each entry's
+    N coefficient codes (q = p^k, z = N k), on which every map acts
+    digitwise mod p, its coefficients lying in F_p.  It holds:
+
+    - `basis`: (dim, d^2), the basis matrices;
+    - `lin`: (d^2, dim), (g - I) / pi^n to the coordinates of its
+      projection into the algebra (the map of `linearize`);
+    - `D`: (K, dim, dim), the k-th slot's left member P_k = c @ D[k] of the
+      coordinates c, and `W`/`Wm`, the fixed right members as vectors and
+      (K, d, d) matrices;
+    - the lifts of the W_k at each level m, filled in by `lift_w`.
+    """
+
+    def __init__(self, alg):
+        ring, d = alg.ring, alg.d
+        self.alg = alg
+        self.names = alg.basis_names()
+        zero = ring.zero
+        if ring.kind == "Zp":
+            self.mod = ring.modulus
+            wide = d * d * (self.mod - 1) ** 2 >= 2**63
+            self.dtype = object if wide else np.int64
+            self._digits = None
+        else:
+            self.mod, self.dtype = ring.p, np.int64
+            self._digits = ring.p ** np.arange(ring.field.k)
+
+        def ints(values):
+            return np.array([_coefficient(ring, x) for x in values],
+                            dtype=self.dtype)
+
+        def coords(X):
+            return ints(X.coords.get(name, zero) for name in self.names)
+
+        units = [alg.from_coords({name: ring.one}) for name in self.names]
+        slots = [_decompose(X) for X in units]
+        self.W = [W for _, W in slots[0]]
+        if any([W for _, W in s] != self.W for s in slots):
+            raise InvariantViolated("decomposition slots differ between inputs")
+        self.D = np.stack([np.stack([coords(s[k][0]) for s in slots])
+                           for k in range(len(self.W))])
+        self.Wm = np.stack([ints(x for row in W.to_matrix() for x in row)
+                            for W in self.W]).reshape(-1, d, d)
+        self.basis = np.stack([ints(x for row in X.to_matrix() for x in row)
+                               for X in units])
+        self.lin = np.stack([coords(_project(alg, _unit_matrix(ring, d, a, b)))
+                             for a in range(d) for b in range(d)])
+        self._wlifts = {}
+
+    def planes(self, payloads):
+        """The (z, n) planes of n payloads."""
+        if self._digits is None:
+            return np.array([payloads], dtype=self.dtype)
+        codes = np.array(payloads, dtype=np.int64)  # (n, N)
+        digits = codes[..., None] // self._digits % self.mod
+        return digits.reshape(len(payloads), -1).T
+
+    def payloads(self, planes):
+        """The n payloads of (z, n) planes."""
+        if self._digits is None:
+            return planes[0].tolist()
+        n, k = planes.shape[-1], len(self._digits)
+        codes = planes.T.reshape(n, -1, k) @ self._digits
+        return [tuple(row) for row in codes.tolist()]
+
+    def coordinates(self, mat, n):
+        """The planes (z, dim) of the coordinates of `linearize`: the
+        projection of (mat - I) / pi^n into the algebra."""
+        ring = self.alg.ring
+        if self._digits is None:
+            mod, s = self.mod, ring.p**n
+            flat = [(a - (i == j)) % mod // s
+                    for i, row in enumerate(mat) for j, a in enumerate(row)]
+        else:
+            eye = mx.eye(ring, self.alg.d)
+            flat = [x for row in mx.unshift(ring, mx.sub(ring, mat, eye), n)
+                    for x in row]
+        return self.planes(flat) @ self.lin % self.mod
+
+    def solve(self, c):
+        """The (K, z, dim) left members P_k = c @ D[k] of the coordinates c,
+        after checking sum_k [P_k, W_k] = X exactly, as one stacked matrix
+        product."""
+        mod, d = self.mod, self.alg.d
+        P = c @ self.D % mod
+        K, z = P.shape[:2]
+        Pm = (P @ self.basis % mod).reshape(K, z, d, d)
+        W = self.Wm[:, None]
+        brk = ((Pm @ W) % mod - (W @ Pm) % mod).sum(axis=0) % mod
+        if not (brk == (c @ self.basis % mod).reshape(z, d, d)).all():
+            raise InvariantViolated("decomposition failed to reproduce its input")
+        return P
+
+    def lift_w(self, k, m, desc):
+        """The lift of W_k at level m, computed once per (k, m)."""
+        key = (k, m)
+        if key not in self._wlifts:
+            from .matgroups import FilteredElement
+
+            zero = self.alg.ring.zero
+            W = self.W[k]
+            self._wlifts[key] = FilteredElement(desc, _lift_coords(
+                self.alg, [W.coords.get(name, zero) for name in self.names], m))
+        return self._wlifts[key]
+
+
+def _unit_matrix(ring, d, a, b):
+    return tuple(tuple(ring.one if (i, j) == (a, b) else ring.zero
+                       for j in range(d)) for i in range(d))
+
+
+def _plan(family, d, ring):
+    """The cached `_Plan` of the algebra (family, d, ring); the first call
+    raises what the reference decomposer raises (d = 2 for so, p = 2 for
+    sl_2)."""
+    key = (family, d, ring)
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = _PLAN_CACHE[key] = _Plan(LieAlgebra(family, d, ring))
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -694,124 +837,199 @@ def lift(X, l):
     return _lift_any(X, l)
 
 
-def _times_factor(ring, mat, delta):
+class _ZpInts:
+    """Z/p^N arithmetic of the lift on plain ints, one reduction per
+    operation."""
+
+    zero, one = 0, 1
+
+    def __init__(self, ring):
+        self.p, self.N, self.mod = ring.p, ring.N, ring.modulus
+
+    def add(self, a, b):
+        return (a + b) % self.mod
+
+    def shift(self, a, l):
+        return a * self.p**l % self.mod
+
+    def scale(self, a, c):
+        return a * c % self.mod
+
+    def addmul(self, a, b, x):
+        return (a + b * x) % self.mod
+
+    def unit(self, a):
+        """(1 + a)^-1 - 1."""
+        return (pow(1 + a, -1, self.mod) - 1) % self.mod
+
+    def rot(self, a):
+        """sqrt(1 - a^2) - 1, the root that is 1 mod p, by the Newton steps
+        of `rings.hensel_sqrt` from the seed 1."""
+        mod = self.mod
+        t = (1 - a * a) % mod
+        inv2 = pow(2, -1, mod)
+        x = 1
+        for _ in range(max(4, self.N.bit_length() + 2)):
+            x = (x + t * pow(x, -1, mod)) * inv2 % mod
+        if x * x % mod != t:
+            raise NoSquareRoot("iteration stalled; target has no square root here")
+        return (x - 1) % mod
+
+
+class _RingOps:
+    """The same arithmetic through a ring's payload ops (F_q[[t]])."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.zero, self.one = ring.zero, ring.one
+        self.add, self.shift = ring.add, ring.shift
+
+    def scale(self, a, c):
+        ring = self.ring
+        return a if c == 1 else ring.mul(a, ring.from_int(c))
+
+    def addmul(self, a, b, x):
+        return self.ring.add(a, self.ring.mul(b, x))
+
+    def unit(self, a):
+        ring = self.ring
+        return ring.sub(ring.inv(ring.add(self.one, a)), self.one)
+
+    def rot(self, a):
+        ring, one = self.ring, self.one
+        t = ring.sub(one, ring.mul(a, a))
+        beta = hensel_sqrt(RingElem(ring, t), RingElem(ring, one)).payload
+        return ring.sub(beta, one)
+
+
+def _times_factor(mat, delta, addmul):
     """mat <- mat * (I + delta) in place, delta a few (i, j, x) entries.
 
-    Each entry is one column update, O(d) ring operations, instead of an
-    O(d^3) product with the full factor; columns are read before any of
-    them is written."""
+    Each entry is one column update, O(d) `addmul`s, instead of an O(d^3)
+    product with the full factor; columns are read before any of them is
+    written."""
     cols = {}
     for i, j, x in delta:
         col = cols.setdefault(j, [row[j] for row in mat])
         for r, row in enumerate(mat):
-            col[r] = ring.add(col[r], ring.mul(row[i], x))
+            col[r] = addmul(col[r], row[i], x)
     for j, col in cols.items():
         for r, row in enumerate(mat):
             row[j] = col[r]
 
 
+@functools.cache
+def _lift_program(family, d):
+    """The factor each basis coordinate lifts to, in basis order, which is
+    the order the factors multiply in, and the moves of the sl diagonal
+    coordinates onto the off-diagonal ones.
+
+    A factor is ("lin", entries): I + xs * sum c E_ij over the (i, j, c)
+    entries (det 1, or symplectic, exactly); ("rot", (a, b)): the rotation
+    with off-diagonal +-xs and diagonal sqrt(1 - xs^2) in the (a, b) plane
+    (so); ("unit", (a, b)): diag(1 + xs, (1 + xs)^-1) at a, b (sp A_i_i).
+    An sl D_j coordinate c lifts to the det-1 block [[1 + cs, cs], [-cs,
+    1 - cs]], whose off-diagonal entries the moves (E_j_j+1 -= c, E_j+1_j
+    += c) take back out of the E factors."""
+    basis = _make_basis(family, d)
+    index = {name: k for k, (name, _) in enumerate(basis)}
+    g = d // 2
+    program, moves = [], []
+    for k, (name, entries) in enumerate(basis):
+        kind, i, j = name.split("_")
+        i, j = int(i), int(j)
+        if kind == "D":
+            program.append(("lin", entries + ((i - 1, j - 1, 1),
+                                              (j - 1, i - 1, -1))))
+            moves += [(index[_name("E", i, j)], k, -1),
+                      (index[_name("E", j, i)], k, 1)]
+        elif kind == "X":
+            program.append(("rot", (i - 1, j - 1)))
+        elif kind == "A" and i == j:
+            program.append(("unit", (i - 1, g + i - 1)))
+        else:
+            program.append(("lin", entries))
+    return program, moves
+
+
+def _lift_coords(alg, coords, l):
+    """The payload matrix of `_lift_any` from the coordinates in basis
+    order."""
+    ring, d = alg.ring, alg.d
+    ar = _ZpInts(ring) if ring.kind == "Zp" else _RingOps(ring)
+    program, moves = _lift_program(alg.family, d)
+    coords = list(coords)
+    for dst, src, sign in moves:
+        coords[dst] = ar.add(coords[dst], ar.scale(coords[src], sign))
+    zero, one = ar.zero, ar.one
+    mat = [[one if i == j else zero for j in range(d)] for i in range(d)]
+    for x, (kind, spec) in zip(coords, program):
+        if x == zero:
+            continue
+        xs = ar.shift(x, l)
+        if kind == "lin":
+            delta = tuple((a, b, ar.scale(xs, c)) for a, b, c in spec)
+        elif kind == "rot":
+            a, b = spec
+            c = ar.rot(xs)
+            delta = ((a, a, c), (b, b, c),
+                     (a, b, xs), (b, a, ar.scale(xs, -1)))
+        else:
+            a, b = spec
+            delta = ((a, a, xs), (b, b, ar.unit(xs)))
+        _times_factor(mat, delta, ar.addmul)
+    return tuple(tuple(row) for row in mat)
+
+
 def _lift_any(X, l):
-    from . import matgroups
+    """The exact lift of X at level l: the product, in basis order, of one
+    factor per nonzero coordinate (`_lift_program`), each exactly in the
+    group.  Over Z/p^N the factors are built and applied on plain ints, one
+    reduction mod p^N per update and a plain-int Newton square root for so
+    (`_ZpInts`); over F_q[[t]] through the ring's payload ops."""
+    from .matgroups import FilteredElement, GroupDescriptor
 
     alg = X.algebra
-    ring = alg.ring
-    d = alg.d
-    zero, one = ring.zero, ring.one
-    fam = alg.family
-    mat = [list(row) for row in mx.eye(ring, d)]
-    if fam == "sl":
-        off = {}
-        for name, v in X.coords.items():
-            kind, a, b = name.split("_")
-            if kind == "E":
-                off[(int(a), int(b))] = ring.add(
-                    off.get((int(a), int(b)), zero), v
-                )
-        for j in range(1, d):
-            c = X.coords.get(_name("D", j, j + 1), zero)
-            if c == zero:
-                continue
-            off[(j, j + 1)] = ring.sub(off.get((j, j + 1), zero), c)
-            off[(j + 1, j)] = ring.add(off.get((j + 1, j), zero), c)
-            cs = ring.shift(c, l)
-            ncs = ring.neg(cs)
-            _times_factor(ring, mat, ((j - 1, j - 1, cs), (j, j, ncs),
-                                      (j - 1, j, cs), (j, j - 1, ncs)))
-        for (a, b) in sorted(off):
-            x = off[(a, b)]
-            if x != zero:
-                _times_factor(ring, mat, ((a - 1, b - 1, ring.shift(x, l)),))
-    elif fam == "so":
-        from .rings import RingElem, hensel_sqrt
-
-        for a in range(1, d + 1):
-            for b in range(a + 1, d + 1):
-                x = X.coords.get(_name("X", a, b), zero)
-                if x == zero:
-                    continue
-                al = ring.shift(x, l)
-                t = ring.sub(one, ring.mul(al, al))
-                beta = hensel_sqrt(RingElem(ring, t), RingElem(ring, one)).payload
-                bm1 = ring.sub(beta, one)
-                _times_factor(ring, mat, ((a - 1, a - 1, bm1), (b - 1, b - 1, bm1),
-                                          (a - 1, b - 1, al),
-                                          (b - 1, a - 1, ring.neg(al))))
-    else:  # sp
-        g = alg.g
-        basis = alg._bmap
-        for kind in ("A", "B", "C"):
-            for i in range(1, g + 1):
-                rng_j = range(1, g + 1) if kind == "A" else range(i, g + 1)
-                for j in rng_j:
-                    x = X.coords.get(_name(kind, i, j), zero)
-                    if x == zero:
-                        continue
-                    xs = ring.shift(x, l)
-                    if kind == "A" and i == j:
-                        u = ring.add(one, xs)
-                        delta = ((i - 1, i - 1, xs),
-                                 (g + i - 1, g + i - 1, ring.sub(ring.inv(u), one)))
-                    else:  # I + xs * (basis matrix) is exactly symplectic
-                        delta = tuple(
-                            (a, b, xs if coeff == 1
-                             else ring.mul(xs, ring.from_int(coeff)))
-                            for (a, b, coeff) in basis[_name(kind, i, j)]
-                        )
-                    _times_factor(ring, mat, delta)
-    fam_map = {"sl": "SL", "so": "SO", "sp": "Sp"}
-    desc = matgroups.GroupDescriptor(fam_map[fam], d, ring)
-    return matgroups.FilteredElement(desc, tuple(tuple(r) for r in mat))
+    zero = alg.ring.zero
+    mat = _lift_coords(alg, [X.coords.get(name, zero)
+                             for name in alg.basis_names()], l)
+    family = {"sl": "SL", "so": "SO", "sp": "Sp"}[alg.family]
+    return FilteredElement(GroupDescriptor(family, alg.d, alg.ring), mat)
 
 
 def linearize(g, n):
     """Recover X with g == I + pi^n X mod pi^(2n), projected exactly into
     the algebra.  Requires 2n <= N so the congruence is meaningful."""
-    if 2 * n > g.descriptor.ring.N:
-        raise TruncationTooShallow(
-            f"linearize at depth {n} needs 2n <= N={g.descriptor.ring.N}"
-        )
-    return _linearize_capped(g, n)
-
-
-def _linearize_capped(g, n):
     desc = g.descriptor
     ring = desc.ring
     d = desc.d
+    if 2 * n > ring.N:
+        raise TruncationTooShallow(
+            f"linearize at depth {n} needs 2n <= N={ring.N}"
+        )
     if n < 1:
         raise UsageError("linearize depth must be >= 1")
     if g.depth() < n:
         raise NotDeepEnough(f"element depth {g.depth()} < {n}")
+    if desc.family not in ("SL", "SO", "Sp"):
+        raise UsageError(f"linearize does not apply to family {desc.family}")
     M = mx.unshift(ring, mx.sub(ring, g.mat, mx.eye(ring, d)), n)
-    fam = desc.family
-    if fam == "SL":
+    return _project(LieAlgebra(desc.family.lower(), d, ring), M)
+
+
+def _project(alg, M):
+    """The coordinates of the projection of the payload matrix M into the
+    algebra: the trace moved off the last diagonal entry (sl), the
+    antisymmetric part (so), (M + Omega M^T Omega) / 2 (sp)."""
+    ring, d = alg.ring, alg.d
+    if alg.family == "sl":
         tr = ring.zero
         for i in range(d):
             tr = ring.add(tr, M[i][i])
         M = [list(row) for row in M]
         M[d - 1][d - 1] = ring.sub(M[d - 1][d - 1], tr)
         M = tuple(tuple(row) for row in M)
-        alg = LieAlgebra("sl", d, ring)
-    elif fam == "SO":
+    elif alg.family == "so":
         inv2 = ring.inv(ring.from_int(2))
         Mt = mx.transpose(M)
         M = tuple(
@@ -820,8 +1038,7 @@ def _linearize_capped(g, n):
             )
             for ra, rb in zip(M, Mt)
         )
-        alg = LieAlgebra("so", d, ring)
-    elif fam == "Sp":
+    else:
         inv2 = ring.inv(ring.from_int(2))
         Om = mx.omega(ring, d)
         OMO = mx.mul(ring, Om, mx.mul(ring, mx.transpose(M), Om))
@@ -829,16 +1046,19 @@ def _linearize_capped(g, n):
             tuple(ring.mul(ring.add(a, b), inv2) for a, b in zip(ra, rb))
             for ra, rb in zip(M, OMO)
         )
-        alg = LieAlgebra("sp", d, ring)
-    else:
-        raise UsageError(f"linearize does not apply to family {fam}")
     return from_matrix(alg, M)
 
 
 def commutator_decompose(r, n, m):
     """Depth-graded oracle: express r in K_{n+m} as a product of at most
     A commutators [g_k, h_k], g_k in K_n, h_k in K_m, agreeing with r
-    mod K_{2n+m}."""
+    mod K_{2n+m}.
+
+    Runs from the plan of r's algebra (`_plan`): the coordinates c of the
+    projection X of (r - I) / pi^(n+m) into the algebra, the left members
+    P_k = c D_k, checked exactly (sum_k [P_k, W_k] = X) and each lifted at
+    level n, and the plan's lift of W_k at level m, computed once per
+    level."""
     N = r.descriptor.ring.N
     if not (1 <= n <= m <= 2 * n):
         raise BadLevelPair(f"need 1 <= n <= m <= 2n, got ({n}, {m})")
@@ -848,6 +1068,10 @@ def commutator_decompose(r, n, m):
 
 
 def _commutator_decompose_capped(r, n, m):
+    """`commutator_decompose` without its m + 2n <= N check: past it, the
+    pairs agree with r mod K_N, which needs 2(n+m) >= N."""
+    from .matgroups import FilteredElement
+
     desc = r.descriptor
     N = desc.ring.N
     if not (1 <= n <= m <= 2 * n):
@@ -863,5 +1087,9 @@ def _commutator_decompose_capped(r, n, m):
         raise NotDeepEnough(f"oracle input depth {r.depth()} < n+m = {n + m}")
     if eff >= N:
         return []  # r is trivial at this truncation
-    pairs = bracket_decompose(_linearize_capped(r, eff))
-    return [(_lift_any(P, n), _lift_any(W, m)) for P, W in pairs]
+    plan = _plan(desc.family.lower(), desc.d, desc.ring)
+    P = plan.solve(plan.coordinates(r.mat, eff))
+    return [(FilteredElement(desc, _lift_coords(plan.alg, plan.payloads(Pk),
+                                                n)),
+             plan.lift_w(k, m, desc))
+            for k, Pk in enumerate(P) if Pk.any()]

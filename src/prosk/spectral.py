@@ -493,10 +493,14 @@ class SpectralReport:
 
 def spectral_report(ops, gens, *, l_max=50, adjoin_identity=True):
     """Diameter, gap, and mixing profile for one (G, S); checks the sandwich
-    (diam-1)/log|G| <= 1/(1-rho) <= |S| diam^2 before returning."""
-    graph = build_graph(ops, gens, adjoin_identity=adjoin_identity)
+    (diam-1)/log|G| <= 1/(1-rho) <= |S| diam^2 before returning.  A group
+    past CONV_CAP, whose profile `mixing_profile` would refuse, is refused
+    before its graph is built."""
+    n = ops.group_order()
+    if n > CONV_CAP:
+        raise BudgetExceeded(f"convolution vector of {n} entries over cap")
+    graph = build_graph(ops, gens, adjoin_identity=adjoin_identity, order=n)
     rho = spectral_gap(graph)
-    n = graph.order
     diam = graph.diameter
     k = len(graph.dirs)
     if rho >= 1.0 - 1e-14:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,11 @@ def test_decomposition_checks_raise(monkeypatch):
         liealg._verify_sl_scheme(3, table)
     X = SL3.random(np.random.default_rng(32))
     assert not X.is_zero()
-    monkeypatch.setattr(liealg, "bracket", lambda P, W: P.algebra.zero())
+    # the decomposition runs from the plan, not through `bracket`: a plan
+    # whose left members are all zero cannot reproduce X
+    plan = copy.copy(liealg._plan("sl", 3, SL3.ring))
+    plan.D = np.zeros_like(plan.D)
+    monkeypatch.setitem(liealg._PLAN_CACHE, ("sl", 3, SL3.ring), plan)
     with pytest.raises(InvariantViolated, match="reproduce its input"):
         bracket_decompose(X)
 
@@ -192,3 +198,212 @@ def test_residue_draws_reach_every_field_element():
             assert pay[1:] == (0, 0)
             codes.add(pay[0])
     assert codes == set(range(1, 9))
+
+
+# --- the per-algebra plan ----------------------------------------------------
+
+
+PLAN_ALGEBRAS = [
+    LieAlgebra("sl", 2, Ring("Zp", 3, 3, 6)),
+    LieAlgebra("sl", 3, Ring("Zp", 5, 5, 4)),
+    LieAlgebra("sl", 4, Ring("Zp", 3, 3, 5)),
+    LieAlgebra("so", 3, Ring("Zp", 3, 3, 9)),
+    LieAlgebra("so", 4, Ring("Zp", 5, 5, 4)),
+    LieAlgebra("so", 5, Ring("Zp", 3, 3, 6)),
+    LieAlgebra("sp", 4, Ring("Zp", 3, 3, 6)),
+    LieAlgebra("sp", 6, Ring("Zp", 5, 5, 3)),
+    LieAlgebra("sl", 3, Ring("FqT", 0, 5, 4)),
+    LieAlgebra("sl", 2, Ring("Zp", 3, 3, 20)),  # past the int64 guard
+]
+
+
+@pytest.mark.parametrize("alg", PLAN_ALGEBRAS, ids=LieAlgebra.describe)
+def test_plan_pairs_match_the_reference_decomposers(alg):
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        X = alg.random(rng)
+        want = [(P, W) for P, W in liealg._decompose(X) if not P.is_zero()]
+        assert bracket_decompose(X) == want
+
+
+def _times_factor_ring(ring, mat, delta):
+    cols = {}
+    for i, j, x in delta:
+        col = cols.setdefault(j, [row[j] for row in mat])
+        for r, row in enumerate(mat):
+            col[r] = ring.add(col[r], ring.mul(row[i], x))
+    for j, col in cols.items():
+        for r, row in enumerate(mat):
+            row[j] = col[r]
+
+
+def _lift_by_ring_ops(X, l):
+    """The lift as it was computed before the plan, on Ring payload ops
+    throughout: the reference for the plain-int lift."""
+    from prosk import _matrix as mx
+    from prosk.liealg import _name
+    from prosk.rings import RingElem, hensel_sqrt
+
+    alg = X.algebra
+    ring = alg.ring
+    d = alg.d
+    zero, one = ring.zero, ring.one
+    fam = alg.family
+    mat = [list(row) for row in mx.eye(ring, d)]
+    if fam == "sl":
+        off = {}
+        for name, v in X.coords.items():
+            kind, a, b = name.split("_")
+            if kind == "E":
+                off[(int(a), int(b))] = ring.add(
+                    off.get((int(a), int(b)), zero), v
+                )
+        for j in range(1, d):
+            c = X.coords.get(_name("D", j, j + 1), zero)
+            if c == zero:
+                continue
+            off[(j, j + 1)] = ring.sub(off.get((j, j + 1), zero), c)
+            off[(j + 1, j)] = ring.add(off.get((j + 1, j), zero), c)
+            cs = ring.shift(c, l)
+            ncs = ring.neg(cs)
+            _times_factor_ring(ring, mat, ((j - 1, j - 1, cs), (j, j, ncs),
+                                           (j - 1, j, cs), (j, j - 1, ncs)))
+        for (a, b) in sorted(off):
+            x = off[(a, b)]
+            if x != zero:
+                _times_factor_ring(ring, mat, ((a - 1, b - 1, ring.shift(x, l)),))
+    elif fam == "so":
+        for a in range(1, d + 1):
+            for b in range(a + 1, d + 1):
+                x = X.coords.get(_name("X", a, b), zero)
+                if x == zero:
+                    continue
+                al = ring.shift(x, l)
+                t = ring.sub(one, ring.mul(al, al))
+                beta = hensel_sqrt(RingElem(ring, t), RingElem(ring, one)).payload
+                bm1 = ring.sub(beta, one)
+                _times_factor_ring(ring, mat, ((a - 1, a - 1, bm1),
+                                               (b - 1, b - 1, bm1),
+                                               (a - 1, b - 1, al),
+                                               (b - 1, a - 1, ring.neg(al))))
+    else:  # sp
+        g = alg.g
+        basis = alg._bmap
+        for kind in ("A", "B", "C"):
+            for i in range(1, g + 1):
+                rng_j = range(1, g + 1) if kind == "A" else range(i, g + 1)
+                for j in rng_j:
+                    x = X.coords.get(_name(kind, i, j), zero)
+                    if x == zero:
+                        continue
+                    xs = ring.shift(x, l)
+                    if kind == "A" and i == j:
+                        u = ring.add(one, xs)
+                        delta = ((i - 1, i - 1, xs),
+                                 (g + i - 1, g + i - 1,
+                                  ring.sub(ring.inv(u), one)))
+                    else:
+                        delta = tuple(
+                            (a, b, xs if coeff == 1
+                             else ring.mul(xs, ring.from_int(coeff)))
+                            for (a, b, coeff) in basis[_name(kind, i, j)]
+                        )
+                    _times_factor_ring(ring, mat, delta)
+    return tuple(tuple(r) for r in mat)
+
+
+@pytest.mark.parametrize("alg", [
+    LieAlgebra("sl", 2, Ring("Zp", 3, 3, 8)),
+    LieAlgebra("sl", 3, Ring("Zp", 2, 2, 6)),
+    LieAlgebra("so", 3, Ring("Zp", 3, 3, 9)),
+    LieAlgebra("so", 5, Ring("Zp", 5, 5, 4)),
+    LieAlgebra("sp", 4, Ring("Zp", 3, 3, 6)),
+    LieAlgebra("sp", 6, Ring("Zp", 5, 5, 3)),
+    LieAlgebra("so", 3, Ring("Zp", 3, 3, 20)),
+    LieAlgebra("so", 3, Ring("FqT", 0, 9, 4)),
+    LieAlgebra("sp", 4, Ring("FqT", 0, 5, 4)),
+], ids=LieAlgebra.describe)
+def test_int_lift_matches_the_ring_lift(alg):
+    rng = np.random.default_rng(42)
+    for l in range(1, alg.ring.N):
+        for k in range(12):
+            X = alg.random(rng, residue_only=k % 3 == 2)
+            if k % 3 == 1:  # a sparse vector: every other coordinate dropped
+                X = alg.from_coords(dict(list(X.coords.items())[::2]))
+            assert liealg._lift_any(X, l).mat == _lift_by_ring_ops(X, l)
+
+
+def test_w_lifts_are_cached_and_the_plan_built_once(monkeypatch):
+    monkeypatch.setattr(liealg, "_PLAN_CACHE", {})
+    builds = []
+    init = liealg._Plan.__init__
+
+    def counted(self, alg):
+        builds.append(alg)
+        init(self, alg)
+
+    monkeypatch.setattr(liealg._Plan, "__init__", counted)
+    desc = GroupDescriptor.parse("SO:d=3,Zp:p=3,N=9")
+    ops = ops_for(desc)
+    rng = np.random.default_rng(43)
+    for n, m in [(1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (3, 3)]:
+        for _ in range(3):
+            ops.oracle(ops.sample_kernel(n + m, rng), n, m)
+    plan = liealg._plan("so", 3, desc.ring)
+    assert builds == [plan.alg]
+    for m in range(1, 9):
+        for k, W in enumerate(plan.W):
+            cached = plan.lift_w(k, m, desc)
+            assert cached is plan.lift_w(k, m, desc)
+            assert cached == liealg._lift_any(W, m)
+
+
+@pytest.mark.parametrize(
+    "alg", [SL3, SO3, SP4, LieAlgebra("sl", 2, Ring("Zp", 3, 3, 8))],
+    ids=LieAlgebra.describe)
+def test_plan_with_swapped_rows_raises(alg, monkeypatch):
+    from prosk.errors import InvariantViolated
+
+    ring = alg.ring
+    plan = copy.copy(liealg._plan(alg.family, alg.d, ring))
+    D = plan.D.copy()
+    i, j = next((i, j) for i in range(alg.dim) for j in range(i)
+                if (D[0, i] != D[0, j]).any())
+    D[0, [i, j]] = D[0, [j, i]]
+    plan.D, plan._wlifts = D, {}
+    monkeypatch.setitem(liealg._PLAN_CACHE, (alg.family, alg.d, ring), plan)
+    X = alg.from_coords({name: k + 1 for k, name in enumerate(alg.basis_names())})
+    with pytest.raises(InvariantViolated, match="reproduce its input"):
+        bracket_decompose(X)
+    r = liealg._lift_any(X, 2)
+    with pytest.raises(InvariantViolated, match="reproduce its input"):
+        liealg.commutator_decompose(r, 1, 1)
+
+
+def test_zp_oracle_makes_no_ring_dispatch(monkeypatch):
+    """Once the plan is built, the Z/p^N oracle runs on integers alone:
+    no bracket, no from_matrix, no Ring.mul."""
+    work = []
+    for text in ("SO:d=3,Zp:p=3,N=9", "SL:d=2,Zp:p=3,N=8"):
+        desc = GroupDescriptor.parse(text)
+        ops = ops_for(desc)
+        N = desc.ring.N
+        rng = np.random.default_rng(44)
+        for n in range(1, N):
+            for m in range(n, min(2 * n, N - n) + 1):
+                r = ops.sample_kernel(n + m, rng)
+                want = ops.oracle(r, n, m, capped=2 * n + m > N)
+                work.append((r, n, m, N, want))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-entry ring dispatch on the oracle path")
+
+    monkeypatch.setattr(liealg, "bracket", refuse)
+    monkeypatch.setattr(liealg, "from_matrix", refuse)
+    monkeypatch.setattr(Ring, "mul", refuse)
+    for r, n, m, N, want in work:
+        if 2 * n + m > N:
+            got = liealg._commutator_decompose_capped(r, n, m)
+        else:
+            got = liealg.commutator_decompose(r, n, m)
+        assert got == want

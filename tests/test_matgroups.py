@@ -248,3 +248,36 @@ def test_kernel_draws_generate_k1_over_f9():
     g = build_graph(ops, [ops.sample_kernel(1, rng) for _ in range(8)],
                     order=729)
     assert g.order == 729
+
+
+# --- depth over Z/p^N by one gcd ----------------------------------------------
+
+
+def _depth_by_valuation(ring, A):
+    """The entrywise formula: min valuation of A - I, capped at N."""
+    best = ring.N
+    for i, row in enumerate(A):
+        for j, a in enumerate(row):
+            best = min(best, ring.val(ring.sub(a, ring.one) if i == j else a))
+    return best
+
+
+@pytest.mark.parametrize("text", [
+    "SL:d=2,Zp:p=3,N=8", "SO:d=3,Zp:p=3,N=9", "Sp:d=4,Zp:p=5,N=3",
+    "SL:d=3,Zp:p=2,N=6", "SL:d=2,Zp:p=3,N=20",  # past the int64 guard
+])
+def test_depth_by_gcd_matches_the_valuation_formula(text):
+    from prosk import _matrix as mx
+
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    ring, N = desc.ring, desc.ring.N
+    rng = np.random.default_rng(45)
+    elems = [ops.identity()] + [ops.sample_uniform(rng) for _ in range(5)]
+    for n in range(1, N + 1):
+        elems += [ops.sample_kernel(n, rng) for _ in range(4)]
+    depths = set()
+    for g in elems:
+        depths.add(mx.depth(ring, g.mat))
+        assert mx.depth(ring, g.mat) == _depth_by_valuation(ring, g.mat)
+    assert {0, N} <= depths and len(depths) > 3

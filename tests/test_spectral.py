@@ -739,3 +739,26 @@ def test_sweeps_check_the_cap_before_enumerating(monkeypatch):
         with pytest.raises(BudgetExceeded, match="SWEEP_ELEMENT_CAP"):
             sweep()
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_spectral_report_refuses_a_group_past_conv_cap(monkeypatch):
+    # SL2(F_9[[t]]/t^2) has 524,880 elements, past CONV_CAP: refused from
+    # the order alone, before any graph is built
+    big = ops_for(GroupDescriptor.parse("SL:d=2,Fq[[t]]:q=9,N=2"))
+    assert big.group_order() > spectral.CONV_CAP
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_graph was called")
+
+    monkeypatch.setattr(spectral, "build_graph", refuse)
+    with pytest.raises(BudgetExceeded, match="convolution vector of 524880"):
+        spectral.spectral_report(big, [big.identity()])
+
+
+def test_spectral_cli_past_conv_cap_exits_3_quickly(capsys):
+    t0 = time.perf_counter()
+    rc = main(["spectral", "--group", "SL:d=2,Fq[[t]]:q=9,N=2",
+               "--gens", "sampled:3:1", "--l", "10", "--seed", "1"])
+    assert rc == 3
+    assert time.perf_counter() - t0 < 10.0
+    assert "convolution vector" in capsys.readouterr().err
