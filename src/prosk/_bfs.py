@@ -1,15 +1,14 @@
 """One breadth-first enumeration engine for the finite quotients.
 
 Every enumerated object in prosk comes out of `bfs`: the compiler's base
-tables (`build_table`) and the Cayley graphs of `spectral`.  The loop runs
-level by level from the identity.  A level's candidates are the products of
-every frontier state with every direction, laid out frontier-major; for
-each key the first candidate in that order wins, and new states enter in
-discovery order.  Tables multiply on the right (state * direction), graphs
-on the left (direction * state).  `left_perms` tabulates left translations
-over any enumerated stack: graph permutations, the inverse-pair class
-permutations of the exhaustive sweeps, and whole multiplication tables of
-small quotients.
+tables (`build_table`), and the Cayley graphs and sweep tables of
+`spectral`.  The loop runs level by level from the identity.  A level's
+candidates are the products of every frontier state with every direction,
+laid out frontier-major; for each key the first candidate in that order
+wins, and new states enter in discovery order.  Tables multiply on the right
+(state * direction), graphs on the left (direction * state).  Every
+candidate's key names a state, known or new, whose index goes straight into
+the translation table `perms`: one product pass discovers and tabulates.
 
 The engine runs on a group facade's batch surface (`matgroups.BatchOps`):
 `stack`/`unstack` convert elements to and from a stack with a leading batch
@@ -34,7 +33,7 @@ from .errors import BudgetExceeded, InvariantViolated, NotGenerating
 from .matgroups import ops_for
 
 _BYTES_PER_STATE = 72  # key + parent + op + dist + element slack
-_BYTES_PER_RECORD = 32  # a BFS state's key, parent, op, dist and sorted key
+_BYTES_PER_RECORD = 36  # key, parent, op, dist, sorted key and its index
 _BYTES_PER_OBJECT = 32  # the Python int behind an object stack entry
 _BYTES_PER_EDGE = 4  # one int32 permutation entry per direction
 _BYTES_PER_FLOAT = 8  # one float64 entry per state, per vector over them
@@ -74,18 +73,19 @@ def vectors_that_fit(states, dirs):
     return max(spare, 0) // (_BYTES_PER_FLOAT * states)
 
 
-def _check_bfs_budget(ops, one, states, candidates):
-    """BudgetExceeded unless a `bfs` of `states` states fits: each state's
-    stack entries (the bytes of the one-state stack `one`, and a Python int
-    behind each entry of an object stack) and its record, held twice at the
-    end, in the per-level pieces and in their concatenation; and one chunk
+def _check_bfs_budget(ops, one, states, dirs, candidates):
+    """BudgetExceeded unless a `bfs` of `states` states over `dirs`
+    directions fits: each state's stack entries (the bytes of the one-state
+    stack `one`, and a Python int behind each entry of an object stack) and
+    its record, held twice at the end, in the per-level pieces and in their
+    concatenation; its column of the int32 translation table; and one chunk
     of `candidates` products, each `ops.product_copies()` stack entries at
     the product's peak."""
     held = one.nbytes + (one.size * _BYTES_PER_OBJECT
                          if one.dtype == object else 0)
-    _charge(states * 2 * (held + _BYTES_PER_RECORD)
+    _charge(states * (2 * (held + _BYTES_PER_RECORD) + _BYTES_PER_EDGE * dirs)
             + candidates * held * ops.product_copies(),
-            f"a BFS over {states} elements of {held} B each")
+            f"a BFS over {states} elements of {held} B x {dirs} directions")
 
 
 # ---------------------------------------------------------------------------
@@ -95,42 +95,57 @@ def _check_bfs_budget(ops, one, states, candidates):
 class Enumeration(NamedTuple):
     """States in discovery order (an ops stack) with their keys, BFS-tree
     parents (-1 at the identity), the index of the direction that reached
-    each state, and distances from the identity."""
+    each state, distances from the identity, and perms[a, j] (int32), the
+    index of dirs[a] * states[j] (left) or states[j] * dirs[a] (right)."""
 
     states: object
     keys: np.ndarray
     parent: np.ndarray
     op: np.ndarray
     dist: np.ndarray
+    perms: np.ndarray
 
 
 def bfs(ops, dirs, expected, *, left):
     """Enumerate the subgroup that the stack `dirs` of the facade `ops`
     generates, which must have `expected` elements (NotGenerating
-    otherwise).  A level expands _CHUNK candidates at a time, so its
-    transient arrays stay bounded."""
+    otherwise), with its translations by `dirs`.  A level expands _CHUNK
+    candidates at a time, so its transient arrays stay bounded."""
     frontier = ops.identity_stack()
     k = len(dirs)
     step = max(1, _CHUNK // max(k, 1))  # frontier states per expansion
-    _check_bfs_budget(ops, frontier, expected, min(step, expected) * k)
+    _check_bfs_budget(ops, frontier, expected, k, min(step, expected) * k)
+    perms = np.empty((k, expected), dtype=np.int32)
     seen = ops.keys(frontier)  # every key so far, sorted
+    index = np.zeros(1, dtype=np.int32)  # the state of each key in `seen`
     states, keys = [frontier], [seen]
     parent = [np.full(1, -1, dtype=np.int64)]
     op = [np.zeros(1, dtype=np.int32)]
     dist = [np.zeros(1, dtype=np.int32)]
     start, count = 0, 1  # index of the frontier's first state; states so far
-    while k and count <= expected:
+    while k:
         found = []
         for lo in range(0, len(frontier), step):
             cand = ops.outer(frontier[lo : lo + step], dirs, left=left)
             ckeys = ops.keys(cand)
-            uniq, first = np.unique(ckeys, return_index=True)
+            uniq, first, inverse = np.unique(ckeys, return_index=True,
+                                             return_inverse=True)
             pos = np.searchsorted(seen, uniq)
-            fresh = seen[np.minimum(pos, len(seen) - 1)] != uniq
-            seen = np.insert(seen, pos[fresh], uniq[fresh])
+            at = np.minimum(pos, len(seen) - 1)
+            idx, fresh = index[at], seen[at] != uniq
             new = np.sort(first[fresh])
+            if count + len(new) > expected:  # before the table overflows
+                raise NotGenerating(
+                    f"directions span more of {expected} elements")
+            idx[inverse[new]] = np.arange(count, count + len(new))
+            seen = np.insert(seen, pos[fresh], uniq[fresh])
+            index = np.insert(index, pos[fresh], idx[fresh])
+            m = len(cand) // k
+            perms[:, start + lo : start + lo + m] = idx[inverse].reshape(m, k).T
             found.append((cand[new], ckeys[new], start + lo + new // k,
                           (new % k).astype(np.int32)))
+            count += len(new)
+        start += len(frontier)
         frontier, fkeys, fparent, fop = map(np.concatenate, zip(*found))
         if not len(frontier):
             break
@@ -139,13 +154,10 @@ def bfs(ops, dirs, expected, *, left):
         parent.append(fparent)
         op.append(fop)
         dist.append(np.full(len(frontier), len(dist), dtype=np.int32))
-        start, count = count, count + len(frontier)
     if count != expected:
-        raise NotGenerating(
-            f"directions span {count if count < expected else 'more'} "
-            f"of {expected} elements"
-        )
-    return Enumeration(*map(np.concatenate, (states, keys, parent, op, dist)))
+        raise NotGenerating(f"directions span {count} of {expected} elements")
+    return Enumeration(*map(np.concatenate, (states, keys, parent, op, dist)),
+                       perms)
 
 
 class KeyIndex:
@@ -167,19 +179,6 @@ def positions(ops, elements, items):
     if (idx < 0).any():
         raise InvariantViolated("element missing from the enumeration")
     return idx
-
-
-def left_perms(ops, elements, dirs):
-    """perms[a, j] = index in `elements` of dirs[a] * elements[j] (both
-    stacks of `ops`; `elements` must be closed under the translations)."""
-    check_budget(len(elements), len(dirs))
-    find = KeyIndex(ops.keys(elements)).find
-    perms = np.empty((len(dirs), len(elements)), dtype=np.int32)
-    for a in range(len(dirs)):
-        perms[a] = find(ops.keys(ops.outer(dirs[a : a + 1], elements)))
-    if (perms < 0).any():
-        raise InvariantViolated("left-translate left the group")
-    return perms
 
 
 # ---------------------------------------------------------------------------

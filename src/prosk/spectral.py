@@ -3,17 +3,17 @@ operator's norm on mean-zero functions, mixing profiles, and random-walk
 coordinate statistics.
 
 Everything here works against an enumerated graph from the one BFS engine in
-`_bfs`: elements in discovery order from the identity, one
-left-multiplication permutation per walk direction.  The engine runs on the
-group facade's stacks (`matgroups.BatchOps`), whose layout the facade picks.
-The group itself only has to quack like the quotient facades (identity /
-mul / inv / key / group_order / sample_uniform / serialize, and the stack
-methods), so the tiny cyclic adapter below is a first-class citizen — it is
-both the non-FAb contrast family and the corpus for the exhaustive
-generating-set sweeps.  Those sweeps share one batched
-bitset BFS over left-multiplication tables computed once per group, and
-refuse a group past SWEEP_ELEMENT_CAP by its order, before enumerating it.
-The sampled sweeps share one draw loop (`_generating_draws`).
+`_bfs`: elements in discovery order from the identity, and from the same
+products one left-multiplication permutation per walk direction.  The engine
+runs on the group facade's stacks (`matgroups.BatchOps`), whose layout the
+facade picks.  The group itself only has to quack like the quotient facades
+(identity / mul / inv / key / group_order / sample_uniform / serialize, and
+the stack methods), so the tiny cyclic adapter below is a first-class
+citizen — it is both the non-FAb contrast family and the corpus for the
+exhaustive generating-set sweeps.  Those sweeps share one batched bitset BFS
+over left-multiplication tables that the same engine fills once per group,
+and refuse a group past SWEEP_ELEMENT_CAP by its order, before enumerating
+it.  The sampled sweeps share one draw loop (`_generating_draws`).
 
 The walk operator's norm rho comes from one solver, Lanczos on mean-zero
 vectors (`lanczos_gap`): every product is one `walk_matvec`, and its Krylov
@@ -219,17 +219,15 @@ class CayleyGraph:
 
 def build_graph(ops, gens, *, adjoin_identity=True, order=None):
     """Enumerate the whole group by BFS over S u S^-1 (identity adjoined for
-    the lazy walk unless told otherwise) and tabulate the left-multiplication
-    permutations.  NotGenerating if the ball closes before covering `order`
-    elements (pass `order` explicitly to walk a proper subgroup, e.g. a
-    congruence kernel)."""
+    the lazy walk unless told otherwise); the same product pass tabulates
+    the left-multiplication permutations.  NotGenerating if the ball closes
+    before covering `order` elements or finds more (pass `order` explicitly
+    to walk a proper subgroup, e.g. a congruence kernel)."""
     if order is None:
         order = ops.group_order()
     dirs = symmetrize(ops, gens, include_identity=adjoin_identity)
-    batch = ops.stack(dirs)
-    run = _bfs.bfs(ops, batch, order, left=True)
-    perms = _bfs.left_perms(ops, run.states, batch)
-    return CayleyGraph(ops, dirs, perms, run.dist, run.states)
+    run = _bfs.bfs(ops, ops.stack(dirs), order, left=True)
+    return CayleyGraph(ops, dirs, run.perms, run.dist, run.states)
 
 
 def diameter_bfs(ops, gens):
@@ -632,8 +630,9 @@ def _generating_unions(ops, elems, factor):
     monotonicity_exhaustive and extension_bound_check: the inverse-pair
     classes of `elems`, then the ascending masks of every union of classes
     that generates (bit i selects classes[i]) and each one's diameter.  The
-    class permutations are tabulated once; every union runs through the
-    one bitset BFS of `_union_eccentricities`.  `elems` comes from
+    class permutations are one left `_bfs.bfs` table (InvariantViolated
+    unless `elems` is a subgroup); every union runs through the one bitset
+    BFS of `_union_eccentricities`.  `elems` comes from
     `_sweep_corpus`, within SWEEP_ELEMENT_CAP; the subset count is the
     hard wall: BudgetExceeded once 2^classes * |G| * factor * classes
     leaves SWEEP_WORK_CAP."""
@@ -645,13 +644,14 @@ def _generating_unions(ops, elems, factor):
             f"{c} inverse-pair classes -> {2**c} symmetric sets over "
             f"SWEEP_WORK_CAP={SWEEP_WORK_CAP}"
         )
-    batch = ops.stack(elems)
-    rows = _bfs.left_perms(ops, batch,
-                           ops.stack([x for cls in classes for x in cls]))
+    try:
+        rows = _bfs.bfs(ops, ops.stack([x for cls in classes for x in cls]),
+                        n, left=True).perms
+    except NotGenerating as exc:
+        raise InvariantViolated("left-translate left the group") from exc
     cperms = np.split(rows, np.cumsum([len(cls) for cls in classes])[:-1])
-    root = _bfs.positions(ops, batch, ops.identity_stack())[0]
     masks = np.arange(1, 2**c, dtype=np.int64)
-    diam = _union_eccentricities(cperms, n, root, masks)
+    diam = _union_eccentricities(cperms, n, 0, masks)
     return classes, masks[diam >= 0], diam[diam >= 0]
 
 
@@ -704,17 +704,16 @@ def worst_case_diameter(ops, *, elements=None, mode="exhaustive", trials=200,
 def monotonicity_exhaustive(G_ops, Q_ops, proj):
     """diam(Q, pi(S)) <= diam(G, S) for every symmetric generating set S of
     G, plus the worst-case comparison.  Exhaustive-corpus sizes only.  The
-    quotient's whole left-multiplication table is computed once; the rows
+    quotient's whole left-multiplication table is one `_bfs.bfs`; the rows
     for pi(S) run through the same bitset BFS as the sweep over G, one
     batch over every generating S."""
     classes, bits, dG = _generating_unions(G_ops, _sweep_corpus(G_ops), 4)
     qbatch = Q_ops.stack(all_elements(Q_ops))
-    table = _bfs.left_perms(Q_ops, qbatch, qbatch)
-    qroot = _bfs.positions(Q_ops, qbatch, Q_ops.identity_stack())[0]
+    table = _bfs.bfs(Q_ops, qbatch, len(qbatch), left=True).perms
     qperms = [table[_bfs.positions(Q_ops, qbatch,
                                    Q_ops.stack([proj(x) for x in cls]))]
               for cls in classes]
-    dQ = _union_eccentricities(qperms, len(qbatch), qroot, bits)
+    dQ = _union_eccentricities(qperms, len(qbatch), 0, bits)
     if (dQ < 0).any():
         raise NotGenerating("projected set does not generate the quotient")
     violations = [{
@@ -1005,8 +1004,8 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
         if checkpoints[-1] != l_max:
             checkpoints.append(l_max)
     cpset = set(int(c) for c in checkpoints)
-    if min(cpset) < 0 or max(cpset) > l_max:
-        raise UsageError(f"checkpoints outside [0, {l_max}]")
+    if not cpset or min(cpset) < 0 or max(cpset) > l_max:
+        raise UsageError(f"checkpoints empty or outside [0, {l_max}]")
     rows = []
     for l, state, law in _walk(graph, l_max, trials, seed):
         if l in cpset:

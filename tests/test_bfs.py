@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prosk import _bfs
-from prosk.errors import BudgetExceeded
+from prosk.errors import BudgetExceeded, NotGenerating
 from prosk.matgroups import GroupDescriptor, MatrixOps, ops_for
 from prosk.skcompiler import sample_generating_set
 from prosk.spectral import CyclicOps, build_graph, symmetrize
@@ -13,10 +13,12 @@ from prosk.spectral import CyclicOps, build_graph, symmetrize
 
 def reference_bfs(ops, dirs, left):
     """Frontier-major BFS from the identity; the first product with a new
-    key wins.  Returns (keys in discovery order, parent, op, dist)."""
+    key wins.  Returns (keys in discovery order, parent, op, dist, perms),
+    perms[a][j] the index of the product of state j with dirs[a]."""
     start = ops.identity()
     index = {ops.key(start): 0}
     keys, parent, op, dist = [ops.key(start)], [-1], [0], [0]
+    perms = [[] for _ in dirs]  # states expand in index order
     frontier = [(0, start)]
     while frontier:
         nxt = []
@@ -24,16 +26,16 @@ def reference_bfs(ops, dirs, left):
             for a, s in enumerate(dirs):
                 h = ops.mul(s, g) if left else ops.mul(g, s)
                 k = ops.key(h)
-                if k in index:
-                    continue
-                index[k] = len(keys)
-                keys.append(k)
-                parent.append(si)
-                op.append(a)
-                dist.append(dist[si] + 1)
-                nxt.append((len(keys) - 1, h))
+                if k not in index:
+                    index[k] = len(keys)
+                    keys.append(k)
+                    parent.append(si)
+                    op.append(a)
+                    dist.append(dist[si] + 1)
+                    nxt.append((len(keys) - 1, h))
+                perms[a].append(index[k])
         frontier = nxt
-    return keys, parent, op, dist
+    return keys, parent, op, dist, perms
 
 
 def _table_dirs(text, level, seed):
@@ -62,22 +64,37 @@ TABLE_CASES = (
 @pytest.mark.parametrize("text,level,seed", TABLE_CASES)
 def test_right_bfs_matches_reference(text, level, seed):
     qops, dirs = _table_dirs(text, level, seed)
-    keys, parent, op, dist = reference_bfs(qops, dirs, left=False)
+    keys, parent, op, dist, perms = reference_bfs(qops, dirs, left=False)
     run = _bfs.bfs(qops, qops.stack(dirs), len(keys), left=False)
     assert run.parent.tolist() == parent
     assert run.op.tolist() == op
     assert run.dist.tolist() == dist
+    assert run.perms.tolist() == perms  # the right translations
     assert [qops.key(x) for x in qops.unstack(run.states)] == keys
 
 
 def test_right_bfs_matches_reference_cyclic():
     ops = CyclicOps(12)
     dirs = [4, 8, 3, 9]
-    keys, parent, op, dist = reference_bfs(ops, dirs, left=False)
+    keys, parent, op, dist, perms = reference_bfs(ops, dirs, left=False)
     run = _bfs.bfs(ops, ops.stack(dirs), 12, left=False)
     assert ops.unstack(run.states) == keys
-    assert (run.parent.tolist(), run.op.tolist(), run.dist.tolist()) == (
-        parent, op, dist)
+    assert (run.parent.tolist(), run.op.tolist(), run.dist.tolist(),
+            run.perms.tolist()) == (parent, op, dist, perms)
+
+
+def test_right_bfs_rejects_a_wrong_order(monkeypatch):
+    # build_table's quotient order, off by one either way: one short, the
+    # walk stops at the chunk that outgrows its table; one over, it closes
+    desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=2")
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, 3, 1).elements
+    order = ops.quotient_order(2)
+    assert _bfs.build_table(ops, gens, 2).count == order == 648
+    for wrong, match in ((order - 1, "more of 647"), (order + 1, "648 of 649")):
+        monkeypatch.setattr(ops, "quotient_order", lambda level: wrong)
+        with pytest.raises(NotGenerating, match=match):
+            _bfs.build_table(ops, gens, 2)
 
 
 def test_stack_layout_follows_the_group():
@@ -160,6 +177,55 @@ def test_bfs_charges_one_chunk_of_products(monkeypatch):
     assert not products
 
 
+def test_bfs_charges_its_translation_table(monkeypatch):
+    # SL2(Z/27) over 50 drawn elements and the identity: 17,496 states of
+    # 32 B and ~100 directions; states, records and one chunk of products
+    # fit in 9 MB, the int32 translation table does not, so the walk is
+    # refused before any product is taken (`prosk diam` exits 3 on it)
+    desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=3")
+    ops = ops_for(desc)
+    gens = list(sample_generating_set(desc, 50, 7).elements)
+    n, k = ops.group_order(), len(symmetrize(ops, gens, include_identity=True))
+    held = ops.identity_stack().nbytes
+    states_mb = n * 2 * (held + _bfs._BYTES_PER_RECORD) / 2**20
+    chunk_mb = (_bfs._CHUNK // k) * k * held * ops.product_copies() / 2**20
+    table_mb = n * k * _bfs._BYTES_PER_EDGE / 2**20
+    assert states_mb + chunk_mb < 9 < states_mb + chunk_mb + table_mb
+    products = []
+    monkeypatch.setattr(MatrixOps, "outer",
+                        lambda *args, **kw: products.append(1))
+    monkeypatch.setenv("PROSK_BUDGET_MB", "9")
+    with pytest.raises(BudgetExceeded, match="PROSK_BUDGET_MB=9"):
+        build_graph(ops, gens)
+    assert not products
+
+
+def test_graph_build_takes_one_product_per_chunk(monkeypatch):
+    # the translations come out of the BFS's own products: SL2(Z/27)
+    # multiplies each chunk of each level by the directions once, and
+    # takes no product after the walk; the table is every left translate
+    desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=3")
+    ops = ops_for(desc)
+    gens = list(sample_generating_set(desc, 8, 7).elements)
+    chunks = []
+    outer = MatrixOps.outer
+
+    def counted(self, A, B, left=False):
+        chunks.append(len(A))
+        return outer(self, A, B, left=left)
+
+    monkeypatch.setattr(MatrixOps, "outer", counted)
+    g = build_graph(ops, gens)
+    assert g.order == 17_496
+    step = _bfs._CHUNK // len(g.dirs)
+    assert chunks == [min(step, size - lo) for size in np.bincount(g.dist)
+                      for lo in range(0, size, step)]
+    assert len(chunks) > g.diameter + 1  # a level spans several chunks
+    translates = outer(ops, ops.stack(g.dirs), g.states)
+    keys = ops.keys(g.states)
+    assert (keys[g.perms].ravel() == ops.keys(translates)).all()
+
+
 GRAPH_CASES = [
     ("SL:d=2,Zp:p=3,N=2", 2, 5),
     ("SO:d=3,Zp:p=3,N=2", 2, 6),
@@ -186,7 +252,7 @@ def _generating_set(text, k, seed):
 def test_left_perms_are_left_translations(text, k, seed):
     ops, gens = _generating_set(text, k, seed)
     g = build_graph(ops, gens)
-    keys, _, _, dist = reference_bfs(ops, g.dirs, left=True)
+    keys, _, _, dist, _ = reference_bfs(ops, g.dirs, left=True)
     elems = [g.element(j) for j in range(g.order)]
     assert [ops.key(x) for x in elems] == keys
     assert g.dist.tolist() == dist and g.diameter == max(dist)

@@ -179,6 +179,16 @@ def test_budget_cap_exit_3(monkeypatch):
     assert rc == 3
 
 
+def test_translation_table_past_the_budget_exits_3(monkeypatch, capsys):
+    # test_bfs_charges_its_translation_table's case: the BFS states and one
+    # chunk of products fit in 9 MB, the graph's permutation table does not
+    monkeypatch.setenv("PROSK_BUDGET_MB", "9")
+    rc = main(["diam", "--group", "SL:d=2,Zp:p=3,N=3",
+               "--gens", "sampled:50:7", "--seed", "7"])
+    assert rc == 3
+    assert "PROSK_BUDGET_MB=9" in capsys.readouterr().err
+
+
 def test_walk_past_the_work_cap_exits_3(capsys):
     """An over-long walk series is refused before its first step."""
     t0 = time.perf_counter()

@@ -6,7 +6,12 @@ import pytest
 
 from prosk import spectral, verify
 from prosk.cli import main
-from prosk.errors import BudgetExceeded, NotGenerating, UsageError
+from prosk.errors import (
+    BudgetExceeded,
+    InvariantViolated,
+    NotGenerating,
+    UsageError,
+)
 from prosk.matgroups import GroupDescriptor, element, ops_for
 from prosk.spectral import (
     CyclicOps,
@@ -208,6 +213,20 @@ def test_build_graph_rejects_subgroups():
         build_graph(CyclicOps(10), [5])
 
 
+def test_build_graph_rejects_a_wrong_order():
+    # too small: the BFS stops at the chunk that outgrows the table
+    for order in (1, 6, 11):
+        with pytest.raises(NotGenerating, match=f"more of {order} elements"):
+            build_graph(CyclicOps(12), [1], order=order)
+    with pytest.raises(NotGenerating, match="span 12 of 13 elements"):
+        build_graph(CyclicOps(12), [1], order=13)
+
+
+def test_sweep_over_a_non_subgroup_is_an_invariant_violation():
+    with pytest.raises(InvariantViolated, match="left the group"):
+        worst_case_diameter(CyclicOps(12), elements=[0, 1, 2])
+
+
 def test_worst_case_frozen():
     assert worst_case_diameter(CyclicOps(7)).value == 3
     assert worst_case_diameter(CyclicOps(2)).value == 1
@@ -227,7 +246,7 @@ def test_sweep_caps_raise_before_any_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("a permutation table was built")
 
-    monkeypatch.setattr(spectral._bfs, "left_perms", no_table)
+    monkeypatch.setattr(spectral._bfs, "bfs", no_table)
     for n, cap in ((65, "SWEEP_ELEMENT_CAP=64"), (40, "SWEEP_WORK_CAP=")):
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceeded, match=cap):
@@ -615,6 +634,13 @@ def test_walk_series_deterministic():
     assert a["exact"]
     # late checkpoints are closer to uniform than early ones
     assert a["rows"][-1]["tv_exact"] < 0.05 < a["rows"][1]["tv_exact"]
+
+
+def test_walk_series_refuses_bad_checkpoints():
+    for checkpoints in ([], [3, 26], [-1]):
+        with pytest.raises(UsageError, match="empty or outside"):
+            walk_series(CyclicOps(30), [1, 7], l_max=25, trials=10,
+                        checkpoints=checkpoints)
 
 
 # --- the batched Z/p^N stacks ------------------------------------------------
