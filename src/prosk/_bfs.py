@@ -8,7 +8,8 @@ laid out frontier-major; for each key the first candidate in that order
 wins, and new states enter in discovery order.  Tables multiply on the right
 (state * direction), graphs on the left (direction * state).  Every
 candidate's key names a state, known or new, whose index goes straight into
-the translation table `perms`: one product pass discovers and tabulates.
+the translation table `perms`, when the caller asks for one: one product
+pass discovers and tabulates.  The shortest-word tables ask for none.
 
 The engine runs on a group facade's batch surface (`matgroups.BatchOps`):
 `stack`/`unstack` convert elements to and from a stack with a leading batch
@@ -73,17 +74,18 @@ def vectors_that_fit(states, dirs):
     return max(spare, 0) // (_BYTES_PER_FLOAT * states)
 
 
-def _check_bfs_budget(ops, one, states, dirs, candidates):
+def _check_bfs_budget(ops, one, states, dirs, candidates, table):
     """BudgetExceeded unless a `bfs` of `states` states over `dirs`
     directions fits: each state's stack entries (the bytes of the one-state
     stack `one`, and a Python int behind each entry of an object stack) and
     its record, held twice at the end, in the per-level pieces and in their
-    concatenation; its column of the int32 translation table; and one chunk
-    of `candidates` products, each `ops.product_copies()` stack entries at
-    the product's peak."""
+    concatenation; its column of the int32 translation table, if `table`;
+    and one chunk of `candidates` products, each `ops.product_copies()`
+    stack entries at the product's peak."""
     held = one.nbytes + (one.size * _BYTES_PER_OBJECT
                          if one.dtype == object else 0)
-    _charge(states * (2 * (held + _BYTES_PER_RECORD) + _BYTES_PER_EDGE * dirs)
+    edges = _BYTES_PER_EDGE * dirs if table else 0
+    _charge(states * (2 * (held + _BYTES_PER_RECORD) + edges)
             + candidates * held * ops.product_copies(),
             f"a BFS over {states} elements of {held} B x {dirs} directions")
 
@@ -92,30 +94,54 @@ def _check_bfs_budget(ops, one, states, dirs, candidates):
 # the engine
 
 
+class KeyIndex:
+    """Positions of keys in a fixed key array (-1 where absent), from the
+    array's keys in ascending order and the position of each."""
+
+    def __init__(self, sorted_keys, sorter):
+        self._sorted = sorted_keys
+        self._sorter = sorter
+
+    @classmethod
+    def of(cls, keys):
+        sorter = np.argsort(keys, kind="stable")
+        return cls(keys[sorter], sorter)
+
+    def find(self, keys):
+        pos = np.searchsorted(self._sorted, keys)
+        pos = np.minimum(pos, len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == keys, self._sorter[pos], -1)
+
+
 class Enumeration(NamedTuple):
     """States in discovery order (an ops stack) with their keys, BFS-tree
     parents (-1 at the identity), the index of the direction that reached
-    each state, distances from the identity, and perms[a, j] (int32), the
-    index of dirs[a] * states[j] (left) or states[j] * dirs[a] (right)."""
+    each state, distances from the identity, perms[a, j] (int32), the
+    index of dirs[a] * states[j] (left) or states[j] * dirs[a] (right), or
+    None where no table was asked for, and `index`, the state of each key,
+    over the sorted keys the walk kept."""
 
     states: object
     keys: np.ndarray
     parent: np.ndarray
     op: np.ndarray
     dist: np.ndarray
-    perms: np.ndarray
+    perms: np.ndarray | None
+    index: KeyIndex
 
 
-def bfs(ops, dirs, expected, *, left):
+def bfs(ops, dirs, expected, *, left, translations=True):
     """Enumerate the subgroup that the stack `dirs` of the facade `ops`
     generates, which must have `expected` elements (NotGenerating
-    otherwise), with its translations by `dirs`.  A level expands _CHUNK
-    candidates at a time, so its transient arrays stay bounded."""
+    otherwise), with its translations by `dirs` if `translations`.  A level
+    expands _CHUNK candidates at a time, so its transient arrays stay
+    bounded."""
     frontier = ops.identity_stack()
     k = len(dirs)
     step = max(1, _CHUNK // max(k, 1))  # frontier states per expansion
-    _check_bfs_budget(ops, frontier, expected, k, min(step, expected) * k)
-    perms = np.empty((k, expected), dtype=np.int32)
+    _check_bfs_budget(ops, frontier, expected, k, min(step, expected) * k,
+                      translations)
+    perms = np.empty((k, expected), dtype=np.int32) if translations else None
     seen = ops.keys(frontier)  # every key so far, sorted
     index = np.zeros(1, dtype=np.int32)  # the state of each key in `seen`
     states, keys = [frontier], [seen]
@@ -140,8 +166,10 @@ def bfs(ops, dirs, expected, *, left):
             idx[inverse[new]] = np.arange(count, count + len(new))
             seen = np.insert(seen, pos[fresh], uniq[fresh])
             index = np.insert(index, pos[fresh], idx[fresh])
-            m = len(cand) // k
-            perms[:, start + lo : start + lo + m] = idx[inverse].reshape(m, k).T
+            if translations:
+                m = len(cand) // k
+                perms[:, start + lo : start + lo + m] = (
+                    idx[inverse].reshape(m, k).T)
             found.append((cand[new], ckeys[new], start + lo + new // k,
                           (new % k).astype(np.int32)))
             count += len(new)
@@ -157,25 +185,12 @@ def bfs(ops, dirs, expected, *, left):
     if count != expected:
         raise NotGenerating(f"directions span {count} of {expected} elements")
     return Enumeration(*map(np.concatenate, (states, keys, parent, op, dist)),
-                       perms)
-
-
-class KeyIndex:
-    """Positions of keys in a fixed key array (-1 where absent)."""
-
-    def __init__(self, keys):
-        self._sorter = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._sorter]
-
-    def find(self, keys):
-        pos = np.searchsorted(self._sorted, keys)
-        pos = np.minimum(pos, len(self._sorted) - 1)
-        return np.where(self._sorted[pos] == keys, self._sorter[pos], -1)
+                       perms, KeyIndex(seen, index))
 
 
 def positions(ops, elements, items):
     """Index in the stack `elements` of each element of the stack `items`."""
-    idx = KeyIndex(ops.keys(elements)).find(ops.keys(items))
+    idx = KeyIndex.of(ops.keys(elements)).find(ops.keys(items))
     if (idx < 0).any():
         raise InvariantViolated("element missing from the enumeration")
     return idx
@@ -194,7 +209,7 @@ class ShortestWordTable:
         self.level = level
         self._ops = ops
         self._project = project
-        self._index = KeyIndex(run.keys)
+        self._index = run.index
         self._parent = run.parent
         self._op = run.op
         self.count = len(run.keys)
@@ -222,5 +237,6 @@ def build_table(ops, gens, level):
     for g in gens:
         gq = ops.project(g, level)
         dirs += [gq, qops.inv(gq)]
-    run = bfs(qops, qops.stack(dirs), ops.quotient_order(level), left=False)
+    run = bfs(qops, qops.stack(dirs), ops.quotient_order(level), left=False,
+              translations=False)
     return ShortestWordTable(level, qops, run, lambda g: ops.project(g, level))

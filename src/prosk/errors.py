@@ -58,10 +58,6 @@ class UnsupportedCharacteristic(ProskError):
     pass
 
 
-class DepthViolation(ProskError):
-    pass
-
-
 class BadLevelPair(ProskError):
     pass
 

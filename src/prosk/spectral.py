@@ -10,10 +10,12 @@ facade picks.  The group itself only has to quack like the quotient facades
 (identity / mul / inv / key / group_order / sample_uniform / serialize, and
 the stack methods), so the tiny cyclic adapter below is a first-class
 citizen — it is both the non-FAb contrast family and the corpus for the
-exhaustive generating-set sweeps.  Those sweeps share one batched bitset BFS
-over left-multiplication tables that the same engine fills once per group,
-and refuse a group past SWEEP_ELEMENT_CAP by its order, before enumerating
-it.  The sampled sweeps share one draw loop (`_generating_draws`).
+exhaustive generating-set sweeps.  Those sweeps share one multi-source BFS
+(`_union_eccentricities`) over left-multiplication tables that the same
+engine fills once per group: each vertex holds one bit per union of
+inverse-pair classes, 64 unions to a uint64 word.  They refuse a group past
+SWEEP_ELEMENT_CAP by its order, before enumerating it.  The sampled sweeps
+share one draw loop (`_generating_draws`).
 
 The walk operator's norm rho comes from one solver, Lanczos on mean-zero
 vectors (`lanczos_gap`): every product is one `walk_matvec`, and its Krylov
@@ -30,7 +32,6 @@ for the whole batch, written into the batch's state buffer.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import deque
@@ -60,8 +61,10 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _REORTH = math.sqrt(_EPS)  # orthogonality loss that triggers a Gram-Schmidt
 SWEEP_WORK_CAP = 2 * 10**8  # exhaustive generating-set sweeps, gather units
-SWEEP_ELEMENT_CAP = 64  # exhaustive sweeps: one uint64 word holds a vertex set
-SWEEP_BLOCK = 1024  # unions whose bitset BFS runs together
+# exhaustive sweeps refuse a bigger group by its order, before enumerating
+# it: 65+ elements make 32+ inverse-pair classes, far past SWEEP_WORK_CAP
+SWEEP_ELEMENT_CAP = 64
+SWEEP_BLOCK = 1024  # unions whose BFS levels run together
 SET_SIZES = (2, 3, 4)  # sampled generating sets draw this many elements
 CONTRAST_ORDER_CAP = 200_000  # cyclic contrast levels stop past this order
 
@@ -561,54 +564,65 @@ class DiameterSurvey:
         return asdict(self)
 
 
-@functools.cache
-def _sweep_workspace():
-    """The bitset BFS's work memory, allocated on first use and kept.
-    Per-call (block, n) arrays of up to 512 KB came from mmap or from a
-    trimmed heap top depending on the allocator's history, so whether each
-    call paged them in anew (hundreds of page faults a sweep) changed with
-    the process's environment and memory layout."""
-    return np.empty((2, SWEEP_BLOCK * SWEEP_ELEMENT_CAP), dtype=np.uint64)
-
-
-def _sweep_work(rows, n):
-    """Two (rows, n) uint64 arrays over the kept workspace."""
-    return _sweep_workspace()[:, : rows * n].reshape(2, rows, n)
-
-
 def _union_eccentricities(cperms, n, root, masks):
-    """One bitset BFS from `root` for every union of permutation classes in
-    `masks` (bit i selects cperms[i]), a block of unions at a time, as in
-    the multi-source traversal of Then et al. (PVLDB 8(4), 2014).  A vertex
-    set is one uint64 word and nbr[i, v] = {pi(v) : pi in cperms[i]}.
-    Returns the root's eccentricity per mask (the diameter: the graph is
-    vertex-transitive), -1 where the union does not reach all n vertices."""
-    one = np.uint64(1)
-    nbr = [np.bitwise_or.reduce(one << P.astype(np.uint64), axis=0)
-           for P in cperms]
-    verts = np.arange(n, dtype=np.uint64)
-    out = np.empty(len(masks), dtype=np.int64)
+    """One BFS from `root` for every union of permutation classes in `masks`
+    (bit i selects cperms[i]), laid out as the multi-source traversal of
+    Then et al. (PVLDB 8(4), 2014): bit j of reach[v, k] says that union
+    64k + j has reached vertex v.  A level gathers `reach` by every class
+    row, ORs the rows of each class, ANDs each class with the words of the
+    unions that hold it, and ORs over the classes and the old `reach`.  A
+    union's eccentricity is the first level at which every vertex has its
+    bit.  The unions run sorted by class count, so slow ones (few classes)
+    share words, SWEEP_BLOCK of them at a time; a word leaves the loop once
+    none of its unions is still growing.  Returns the root's eccentricity
+    per mask (the diameter: the graph is vertex-transitive), -1 where the
+    union does not reach all n vertices."""
+    out = np.full(len(masks), -1 if n > 1 else 0, dtype=np.int64)
+    if n == 1:
+        return out
+    c = len(cperms)
+    starts = np.cumsum([0] + [len(P) for P in cperms[:-1]])
+    # reach[v] takes reach[pi^-1(v)]: pulling by the inverse rows pushes
+    # every union along its permutations
+    pull = np.argsort(np.concatenate(cperms), axis=1).ravel()
+    count = np.zeros(1, dtype=np.uint8)  # count[m]: the classes in union m
+    for _ in range(c):
+        count = np.concatenate([count, count + 1])
+    order = np.argsort(count[masks], kind="stable")
     for lo in range(0, len(masks), SWEEP_BLOCK):
-        m = masks[lo : lo + SWEEP_BLOCK]
-        adj, bits = _sweep_work(len(m), n)  # updated in place
-        adj[:] = 0
-        for i, row in enumerate(nbr):
-            sel = (m >> i & 1).astype(bool)[:, None]
-            np.bitwise_or(adj, row, out=adj, where=sel)
-        reached = frontier = np.full(len(m), one << np.uint64(root))
-        ecc = np.zeros(len(m), dtype=np.int64)
+        block = order[lo : lo + SWEEP_BLOCK]
+        held = np.zeros((c, -(-len(block) // 64) * 64), dtype=np.uint8)
+        np.right_shift(masks[block], np.arange(c)[:, None],
+                       out=held[:, : len(block)], casting="unsafe")
+        held &= 1
+        words = np.packbits(held, axis=1, bitorder="little").view("<u8")
+        words = words[:, None]  # (class, 1, word)
+        cols = np.arange(words.shape[-1])
+        reach = np.zeros((n, len(cols)), dtype=np.uint64)
+        reach[root] = ~np.uint64(0)
+        found = []  # (word columns, the unions that filled there, level)
         level = 0
-        while frontier.any():
+        while len(cols):
             level += 1
-            np.right_shift(frontier[:, None], verts, out=bits)
-            bits &= one
-            bits *= adj
-            grown = np.bitwise_or.reduce(bits, axis=1)
-            frontier = grown & ~reached
-            reached = reached | frontier
-            ecc[frontier != 0] = level
-        out[lo : lo + len(m)] = np.where(reached == np.uint64(2**n - 1),
-                                         ecc, -1)
+            nbr = reach.take(pull, axis=0).reshape(-1, n, len(cols))
+            nbr = np.bitwise_or.reduceat(nbr, starts, axis=0)
+            nbr &= words
+            grown = np.bitwise_or.reduce(nbr, axis=0)
+            grown |= reach
+            grew = np.bitwise_or.reduce(grown ^ reach, axis=0)
+            full = np.bitwise_and.reduce(grown, axis=0)
+            found.append((cols, full & grew, np.full(len(cols), level)))
+            keep = (grew & ~full) != 0
+            if not keep.all():
+                cols, words = cols[keep], words[..., keep]
+                grown = grown[:, keep]
+            reach = grown
+        at, filled, when = map(np.concatenate, zip(*found))
+        some = np.flatnonzero(filled)
+        k, j = np.nonzero(np.unpackbits(
+            filled[some].astype("<u8").view(np.uint8),
+            bitorder="little").reshape(-1, 64))
+        out[block[at[some[k]] * 64 + j]] = when[some[k]]
     return out
 
 
@@ -631,8 +645,9 @@ def _generating_unions(ops, elems, factor):
     classes of `elems`, then the ascending masks of every union of classes
     that generates (bit i selects classes[i]) and each one's diameter.  The
     class permutations are one left `_bfs.bfs` table (InvariantViolated
-    unless `elems` is a subgroup); every union runs through the one bitset
-    BFS of `_union_eccentricities`.  `elems` comes from
+    unless `elems` is a subgroup); every union runs through the one
+    multi-source BFS of `_union_eccentricities`, one bit per union at each
+    vertex.  `elems` comes from
     `_sweep_corpus`, within SWEEP_ELEMENT_CAP; the subset count is the
     hard wall: BudgetExceeded once 2^classes * |G| * factor * classes
     leaves SWEEP_WORK_CAP."""
@@ -705,8 +720,8 @@ def monotonicity_exhaustive(G_ops, Q_ops, proj):
     """diam(Q, pi(S)) <= diam(G, S) for every symmetric generating set S of
     G, plus the worst-case comparison.  Exhaustive-corpus sizes only.  The
     quotient's whole left-multiplication table is one `_bfs.bfs`; the rows
-    for pi(S) run through the same bitset BFS as the sweep over G, one
-    batch over every generating S."""
+    for pi(S) run through the same multi-source BFS as the sweep over G,
+    one bit per generating S at each quotient vertex."""
     classes, bits, dG = _generating_unions(G_ops, _sweep_corpus(G_ops), 4)
     qbatch = Q_ops.stack(all_elements(Q_ops))
     table = _bfs.bfs(Q_ops, qbatch, len(qbatch), left=True).perms

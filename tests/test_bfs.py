@@ -97,6 +97,33 @@ def test_right_bfs_rejects_a_wrong_order(monkeypatch):
             _bfs.build_table(ops, gens, 2)
 
 
+def test_base_table_takes_no_translation_table(monkeypatch):
+    # build_table's walk fills, and is charged for, no translation table,
+    # and the table looks words up in the sorted keys the walk kept
+    desc = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=2")
+    ops, qops = ops_for(desc), ops_for(desc.truncated(2))
+    gens = sample_generating_set(desc, 3, 1).elements
+    runs, charged = [], []
+    bfs = _bfs.bfs
+
+    def kept(*args, **kwargs):
+        runs.append(bfs(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(_bfs, "bfs", kept)
+    monkeypatch.setattr(_bfs, "_charge",
+                        lambda need, what: charged.append(need))
+    table = _bfs.build_table(ops, gens, 2)
+    (run,) = runs
+    assert run.perms is None and table.count == 648
+    held, k = qops.identity_stack().nbytes, 2 * len(gens)
+    assert charged == [648 * 2 * (held + _bfs._BYTES_PER_RECORD)
+                       + min(_bfs._CHUNK // k, 648) * k * held
+                       * qops.product_copies()]
+    keys = qops.keys(run.states)
+    assert run.index.find(keys).tolist() == list(range(648))
+
+
 def test_stack_layout_follows_the_group():
     # the facade picks the layout from the ring, never from the order; a
     # stack round-trips and its products are the scalar products

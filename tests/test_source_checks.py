@@ -66,3 +66,26 @@ def test_bfs_engine_leaves_the_layout_to_the_ops():
     classes = [node.name for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
     assert not [c for c in classes if "Backend" in c], classes
+
+
+def test_every_exception_class_is_used():
+    # an exception type that nothing raises or catches only pads the
+    # exit-code contract: each class in errors.py must be named by an
+    # identifier, an attribute or an import in another library module
+    errors = SRC / "errors.py"
+    declared = [node.name for node in ast.walk(ast.parse(errors.read_text()))
+                if isinstance(node, ast.ClassDef)]
+    assert declared
+    named = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path == errors:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = [name for name in declared if name not in named]
+    assert not unused, f"exception classes nothing else names: {unused}"

@@ -342,6 +342,35 @@ def test_bitset_sweep_on_a_full_word():
     assert got.tolist() == [32]
 
 
+def test_union_eccentricities_match_index_bfs():
+    # (n, classes of shifts, masks): 255 unions on 64 vertices, a count
+    # that is no multiple of 64; a sparse, strided mask view as on the
+    # quotient side of monotonicity_exhaustive; one-row classes (the
+    # involution 32, the directed +1 cycle); and classes inside <2>, where
+    # no union generates
+    sparse = np.arange(1, 2**7, dtype=np.int64)[[3, 9, 10, 40, 77, 126]]
+    cases = [
+        (64, [(1, 63), (8, 56), (32,), (5, 59), (24, 40), (2, 62), (3, 61),
+              (16, 48)], np.arange(1, 2**8, dtype=np.int64)),
+        (21, [(1, 20), (3, 18), (7, 14), (2, 19), (6, 15), (9, 12),
+              (4, 17)], np.repeat(sparse, 2)[::2]),
+        (30, [(15,), (1,), (10, 20), (6, 24)],
+         np.arange(1, 2**4, dtype=np.int64)),
+        (8, [(2, 6), (4,)], np.arange(1, 4, dtype=np.int64)),
+    ]
+    for n, classes, masks in cases:
+        rows = [np.stack([(np.arange(n) + s) % n for s in cls])
+                for cls in classes]  # v -> v + s (mod n)
+        want = []
+        for m in masks.tolist():
+            dist = _index_bfs([r for i, cls in enumerate(rows) if m >> i & 1
+                               for r in cls.tolist()], 0)
+            want.append(max(dist) if min(dist) >= 0 else -1)
+        got = spectral._union_eccentricities(rows, n, 0, masks)
+        assert got.tolist() == want, (n, classes)
+    assert set(want) == {-1}
+
+
 def test_monotonicity_matches_index_bfs():
     nott = ops_for(GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=3"))
     # the folding map sends every set onto {+-1}: dQ = 3 beats small dG
