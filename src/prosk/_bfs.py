@@ -34,7 +34,7 @@ from .errors import BudgetExceeded, InvariantViolated, NotGenerating
 from .matgroups import ops_for
 
 _BYTES_PER_STATE = 72  # key + parent + op + dist + element slack
-_BYTES_PER_RECORD = 36  # key, parent, op, dist, sorted key and its index
+_BYTES_PER_RECORD = 28  # parent, op, dist, sorted key and its index
 _BYTES_PER_OBJECT = 32  # the Python int behind an object stack entry
 _BYTES_PER_EDGE = 4  # one int32 permutation entry per direction
 _BYTES_PER_FLOAT = 8  # one float64 entry per state, per vector over them
@@ -114,7 +114,7 @@ class KeyIndex:
 
 
 class Enumeration(NamedTuple):
-    """States in discovery order (an ops stack) with their keys, BFS-tree
+    """States in discovery order (an ops stack) with their BFS-tree
     parents (-1 at the identity), the index of the direction that reached
     each state, distances from the identity, perms[a, j] (int32), the
     index of dirs[a] * states[j] (left) or states[j] * dirs[a] (right), or
@@ -122,7 +122,6 @@ class Enumeration(NamedTuple):
     over the sorted keys the walk kept."""
 
     states: object
-    keys: np.ndarray
     parent: np.ndarray
     op: np.ndarray
     dist: np.ndarray
@@ -144,7 +143,7 @@ def bfs(ops, dirs, expected, *, left, translations=True):
     perms = np.empty((k, expected), dtype=np.int32) if translations else None
     seen = ops.keys(frontier)  # every key so far, sorted
     index = np.zeros(1, dtype=np.int32)  # the state of each key in `seen`
-    states, keys = [frontier], [seen]
+    states = [frontier]
     parent = [np.full(1, -1, dtype=np.int64)]
     op = [np.zeros(1, dtype=np.int32)]
     dist = [np.zeros(1, dtype=np.int32)]
@@ -170,21 +169,20 @@ def bfs(ops, dirs, expected, *, left, translations=True):
                 m = len(cand) // k
                 perms[:, start + lo : start + lo + m] = (
                     idx[inverse].reshape(m, k).T)
-            found.append((cand[new], ckeys[new], start + lo + new // k,
+            found.append((cand[new], start + lo + new // k,
                           (new % k).astype(np.int32)))
             count += len(new)
         start += len(frontier)
-        frontier, fkeys, fparent, fop = map(np.concatenate, zip(*found))
+        frontier, fparent, fop = map(np.concatenate, zip(*found))
         if not len(frontier):
             break
         states.append(frontier)
-        keys.append(fkeys)
         parent.append(fparent)
         op.append(fop)
         dist.append(np.full(len(frontier), len(dist), dtype=np.int32))
     if count != expected:
         raise NotGenerating(f"directions span {count} of {expected} elements")
-    return Enumeration(*map(np.concatenate, (states, keys, parent, op, dist)),
+    return Enumeration(*map(np.concatenate, (states, parent, op, dist)),
                        perms, KeyIndex(seen, index))
 
 
@@ -212,7 +210,7 @@ class ShortestWordTable:
         self._index = run.index
         self._parent = run.parent
         self._op = run.op
-        self.count = len(run.keys)
+        self.count = len(run.dist)
         self.l0 = int(run.dist.max())
 
     def word_for(self, g):

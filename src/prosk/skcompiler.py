@@ -122,9 +122,10 @@ class GeneratingSet:
     def letters(self):
         """Every generator and its inverse, indexed by the packed op code
         (idx << 1) | sign-bit, built on first use: for a matrix group the
-        `ops.stack` of them ((2k, d, d) residues over Z/p^N, (2k, d, d, k, N)
-        planes over F_q[[t]]), for the Nottingham group a (2k, kL, kL) int64
-        array of power matrices (the base of `blocks`)."""
+        `ops.stack` of them ((2k, d, d) residues over Z/p^N, int64 inside
+        the facade's guard and Python ints past it, (2k, d, d, k, N) planes
+        over F_q[[t]]), for the Nottingham group a (2k, kL, kL) int64 array
+        of power matrices.  The base of `blocks`."""
         if self._letters is None:
             ops = ops_for(self.descriptor)
             letters = [x for g in self.elements for x in (g, ops.inv(g))]
@@ -136,23 +137,32 @@ class GeneratingSet:
 
     @property
     def blocks(self):
-        """(table, b) for the Nottingham group, built from `letters` on first
-        use: table[(c_1 ... c_b) in base 2k] = M[c_1] @ ... @ M[c_b] % p over
-        the power matrices M, read-only, b the longest block length in 3, 2,
-        1 whose (2k)^b entries fit in _BLOCK_BYTES (216 entries, 1.35 MB,
-        for 3 generators and kL = 28)."""
+        """(table, b), built from `letters` on first use and read-only:
+        table[(c_1 ... c_b) in base 2k] is the product of the letters
+        c_1 ... c_b, in the layout of `letters`.  A matrix group's entries
+        are `ops.product`s of its stack; the Nottingham group's are
+        M[c_1] @ ... @ M[c_b] % p over its power matrices.  b is the longest
+        block length in 3, 2, 1 whose (2k)^b entries fit in _BLOCK_BYTES,
+        an entry of an object stack counted with the Python int behind each
+        of its residues (216 entries for 3 generators: 1.35 MB at the
+        Nottingham kL = 28, 6.9 KB for int64 SL2 residues)."""
         if self._blocks is None:
-            M = self.letters
-            n, m = M.shape[0], M.shape[1]
-            p = self.descriptor.ring.p
-            b = next(b for b in (3, 2, 1)
-                     if n**b * M[0].nbytes <= _BLOCK_BYTES)
+            M, ops = self.letters, ops_for(self.descriptor)
+            if hasattr(ops, "power_matrix"):
+                p = self.descriptor.ring.p
+
+                def product(A, B):
+                    return np.matmul(A, B) % p
+            else:
+                product = ops.product
+            entry = M[0].nbytes + (M[0].size * _bfs._BYTES_PER_OBJECT
+                                   if M.dtype == object else 0)
+            n = len(M)
+            b = next(b for b in (3, 2, 1) if n**b * entry <= _BLOCK_BYTES)
             table = M
             for _ in range(b - 1):
-                out = np.empty((n, len(table), m, m), dtype=np.int64)
-                np.matmul(M[:, None], table[None], out=out)
-                out %= p
-                table = out.reshape(-1, m, m)
+                table = product(M[:, None], table[None])
+                table = table.reshape((-1,) + M.shape[1:])
             table.setflags(write=False)
             self._blocks = table, b
         return self._blocks
@@ -171,8 +181,8 @@ def sample_generating_set(desc, k, seed, source=None):
 # evaluation
 
 
-_CHUNK = 512  # letters gathered per product tree; bounds the transient arrays
-_BLOCK_BYTES = 4 << 20  # cap on a Nottingham set's letter-block table
+_CHUNK = 512  # blocks gathered per product tree; bounds the transient arrays
+_BLOCK_BYTES = 4 << 20  # cap on a generating set's letter-block table
 
 
 @functools.cache
@@ -195,61 +205,76 @@ def _tree_product(ops, X):
     return X
 
 
-def evaluate(word, gens):
-    """Left-to-right product of the word over realized generators.
+def evaluate(word, gens, left=None):
+    """left * (left-to-right product of the word over realized generators),
+    left the identity when None.
 
-    Two engines, picked from the group, both exact.
+    Both engines read the word b letters at a time from the set's block
+    table (`GeneratingSet.blocks`, b = 3 within its byte cap), the 0 to
+    b - 1 letters left over singly from `GeneratingSet.letters`, and both
+    are exact.
 
-    A matrix group's letters are gathered from the set's letter stack
-    (`GeneratingSet.letters`) in chunks of 512; each chunk, and then the
+    A matrix group gathers 512 blocks at a time; each chunk, and then the
     stack of chunk products, is reduced by a pairwise product tree of
-    `ops.product`.  The stack's layout, and so the arithmetic, is the
+    `ops.product`.  `left` heads the first chunk and the leftover letters
+    close the last.  The stack's layout, and so the arithmetic, is the
     facade's: int64 or Python-int residues over Z/p^N, coefficient planes
     over F_q[[t]].
 
     The Nottingham group folds right to left: a flat (kL,) int64 vector of
     coefficient planes starts at t and is multiplied by the power matrices
-    of the letters (the F_p-linear maps f -> f o s), b letters at a time
-    from the set's block table (`GeneratingSet.blocks`, b = 3 within its
-    byte cap), the 0 to b - 1 letters left over one at a time.  The vector
-    is reduced mod p only every s products, s the largest with
-    (p - 1) (kL (p - 1))^s < 2^63 (s = 8 at q = 5, N = 27).
+    (the F_p-linear maps f -> f o s) of the reversed word's blocks, then of
+    its leftover letters.  The vector is reduced mod p only every s
+    products, s the largest with (p - 1) (kL (p - 1))^s < 2^63 (s = 8 at
+    q = 5, N = 27).  `left` multiplies the result with `ops.mul`.
     """
     ops = ops_for(gens.descriptor)
     n_gens = len(gens.elements)
     codes = word.ops
-    if len(codes):
+    if not len(codes):
+        return ops.identity() if left is None else left
+    # one reduction for both ends: a negative code reads as a huge uint32
+    if int(codes.view(np.uint32).max()) >> 1 >= n_gens:
         lo, hi = int(codes.min()) >> 1, int(codes.max()) >> 1
-        if lo < 0 or hi >= n_gens:
-            raise IndexOutOfRange(
-                f"word references generator {lo if lo < 0 else hi} "
-                f"of a {n_gens}-element set"
-            )
+        raise IndexOutOfRange(
+            f"word references generator {lo if lo < 0 else hi} "
+            f"of a {n_gens}-element set"
+        )
     letters = gens.letters
-    if hasattr(ops, "power_matrix"):
-        # acc <- acc o s is right-to-left accumulation: s1...sk = sk o ... o s1,
-        # so feed the word reversed.
+    table, b = gens.blocks
+    nott = hasattr(ops, "power_matrix")
+    # acc <- acc o s is right-to-left accumulation: s1...sk = sk o ... o s1,
+    # so the Nottingham fold reads the word reversed
+    seq = codes[::-1] if nott else codes
+    cut = len(seq) - len(seq) % b
+    idx = seq[0:cut:b]  # int32: the table's (2k)^b rows fit in its byte cap
+    for j in range(1, b):
+        idx = idx * len(letters) + seq[j:cut:b]
+    rest = seq[cut:]
+    if nott:
         p = gens.descriptor.ring.p
-        table, b = gens.blocks
-        rev = codes[::-1].astype(np.int64)
-        cut = len(rev) - len(rev) % b
-        idx = rev[0:cut:b]
-        for j in range(1, b):
-            idx = idx * len(letters) + rev[j:cut:b]
         mats = [table[i] for i in idx.tolist()]
-        mats += [letters[c] for c in rev[cut:].tolist()]
+        mats += [letters[c] for c in rest.tolist()]
         s = _unreduced_products(p, letters.shape[1])
         acc = ops.eval_begin()
         for start in range(0, len(mats), s):
             for M in mats[start : start + s]:
                 acc = np.dot(acc, M)
             acc %= p
-        return ops.eval_finish(acc)
-    if not len(codes):
-        return ops.identity()
-    chunks = [_tree_product(ops, letters[codes[start : start + _CHUNK]])
-              for start in range(0, len(codes), _CHUNK)]
-    return ops.unstack(_tree_product(ops, np.concatenate(chunks)))[0]
+        value = ops.eval_finish(acc)
+        return value if left is None else ops.mul(left, value)
+    chunks = []
+    for start in range(0, max(len(idx), 1), _CHUNK):
+        X = [table[idx[start : start + _CHUNK]]]
+        if start == 0 and left is not None:
+            X.insert(0, ops.stack([left]))
+        if start + _CHUNK >= len(idx) and len(rest):
+            X.append(letters[rest])
+        chunks.append(_tree_product(ops, np.concatenate(X) if len(X) > 1
+                                    else X[0]))
+    if len(chunks) > 1:
+        chunks = [_tree_product(ops, np.concatenate(chunks))]
+    return ops.unstack(chunks[0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +391,10 @@ class CompilerSession:
         self.ops = ops_for(gens.descriptor)
         self._memo = {}
 
-    def _eval(self, word):
-        return evaluate(word, self.gens)
-
     def _residual(self, g, word):
-        """g * eval(word)^-1, as g * eval(word^-1): no group inversion."""
-        return self.ops.mul(g, self._eval(word.inverse()))
+        """g * eval(word)^-1, as g * eval(word^-1) with g inside the
+        evaluation: no group inversion."""
+        return evaluate(word.inverse(), self.gens, left=g)
 
     def _refine(self, g, t):
         """Word w with g * eval(w)^-1 in K_t."""

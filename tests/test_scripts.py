@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -86,6 +87,19 @@ def test_compile_scaling(tmp_path):
         assert 1 <= r["max_length"] <= r["budget"]
     assert [int(r["level"]) for r in rows] == [1, 2, 3, 4]
     assert list(rows[0]) == ["level", "max_length", "budget"]
+
+
+def test_compile_scaling_reports_a_miss(monkeypatch, capsys):
+    # the script's own check of each word survives python -O: a word that
+    # evaluates off its target is reported on stderr with exit code 1
+    mod = _script("compile_scaling")
+    sk = SimpleNamespace(**vars(mod.sk))
+    sk.evaluate = lambda word, gens: mod.ops_for(gens.descriptor).identity()
+    monkeypatch.setattr(mod, "sk", sk)
+    rc = mod.main(["--group", "SL:d=2,Zp:p=3,N=4", "--gens", "sampled:3:100",
+                   "--levels", "4", "--targets", "1", "--seed", "4"])
+    assert rc == 1
+    assert "misses its target mod K_4" in capsys.readouterr().err
 
 
 def test_diameter_growth(tmp_path):

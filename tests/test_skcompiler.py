@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosk import matgroups, nottingham, skcompiler
+from prosk import _bfs, matgroups, nottingham, skcompiler
 from prosk.errors import InvariantViolated, NotGenerating, UsageError
 from prosk.matgroups import GroupDescriptor, element, ops_for
 from prosk.skcompiler import (
@@ -113,8 +113,9 @@ ENGINE_GROUPS = [
     ("Nottingham,Fq[[t]]:q=9,N=12", True),
     ("Nottingham,Fq[[t]]:q=13,N=20", True),
 ]
-# both sides of the 512-letter chunk edge, and several chunks
-WORD_LENGTHS = (0, 1, 2, 511, 512, 513, 2000)
+# 0 to 2 letters left over after the blocks of 3, both sides of the
+# 512-letter edge, both sides of one chunk of 512 blocks, and two chunks
+WORD_LENGTHS = (0, 1, 2, 3, 4, 511, 512, 513, 1535, 1536, 1537, 2000)
 
 
 def _fold(ops, gens, codes):
@@ -141,10 +142,14 @@ def test_evaluate_engines_match_scalar_fold(text, int64):
         assert letters.shape == (6, d, d)
     assert letters.dtype == (np.int64 if int64 else object)
     rng = np.random.default_rng(12)
+    left = ops.sample_uniform(rng)
     for n in WORD_LENGTHS:
         codes = rng.integers(0, 6, n).astype(np.int32)
         for word in (codes, codes ^ 1):  # every letter with both signs
-            assert evaluate(Word(gens.id, word), gens) == _fold(ops, gens, word)
+            want = _fold(ops, gens, word)
+            assert evaluate(Word(gens.id, word), gens) == want
+            got = evaluate(Word(gens.id, word), gens, left=left)
+            assert got == ops.mul(left, want)
 
 
 @pytest.mark.parametrize(
@@ -172,12 +177,13 @@ def test_letter_table_built_once(monkeypatch, text, owner, builder):
     first = gens.letters
     assert gens.letters is first
     assert len(calls) == (3 if builder == "inv" else 6)
-    if builder == "power_matrix":  # the block table adds no power matrix
-        table, b = gens.blocks
-        kL = first.shape[1]
-        assert b == 3 and table.shape == (216, kL, kL)
-        assert table.dtype == np.int64 and not table.flags.writeable
-        assert gens.blocks[0] is table and len(calls) == 6
+    # one block table per set, in the letters' layout, and it adds no letter
+    table, b = gens.blocks
+    assert b == 3 and table.shape == (216,) + first.shape[1:]
+    assert table.dtype == first.dtype and not table.flags.writeable
+    built = len(calls)
+    evaluate(Word(gens.id, rng.integers(0, 6, 40)), gens)
+    assert gens.blocks[0] is table and len(calls) == built
 
 
 def test_nottingham_block_table_rows_and_fallback(monkeypatch):
@@ -202,6 +208,63 @@ def test_nottingham_block_table_rows_and_fallback(monkeypatch):
         assert small.blocks[1] == blen and len(small.blocks[0]) == 6**blen
         for w, g in zip(words, want):
             assert evaluate(Word(small.id, w), small) == g
+
+
+@pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=8", "SL:d=2,Zp:p=3,N=20",
+                                  "SL:d=2,Fq[[t]]:q=9,N=4"])
+def test_matrix_block_table_rows_and_fallback(monkeypatch, text):
+    # row (c1 c2 c3) in base 6 is the stack entry of the letters c1 c2 c3's
+    # product; the byte cap counts an object stack's Python ints, and below
+    # it evaluate falls back to pairs, then single letters, unchanged
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, 3, 11)
+    table, b = gens.blocks
+    assert b == 3
+    for c in ((0, 0, 0), (1, 4, 2), (5, 3, 5)):
+        row = table[(c[0] * 6 + c[1]) * 6 + c[2]][None]
+        assert ops.unstack(row)[0] == _fold(ops, gens, np.array(c))
+    rng = np.random.default_rng(15)
+    left = ops.sample_uniform(rng)
+    words = [rng.integers(0, 6, n).astype(np.int32)
+             for n in (0, 1, 2, 3, 4, 5, 97)]
+    want = [_fold(ops, gens, w) for w in words]
+    entry = table[0].nbytes
+    if table.dtype == object:
+        entry += table[0].size * _bfs._BYTES_PER_OBJECT
+    for cap, blen in ((36 * entry, 2), (36 * entry - 1, 1)):
+        monkeypatch.setattr(skcompiler, "_BLOCK_BYTES", cap)
+        small = GeneratingSet(desc, gens.elements)
+        assert small.blocks[1] == blen and len(small.blocks[0]) == 6**blen
+        for w, g in zip(words, want):
+            assert evaluate(Word(small.id, w), small) == g
+            assert evaluate(Word(small.id, w), small, left=left) == \
+                ops.mul(left, g)
+
+
+@pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=8", "SO:d=3,Zp:p=3,N=9"])
+def test_matrix_compile_makes_no_scalar_products(monkeypatch, text):
+    # the ladder's residuals g eval(w)^-1 run inside the product tree, with
+    # g heading it, so a whole compile multiplies no two single elements
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, 3, 100)
+    plan = CompilePlan()
+    sess = CompilerSession(gens, build_base_table(desc, plan.n_base(desc),
+                                                  gens), plan)
+    calls = []
+    real = matgroups.MatrixOps.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(matgroups.MatrixOps, "mul", counted)
+    rng = np.random.default_rng(16)
+    N = desc.ring.N
+    word, cert = sess.compile(ops.sample_uniform(rng), N)
+    assert cert.residual_depth >= N and len(word) > 100
+    assert calls == []
 
 
 def test_unreduced_products_bound():

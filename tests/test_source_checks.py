@@ -8,15 +8,17 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "prosk"
 
 def test_no_assert_statements_in_library():
     # `assert` vanishes under python -O; runtime invariants raise
-    # InvariantViolated and argument checks raise UsageError instead
+    # InvariantViolated and argument checks raise UsageError instead, and
+    # the scripts report a failed check on stderr with exit code 1
     found = []
     files = sorted(SRC.rglob("*.py"))
-    assert files
-    for path in files:
+    scripts = sorted((SRC.parent.parent / "scripts").rglob("*.py"))
+    assert files and scripts
+    for path in files + scripts:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
-    assert not found, f"assert statements in src/prosk: {found}"
+    assert not found, f"assert statements in src/prosk or scripts: {found}"
 
 
 def _callee(call):

@@ -384,6 +384,24 @@ def test_monotonicity_matches_index_bfs():
         monotonicity_exhaustive(CyclicOps(4), CyclicOps(2), lambda x: 0)
 
 
+def test_monotonicity_runs_one_quotient_bfs_per_image(monkeypatch):
+    # Z/6 -> Z/3: the classes {1, 5} and {2, 4} both project onto {1, 2},
+    # and {3} onto the identity, so the 5 generating sets of Z/6 have one
+    # image between them, and the quotient BFS runs that one union only
+    G, Q, proj = cyclic_pair(6, 3)
+    masks = []
+    real = spectral._union_eccentricities
+
+    def spy(cperms, n, root, union_masks):
+        masks.append(union_masks.tolist())
+        return real(cperms, n, root, union_masks)
+
+    monkeypatch.setattr(spectral, "_union_eccentricities", spy)
+    rep = monotonicity_exhaustive(G, Q, proj)
+    assert rep == _reference_monotonicity(G, Q, proj)
+    assert rep["checked"] == 5 and masks[1] == [1]
+
+
 # --- sandwich and profiles ---------------------------------------------------
 
 
