@@ -390,7 +390,7 @@ def sample_uniform(desc, rng):
     """Uniform over the full group for SL (exact).  For SO/Sp the residue
     part is the product of two Cayley transforms, which is NOT uniform: on
     SO3(F_3), 12,000 draws at seed 0 give chi^2 = 278 on 23 df (ROADMAP
-    item 5).  The kernel part is an exact uniform draw from K_1 for every
+    item 7).  The kernel part is an exact uniform draw from K_1 for every
     family."""
     ring = desc.ring
     d = desc.d

@@ -1,13 +1,15 @@
 """The Nottingham group at finite truncation: power series t + a_2 t^2 + ...
-over F_q under composition, stored as coefficient tuples for t^2..t^N.
++ a_N t^N over F_q under composition.
 
 The product convention is (f * g)(t) = g(f(t)): apply f first.  K_n is the
 set of series with a_k = 0 for k <= n; depth(f) = (first nonzero slot) - 1,
 or N for the identity.
 
-Series arithmetic runs on "plane" arrays: shape (..., k, L) of base-p digits,
-k the field degree, L = N + 1 coefficients t^0..t^N.  All kernels broadcast
-over leading batch axes.
+Elements, stacks and kernels hold series as coefficient "planes": int64
+arrays (..., k, L) of base-p digits, k the field degree, L = N + 1
+coefficients t^0..t^N (a_j has field code sum_r planes[r, j] p^r).  Kernels
+broadcast over leading batch axes.  Field codes enter through `from_codes`
+and leave through `NottElement.coeffs` or `NottinghamOps.entry_codes`.
 """
 
 from __future__ import annotations
@@ -59,19 +61,22 @@ class SeriesContext:
 
     # -- conversions ------------------------------------------------------
 
+    def digits(self, codes):
+        """Field codes (...) in [0, q) -> their base-p digits (..., k), the
+        planes of each field element."""
+        codes = np.asarray(codes, dtype=np.int64)
+        return codes[..., None] // self.p ** np.arange(self.k) % self.p
+
+    def codes(self, digits):
+        """The inverse of `digits`: (..., k) -> field codes (...)."""
+        return digits @ self.p ** np.arange(self.k)
+
     def planes_from_codes(self, codes):
         """codes: (..., L) ints in [0, q) -> planes (..., k, L)."""
-        codes = np.asarray(codes, dtype=np.int64)
-        out = np.empty(codes.shape[:-1] + (self.k, self.L), dtype=np.int64)
-        for r in range(self.k):
-            out[..., r, :] = (codes // self.p**r) % self.p
-        return out
+        return np.ascontiguousarray(np.swapaxes(self.digits(codes), -1, -2))
 
     def codes_from_planes(self, planes):
-        out = np.zeros(planes.shape[:-2] + (self.L,), dtype=np.int64)
-        for r in range(self.k):
-            out += planes[..., r, :] * self.p**r
-        return out
+        return self.codes(np.swapaxes(planes, -1, -2))
 
     def t(self, batch=()):
         out = np.zeros(batch + (self.k, self.L), dtype=np.int64)
@@ -249,40 +254,41 @@ def series_context(q, L):
 
 
 class NottElement:
-    """Series t + sum_{k=2}^N coeffs[k-2] t^k, coefficients as field codes."""
+    """Series t + a_2 t^2 + ... + a_N t^N, held as its own read-only int64
+    coefficient planes (k, N + 1).  Build one from field codes with
+    `from_codes`."""
 
-    __slots__ = ("descriptor", "coeffs")
+    __slots__ = ("descriptor", "planes")
 
-    def __init__(self, descriptor, coeffs):
+    def __init__(self, descriptor, planes):
         self.descriptor = descriptor
-        self.coeffs = tuple(int(c) for c in coeffs)
-        if len(self.coeffs) != descriptor.ring.N - 1:
+        self.planes = np.array(planes, dtype=np.int64)
+        self.planes.setflags(write=False)
+        ring = descriptor.ring
+        if self.planes.shape != (ring.field.k, ring.N + 1):
             raise InvariantViolated(
-                f"{len(self.coeffs)} coefficients for truncation "
-                f"N={descriptor.ring.N}")
+                f"planes {self.planes.shape} for {descriptor.describe()}")
+
+    @property
+    def coeffs(self):
+        """The field codes of a_2 .. a_N."""
+        codes = _ctx_of(self.descriptor).codes_from_planes(self.planes)
+        return tuple(codes[2:].tolist())
 
     def depth(self):
-        for idx, c in enumerate(self.coeffs):
-            if c:
-                return idx + 1  # slot idx+2 nonzero -> depth idx+1
-        return self.descriptor.ring.N
-
-    def to_codes(self):
-        N = self.descriptor.ring.N
-        out = np.zeros(N + 1, dtype=np.int64)
-        out[1] = 1
-        out[2:] = self.coeffs
-        return out
+        # the rows of planes.T are slots; slot j + 2 nonzero -> depth j + 1
+        slots = self.planes.T[2:].nonzero()[0]
+        return int(slots[0]) + 1 if len(slots) else self.descriptor.ring.N
 
     def __eq__(self, other):
         return (
             isinstance(other, NottElement)
             and other.descriptor == self.descriptor
-            and other.coeffs == self.coeffs
+            and np.array_equal(other.planes, self.planes)
         )
 
     def __hash__(self):
-        return hash((self.descriptor, self.coeffs))
+        return hash((self.descriptor, self.planes.tobytes()))
 
     def __repr__(self):
         return f"NottElement({format_series(self)})"
@@ -292,21 +298,28 @@ def _ctx_of(desc):
     return series_context(desc.ring.field.q, desc.ring.N + 1)
 
 
-def _planes(desc, elem):
-    ctx = _ctx_of(desc)
-    return ctx.planes_from_codes(elem.to_codes())
-
-
 def _from_planes(desc, planes):
-    ctx = _ctx_of(desc)
-    codes = ctx.codes_from_planes(planes)
-    if codes[0] != 0 or codes[1] != 1:
+    # t + O(t^2): t's own digit is the only nonzero one at t^0 and t^1
+    if planes[0, 1] != 1 or np.count_nonzero(planes[:, :2]) != 1:
         raise InvariantViolated("series is not in the group")
-    return NottElement(desc, [int(c) for c in codes[2:]])
+    return NottElement(desc, planes)
+
+
+def from_codes(desc, codes):
+    """The element t + sum_j codes[j - 2] t^j: codes are the field codes of
+    a_2 .. a_N, the layout of `NottElement.coeffs`."""
+    N = desc.ring.N
+    if len(codes) != N - 1:
+        raise InvariantViolated(
+            f"{len(codes)} coefficients for truncation N={N}")
+    ctx = _ctx_of(desc)
+    planes = ctx.t()
+    planes[:, 2:] = ctx.digits(codes).T
+    return NottElement(desc, planes)
 
 
 def identity(desc):
-    return NottElement(desc, [0] * (desc.ring.N - 1))
+    return NottElement(desc, _ctx_of(desc).t())
 
 
 def generator(desc, n, lam):
@@ -319,7 +332,7 @@ def generator(desc, n, lam):
         raise UsageError("generator coefficient out of range")
     coeffs = [0] * (N - 1)
     coeffs[n - 1] = lam
-    return NottElement(desc, coeffs)
+    return from_codes(desc, coeffs)
 
 
 def mul(a, b):
@@ -327,12 +340,11 @@ def mul(a, b):
     if a.descriptor != b.descriptor:
         raise DescriptorMismatch("elements live in different groups")
     ctx = _ctx_of(a.descriptor)
-    return _from_planes(a.descriptor, ctx.compose(_planes(a.descriptor, b), _planes(a.descriptor, a)))
+    return _from_planes(a.descriptor, ctx.compose(b.planes, a.planes))
 
 
 def inv(a):
-    ctx = _ctx_of(a.descriptor)
-    return _from_planes(a.descriptor, ctx.inverse(_planes(a.descriptor, a)))
+    return _from_planes(a.descriptor, _ctx_of(a.descriptor).inverse(a.planes))
 
 
 def commutator(a, b):
@@ -340,8 +352,8 @@ def commutator(a, b):
     if a.descriptor != b.descriptor:
         raise DescriptorMismatch("elements live in different groups")
     ctx = _ctx_of(a.descriptor)
-    ab = ctx.compose(_planes(a.descriptor, b), _planes(a.descriptor, a))
-    ba = ctx.compose(_planes(a.descriptor, a), _planes(a.descriptor, b))
+    ab = ctx.compose(b.planes, a.planes)
+    ba = ctx.compose(a.planes, b.planes)
     return _from_planes(a.descriptor, ctx.solve_right(ab, ba))
 
 
@@ -351,8 +363,7 @@ def project(a, m):
         raise UsageError("projection level must be >= 1")
     if m > desc.ring.N:
         raise LevelTooLarge(f"level {m} exceeds truncation N={desc.ring.N}")
-    newdesc = desc.truncated(m)
-    return NottElement(newdesc, a.coeffs[: m - 1])
+    return NottElement(desc.truncated(m), a.planes[:, : m + 1])
 
 
 def canonical_coordinates(f):
@@ -361,15 +372,14 @@ def canonical_coordinates(f):
     desc = f.descriptor
     N = desc.ring.N
     ctx = _ctx_of(desc)
-    r = _planes(desc, f)
+    r = f.planes
     out = []
     for n in range(1, N):
-        code = int(ctx.codes_from_planes(r)[n + 1])
+        code = int(ctx.codes(r[:, n + 1]))
         out.append(code)
         if code:
             # peel: r <- r o e^-1, i.e. solve s with s(e) = r
-            e = ctx.planes_from_codes(generator(desc, n, code).to_codes())
-            r = ctx.solve_right(r, e)
+            r = ctx.solve_right(r, generator(desc, n, code).planes)
     return out
 
 
@@ -383,23 +393,23 @@ def from_canonical(desc, gammas):
 
 def enumerate_quotient(desc):
     """Every element of the quotient, checked against PROSK_BUDGET_MB
-    before any element is built."""
-    import itertools
-
+    before any element is built, in lexicographic order of (a_2, ..., a_N)."""
     from . import _bfs  # local: _bfs imports matgroups
 
     q = desc.ring.field.q
     N = desc.ring.N
     _bfs.check_budget(q ** (N - 1), 0, vectors=_bfs.ELEMENT_WORDS)
-    return [
-        NottElement(desc, coeffs)
-        for coeffs in itertools.product(range(q), repeat=N - 1)
-    ]
+    codes = np.zeros((q ** (N - 1), N + 1), dtype=np.int64)
+    codes[:, 1] = 1
+    codes[:, 2:] = (np.arange(len(codes))[:, None]
+                    // q ** np.arange(N - 2, -1, -1) % q)
+    return [NottElement(desc, x)
+            for x in _ctx_of(desc).planes_from_codes(codes)]
 
 
 def sample_uniform(desc, rng):
     q = desc.ring.field.q
-    return NottElement(desc, rng.integers(0, q, size=desc.ring.N - 1))
+    return from_codes(desc, rng.integers(0, q, size=desc.ring.N - 1))
 
 
 def sample_kernel(desc, n, rng):
@@ -410,7 +420,7 @@ def sample_kernel(desc, n, rng):
     coeffs = np.zeros(N - 1, dtype=np.int64)
     if n < N:
         coeffs[n - 1 :] = rng.integers(0, q, size=N - 1 - (n - 1))
-    return NottElement(desc, coeffs)
+    return from_codes(desc, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +453,7 @@ def commutator_pairs(r, n, m, capped=False):
         raise NotDeepEnough(f"oracle input depth {r.depth()} < {n + m}")
     if n + m >= N:
         return []
-    lam, mu = _oracle_solve(desc, r.to_codes()[None, :], n, m)
+    lam, mu = _oracle_solve(desc, r.planes[None], n, m)
     g1 = _generator_product(desc, range(n, 2 * n), lam[0])
     g2 = _generator_product(desc, range(n, 2 * n - 1), mu[0, 1:])
     out = []
@@ -459,16 +469,15 @@ def _generator_product(desc, slots, codes):
     appended as acc + c acc^(a+1)."""
     ctx = _ctx_of(desc)
     acc = ctx.t()
-    for a, c in zip(slots, codes.tolist()):
+    for a, c, lam in zip(slots, codes.tolist(), ctx.digits(codes)):
         if c:
-            lam = np.array([(c // ctx.p**r) % ctx.p for r in range(ctx.k)])
             acc = ctx.append_generator(acc, a, lam)
     return _from_planes(desc, acc)
 
 
-def _oracle_solve(desc, R_codes, n, m):
-    """Batched window solve.  R_codes: (B, L) full code vectors of elements
-    of K_{n+m}.  Returns (lam, mu): (B, n) code arrays; mu[:, 0] unused.
+def _oracle_solve(desc, R, n, m):
+    """Batched window solve.  R: (B, k, L) planes of elements of K_{n+m}.
+    Returns (lam, mu): (B, n) code arrays; mu[:, 0] unused.
 
     Window bookkeeping: within slots [n+m, 2n+m) the coefficients of a
     product of commutators of K_n x K_m pieces add up, so each slot is
@@ -479,10 +488,10 @@ def _oracle_solve(desc, R_codes, n, m):
     q = desc.ring.field.q
     p = desc.ring.p
     field = get_field(q)
-    B = R_codes.shape[0]
+    B = R.shape[0]
     Lw = min(2 * n + m, N) + 1  # working truncation: degrees 0..Lw-1
     ctx = series_context(q, Lw)
-    target = ctx.planes_from_codes(R_codes[:, :Lw])
+    target = R[..., :Lw]
     accum = np.zeros_like(target)  # window coefficients of the product so far
     accum[..., 0, 1] = 1
     lam = np.zeros((B, n), dtype=np.int64)
@@ -491,8 +500,8 @@ def _oracle_solve(desc, R_codes, n, m):
         deg = n + m + 1 + i  # leading degree of the step-i commutator
         if deg >= Lw:
             break
-        deficit = _slot_codes(ctx, target, deg)
-        have = _slot_codes(ctx, accum, deg)
+        deficit = ctx.codes(target[..., deg])
+        have = ctx.codes(accum[..., deg])
         need = field.sub_codes(deficit, have)
         if not need.any():
             continue
@@ -503,7 +512,7 @@ def _oracle_solve(desc, R_codes, n, m):
         else:
             b, dest = m, lam
         table = _commutator_table(q, Lw, a, b)
-        c = int(_slot_codes(ctx, table[1], deg))
+        c = int(ctx.codes(table[1, :, deg]))
         if c == 0:
             raise InvariantViolated(
                 "window denominator vanished"
@@ -515,30 +524,14 @@ def _oracle_solve(desc, R_codes, n, m):
     return lam, mu
 
 
-def _gen_codes(L, a, lam):
-    out = np.zeros(L, dtype=np.int64)
-    out[1] = 1
-    if a + 1 < L:
-        out[a + 1] = lam
-    return out
-
-
-def _slot_codes(ctx, planes, s):
-    out = np.zeros(planes.shape[:-2], dtype=np.int64)
-    for r in range(ctx.k):
-        out += planes[..., r, s] * ctx.p**r
-    return out
-
-
 def _single_commutator(ctx, a, coeff_codes, b):
     """Planes of [e_{a,coeff}, e_{b,1}], batched over coeff."""
-    B = coeff_codes.shape[0]
-    x = np.zeros((B, ctx.k, ctx.L), dtype=np.int64)
-    x[:, 0, 1] = 1
+    x = ctx.t(coeff_codes.shape)
     if a + 1 < ctx.L:
-        for r in range(ctx.k):
-            x[:, r, a + 1] = (coeff_codes // ctx.p**r) % ctx.p
-    y = ctx.planes_from_codes(_gen_codes(ctx.L, b, 1))
+        x[:, :, a + 1] = ctx.digits(coeff_codes)
+    y = ctx.t()
+    if b + 1 < ctx.L:
+        y[0, b + 1] = 1
     xy = ctx.compose(np.broadcast_to(y, x.shape), x)  # x * y
     yx = ctx.compose(x, np.broadcast_to(y, x.shape))  # y * x
     return ctx.solve_right(xy, yx)
@@ -569,6 +562,7 @@ def parse_series(desc, text):
     N = desc.ring.N
     q = desc.ring.field.q
     coeffs = [0] * (N - 1)
+    seen = set()
     parts = text.replace(" ", "").split("+")
     if not parts or parts[0] != "t":
         raise UsageError(f"series must start with the term 't': {text!r}")
@@ -585,8 +579,11 @@ def parse_series(desc, text):
             raise LevelTooLarge(f"exponent {e} outside storage range [2, {N}]")
         if not 0 <= c < q:
             raise UsageError(f"coefficient {c} outside [0, {q})")
+        if e in seen:
+            raise UsageError(f"exponent {e} repeated in {text!r}")
+        seen.add(e)
         coeffs[e - 2] = c
-    return NottElement(desc, coeffs)
+    return from_codes(desc, coeffs)
 
 
 def format_series(elem):
@@ -625,9 +622,11 @@ class NottinghamOps(BatchOps):
         return a.depth()
 
     def key(self, a, level=None):
+        """Bytes equal exactly when the coefficients a_2 .. a_level agree
+        (all of them when level is None)."""
         if level is None:
-            return a.coeffs
-        return a.coeffs[: level - 1]
+            return a.planes.tobytes()
+        return a.planes[:, 2 : level + 1].tobytes()
 
     def project(self, a, m):
         return project(a, m)
@@ -661,17 +660,19 @@ class NottinghamOps(BatchOps):
     def deserialize(self, raw):
         N = self.descriptor.ring.N
         q = self.descriptor.ring.field.q
-        if len(raw) != N - 1 or any(not 0 <= int(c) < q for c in raw):
-            raise UsageError("bad coefficient vector")
-        return NottElement(self.descriptor, raw)
+        if (not isinstance(raw, list) or len(raw) != N - 1
+                or any(not isinstance(c, int) or not 0 <= c < q for c in raw)):
+            raise UsageError(f"bad coefficient vector {raw!r}: need {N - 1} "
+                             f"integers in [0, {q})")
+        return from_codes(self.descriptor, raw)
 
     # stacks
 
     def stack(self, elems):
         """The elements as (B, k, L) planes."""
         ctx = _ctx_of(self.descriptor)
-        codes = np.array([x.to_codes() for x in elems]).reshape(-1, ctx.L)
-        return ctx.planes_from_codes(codes)
+        return np.array([x.planes for x in elems],
+                        dtype=np.int64).reshape(-1, ctx.k, ctx.L)
 
     def unstack(self, P):
         """The elements of the planes P, in order."""
@@ -686,6 +687,10 @@ class NottinghamOps(BatchOps):
         """The compose's running product and its plane convolutions: 3 to
         3.5 copies measured under tracemalloc at q = 5, 9, charged 3 + k."""
         return 3 + _ctx_of(self.descriptor).k
+
+    def entry_codes(self, P):
+        """(B, N - 1) field codes of a_2 .. a_N for the stack P."""
+        return _ctx_of(self.descriptor).codes_from_planes(P)[:, 2:]
 
     def keys(self, P):
         """One int64 key per element: the base-p digits of the planes of
@@ -704,8 +709,7 @@ class NottinghamOps(BatchOps):
         k, L = ctx.k, ctx.L
         PM = np.zeros((L, k, L), dtype=np.int64)  # PM[e] = planes of elem^e
         PM[0, 0, 0] = 1
-        F = _planes(self.descriptor, elem)
-        pw = F
+        pw = F = elem.planes
         for e in range(1, L):
             PM[e] = pw
             if e + 1 < L:
@@ -713,13 +717,6 @@ class NottinghamOps(BatchOps):
         M = np.einsum("ijr,ejl->ierl", ctx.C, PM) % ctx.p
         return M.reshape(k * L, k * L)
 
-    def eval_begin(self):
-        return _ctx_of(self.descriptor).t().reshape(-1)
-
     def eval_apply(self, acc, M):
         """acc o s for the power matrix M of s."""
         return acc @ M % self.descriptor.ring.p
-
-    def eval_finish(self, acc):
-        ctx = _ctx_of(self.descriptor)
-        return _from_planes(self.descriptor, acc.reshape(ctx.k, ctx.L))

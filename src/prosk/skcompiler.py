@@ -222,9 +222,10 @@ def evaluate(word, gens, left=None):
     over F_q[[t]].
 
     The Nottingham group folds right to left: a flat (kL,) int64 vector of
-    coefficient planes starts at t and is multiplied by the power matrices
-    (the F_p-linear maps f -> f o s) of the reversed word's blocks, then of
-    its leftover letters.  The vector is reduced mod p only every s
+    coefficient planes starts at `ops.identity_stack()` (the series t) and
+    is multiplied by the power matrices (the F_p-linear maps f -> f o s) of
+    the reversed word's blocks, then of its leftover letters, and
+    `ops.unstack` reads the element back.  The vector is reduced mod p only every s
     products, s the largest with (p - 1) (kL (p - 1))^s < 2^63 (s = 8 at
     q = 5, N = 27).  `left` multiplies the result with `ops.mul`.
     """
@@ -256,12 +257,13 @@ def evaluate(word, gens, left=None):
         mats = [table[i] for i in idx.tolist()]
         mats += [letters[c] for c in rest.tolist()]
         s = _unreduced_products(p, letters.shape[1])
-        acc = ops.eval_begin()
+        one = ops.identity_stack()
+        acc = one.reshape(-1)
         for start in range(0, len(mats), s):
             for M in mats[start : start + s]:
                 acc = np.dot(acc, M)
             acc %= p
-        value = ops.eval_finish(acc)
+        value = ops.unstack(acc.reshape(one.shape))[0]
         return value if left is None else ops.mul(left, value)
     chunks = []
     for start in range(0, max(len(idx), 1), _CHUNK):

@@ -853,8 +853,7 @@ def _coordinate_codes(graph, kind):
             raise UsageError("NottinghamCoeffs needs a Nottingham quotient")
         q = desc.ring.field.q
         N = desc.ring.N
-        codes = np.array([x.coeffs for x in ops.unstack(graph.states)],
-                         dtype=np.int64).reshape(graph.order, N - 1)
+        codes = ops.entry_codes(graph.states)
         labels = [f"A{k}" for k in range(2, N + 1)]
         return codes, [q] * (N - 1), labels
     if kind == "FirstKind":

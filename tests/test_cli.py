@@ -86,6 +86,23 @@ def test_compile_nottingham_series_target(tmp_path):
     assert rep["report"]["target"] == [0, 2, 0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("target", ["t+t^3+t^3", [1.7, 0, 0, 0, 0, 0],
+                                    ["2", 0, 0, 0, 0, 0]])
+def test_compile_bad_nottingham_target_exit_2(tmp_path, target):
+    # a repeated exponent, and a file coefficient that is not an integer,
+    # are usage errors rather than a silently different target
+    if not isinstance(target, str):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(target))
+        target = f"file:{path}"
+    rc = main([
+        "compile", "--group", "Nottingham,Fq[[t]]:q=5,N=7", "--level", "7",
+        "--gens", "sampled:3:11", "--plan", "triadic", "--n0", "2",
+        "--target", target, "--seed", "4",
+    ])
+    assert rc == 2
+
+
 def test_diam_with_file_gens(tmp_path, capsys):
     from prosk.matgroups import GroupDescriptor, element, ops_for
 

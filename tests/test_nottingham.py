@@ -6,9 +6,9 @@ from prosk import nottingham
 from prosk.errors import InvariantViolated, UsageError
 from prosk.matgroups import GroupDescriptor, ops_for
 from prosk.nottingham import (
-    NottElement,
     canonical_coordinates,
     from_canonical,
+    from_codes,
     generator,
     oracle_admissible,
     parse_series,
@@ -24,7 +24,7 @@ OPS9 = ops_for(D9)
 
 
 def series5(coeffs):
-    return NottElement(D5, tuple(coeffs) + (0,) * (7 - len(coeffs)))
+    return from_codes(D5, tuple(coeffs) + (0,) * (7 - len(coeffs)))
 
 
 # --- frozen composition ------------------------------------------------------
@@ -54,14 +54,14 @@ coeff_tuples = st.lists(st.integers(0, 4), min_size=7, max_size=7).map(tuple)
 @given(coeff_tuples, coeff_tuples, coeff_tuples)
 @settings(max_examples=60, deadline=None)
 def test_associativity(a, b, c):
-    f, g, h = NottElement(D5, a), NottElement(D5, b), NottElement(D5, c)
+    f, g, h = from_codes(D5, a), from_codes(D5, b), from_codes(D5, c)
     assert OPS5.mul(OPS5.mul(f, g), h) == OPS5.mul(f, OPS5.mul(g, h))
 
 
 @given(coeff_tuples)
 @settings(max_examples=60, deadline=None)
 def test_inverse_exact(a):
-    f = NottElement(D5, a)
+    f = from_codes(D5, a)
     assert OPS5.mul(f, OPS5.inv(f)) == OPS5.identity()
 
 
@@ -165,7 +165,7 @@ def test_oracle_capped_when_window_overflows():
 @given(coeff_tuples)
 @settings(max_examples=60, deadline=None)
 def test_canonical_roundtrip(a):
-    f = NottElement(D5, a)
+    f = from_codes(D5, a)
     assert from_canonical(D5, canonical_coordinates(f)) == f
 
 
@@ -177,6 +177,9 @@ def test_parse_series():
         parse_series(D5, "1+t")
     with pytest.raises(UsageError):
         parse_series(D5, "t+7t^2")  # coefficient outside F_5
+    for text in ("t+t^3+t^3", "t+3t^3+4t^3"):
+        with pytest.raises(UsageError):
+            parse_series(D5, text)  # a repeated exponent
     from prosk.errors import LevelTooLarge
 
     with pytest.raises(LevelTooLarge):
@@ -207,10 +210,11 @@ def test_power_matrix_evaluation_matches_direct():
         acc = ops.identity()
         for f in fs:
             acc = ops.mul(acc, f)
-        st = ops.eval_begin()
+        one = ops.identity_stack()
+        st = one.reshape(-1)
         for f in reversed(fs):
             st = ops.eval_apply(st, ops.power_matrix(f))
-        assert ops.eval_finish(st) == acc
+        assert ops.unstack(st.reshape(one.shape))[0] == acc
 
 
 @pytest.mark.parametrize("q", [5, 9])
@@ -228,7 +232,49 @@ def test_commutator_table_rows_match_single_commutator(q, L, a, b):
 
 def test_short_coefficient_vector_raises_invariant():
     with pytest.raises(InvariantViolated):
-        NottElement(D5, (0,) * 6)
+        from_codes(D5, (0,) * 6)
+    with pytest.raises(InvariantViolated):  # codes where planes belong
+        nottingham.NottElement(D5, (0,) * 7)
+
+
+def test_elements_agree_exactly_when_their_codes_agree():
+    # every way to build an element holds owned, read-only planes, and ==,
+    # hash and ops.key(., level) agree exactly when the codes do (up to
+    # a_level for the key)
+    desc, wide = (GroupDescriptor.parse(f"Nottingham,Fq[[t]]:q=9,N={N}")
+                  for N in (5, 7))
+    ops = ops_for(desc)
+    rng = np.random.default_rng(35)
+    codes = [tuple(rng.integers(0, 9, 4).tolist()) for _ in range(3)]
+    codes += [codes[0][:j] + ((codes[0][j] + 1) % 9,) + codes[0][j + 1 :]
+              for j in range(4)]  # one slot apart from codes[0]
+    codes += [(0, 0, 0, 0), (0, 3, 0, 0)]
+    g = ops.sample_uniform(rng)
+    built = [((0, 0, 0, 0), ops.identity()),
+             ((0, 3, 0, 0), generator(desc, 2, 3))]
+    for c in codes:
+        x = from_codes(desc, c)
+        text = "t" + "".join(f"+{a}t^{j + 2}" for j, a in enumerate(c) if a)
+        built += [(c, y) for y in (
+            x,
+            ops.mul(ops.mul(x, g), ops.inv(g)),
+            ops.unstack(ops.stack([g, x]))[1],
+            ops.project(from_codes(wide, c + (5, 7)), 5),
+            ops.deserialize(list(c)),
+            parse_series(desc, text),
+        )]
+    for c, x in built:
+        assert x.coeffs == c and x.descriptor == desc
+        assert x.planes.flags.owndata and not x.planes.flags.writeable
+        with pytest.raises(ValueError):
+            x.planes[0, 2] = 1
+        for d, y in built:
+            assert (x == y) == (c == d)
+            assert hash(x) == hash(y) or c != d
+            assert (ops.key(x) == ops.key(y)) == (c == d)
+            for level in range(1, 7):
+                assert (ops.key(x, level) == ops.key(y, level)) == \
+                    (c[: level - 1] == d[: level - 1])
 
 
 @pytest.mark.parametrize("q", [5, 9, 27])
@@ -242,14 +288,13 @@ def test_batched_compose_and_difference_depth_match_scalar(q):
     gs = [ops.sample_kernel(int(n), rng) for n in rng.integers(1, 6, 50)]
     hs = [ops.sample_kernel(int(n), rng) for n in rng.integers(1, 6, 50)]
     hs[-1] = gs[-1]  # a commuting pair: depth N
-    G = ctx.planes_from_codes(np.array([g.to_codes() for g in gs]))
-    H = ctx.planes_from_codes(np.array([h.to_codes() for h in hs]))
+    G = np.array([g.planes for g in gs])
+    H = np.array([h.planes for h in hs])
     GH = ctx.compose(H, G)
     HG = ctx.compose(G, H)
-    rows = ctx.codes_from_planes(GH)
     dep = ctx.first_difference_depth(GH, HG)
     for i, (g, h) in enumerate(zip(gs, hs)):
-        assert rows[i].tolist() == nottingham.mul(g, h).to_codes().tolist()
+        assert (GH[i] == nottingham.mul(g, h).planes).all()
         assert dep[i] == nottingham.commutator(g, h).depth()
     assert dep[-1] == N and len(set(dep.tolist())) > 3
 

@@ -267,6 +267,30 @@ def test_matrix_compile_makes_no_scalar_products(monkeypatch, text):
     assert calls == []
 
 
+def test_nottingham_compile_makes_no_code_conversions(monkeypatch):
+    # elements, stacks, the oracle and the word fold all run on coefficient
+    # planes, so a whole compile converts no series to or from field codes
+    desc = GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=27")
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, 3, 300)
+    plan = CompilePlan("triadic", n0=2)
+    sess = CompilerSession(gens, build_base_table(desc, plan.n_base(desc),
+                                                  gens), plan)
+    target = ops.sample_uniform(np.random.default_rng(17))
+    calls = []
+    for name in ("planes_from_codes", "codes_from_planes"):
+        real = getattr(nottingham.SeriesContext, name)
+
+        def counted(self, X, name=name, real=real):
+            calls.append(name)
+            return real(self, X)
+
+        monkeypatch.setattr(nottingham.SeriesContext, name, counted)
+    word, cert = sess.compile(target, 27)
+    assert cert.residual_depth >= 27 and len(word) > 100
+    assert calls == []
+
+
 def test_unreduced_products_bound():
     # s is the largest count with (p - 1) (n (p - 1))^s < 2^63
     assert skcompiler._unreduced_products(5, 28) == 8

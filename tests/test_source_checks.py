@@ -70,6 +70,26 @@ def test_bfs_engine_leaves_the_layout_to_the_ops():
     assert not [c for c in classes if "Backend" in c], classes
 
 
+def test_nottingham_module_owns_the_element_format():
+    # a Nottingham element's planes are built in nottingham.py alone (other
+    # modules go through from_codes, the ops and the stacks), and the
+    # compiler's word fold runs on the facade's stack surface
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "nottingham.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and _callee(node) == "NottElement"]
+    assert not callers, f"NottElement built outside nottingham.py: {callers}"
+    tree = ast.parse((SRC / "skcompiler.py").read_text())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"eval_begin", "eval_finish"}
+
+
 def test_every_exception_class_is_used():
     # an exception type that nothing raises or catches only pads the
     # exit-code contract: each class in errors.py must be named by an
