@@ -26,6 +26,7 @@ is its op code.
 from __future__ import annotations
 
 import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +40,6 @@ _BYTES_PER_OBJECT = 32  # the Python int behind an object stack entry
 _BYTES_PER_EDGE = 4  # one int32 permutation entry per direction
 _BYTES_PER_FLOAT = 8  # one float64 entry per state, per vector over them
 _CHUNK = 1 << 16  # BFS candidates (products) held at once
-ELEMENT_WORDS = 32  # an enumerated Python element, 170-500 B measured
 
 
 def budget_mb():
@@ -74,6 +74,27 @@ def vectors_that_fit(states, dirs):
     return max(spare, 0) // (_BYTES_PER_FLOAT * states)
 
 
+def _held_bytes(X):
+    """The bytes of the stack X, with the Python int behind each entry of
+    an object stack."""
+    return X.nbytes + (X.size * _BYTES_PER_OBJECT if X.dtype == object else 0)
+
+
+def check_elements(ops, count):
+    """BudgetExceeded unless `count` elements of the facade `ops` fit, as
+    enumerated: each element object and its own array (the sizes of the
+    identity and of its stack of one), and its entry of the stack the
+    elements are cut from, at the stack product's peak
+    (`ops.product_copies()` entries).  Under tracemalloc the peak per
+    element is 268 B for SL2(Z/27), charged 320 B; 378 B for
+    SL2(F_5[[t]]/t^2), charged 608 B; 377 B for the Nottingham group
+    q = 5, N = 7, charged 448 B."""
+    one = ops.identity_stack()
+    per = (sys.getsizeof(ops.identity()) + sys.getsizeof(one)
+           + _held_bytes(one) * ops.product_copies())
+    _charge(count * per, f"enumerating {count} elements of ~{per} B")
+
+
 def _check_bfs_budget(ops, one, states, dirs, candidates, table):
     """BudgetExceeded unless a `bfs` of `states` states over `dirs`
     directions fits: each state's stack entries (the bytes of the one-state
@@ -82,8 +103,7 @@ def _check_bfs_budget(ops, one, states, dirs, candidates, table):
     concatenation; its column of the int32 translation table, if `table`;
     and one chunk of `candidates` products, each `ops.product_copies()`
     stack entries at the product's peak."""
-    held = one.nbytes + (one.size * _BYTES_PER_OBJECT
-                         if one.dtype == object else 0)
+    held = _held_bytes(one)
     edges = _BYTES_PER_EDGE * dirs if table else 0
     _charge(states * (2 * (held + _BYTES_PER_RECORD) + edges)
             + candidates * held * ops.product_copies(),

@@ -760,19 +760,22 @@ class _Plan:
         codes = planes.T.reshape(n, -1, k) @ self._digits
         return [tuple(row) for row in codes.tolist()]
 
-    def coordinates(self, mat, n):
+    def coordinates(self, X, n):
         """The planes (z, dim) of the coordinates of `linearize`: the
-        projection of (mat - I) / pi^n into the algebra."""
-        ring = self.alg.ring
+        projection of (g - I) / pi^n into the algebra, for g the stack of
+        one X in `matgroups.MatrixOps`' layout, whose planes over F_q[[t]]
+        are already digits."""
+        ring, d = self.alg.ring, self.alg.d
         if self._digits is None:
-            mod, s = self.mod, ring.p**n
-            flat = [(a - (i == j)) % mod // s
-                    for i, row in enumerate(mat) for j, a in enumerate(row)]
-        else:
-            eye = mx.eye(ring, self.alg.d)
-            flat = [x for row in mx.unshift(ring, mx.sub(ring, mat, eye), n)
-                    for x in row]
-        return self.planes(flat) @ self.lin % self.mod
+            flat = (X[0] - np.eye(d, dtype=np.int64)) % self.mod // ring.p**n
+            return flat.reshape(1, -1).astype(self.dtype) @ self.lin % self.mod
+        G = X[0].copy()
+        G[range(d), range(d), 0, 0] -= 1
+        shifted = np.zeros_like(G)
+        shifted[..., : ring.N - n] = G[..., n:] % self.mod
+        # (d, d, k, N) -> rows t * k + r, the layout of `planes`
+        return shifted.transpose(3, 2, 0, 1).reshape(-1, d * d) @ self.lin \
+            % self.mod
 
     def solve(self, c):
         """The (K, z, dim) left members P_k = c @ D[k] of the coordinates c,
@@ -789,15 +792,14 @@ class _Plan:
         return P
 
     def lift_w(self, k, m, desc):
-        """The lift of W_k at level m, computed once per (k, m)."""
+        """The lift of W_k at level m in the group `desc`, computed once per
+        (k, m)."""
         key = (k, m)
         if key not in self._wlifts:
-            from .matgroups import FilteredElement
-
             zero = self.alg.ring.zero
             W = self.W[k]
-            self._wlifts[key] = FilteredElement(desc, _lift_coords(
-                self.alg, [W.coords.get(name, zero) for name in self.names], m))
+            self._wlifts[key] = _lift_coords(
+                desc, [W.coords.get(name, zero) for name in self.names], m)
         return self._wlifts[key]
 
 
@@ -952,12 +954,14 @@ def _lift_program(family, d):
     return program, moves
 
 
-def _lift_coords(alg, coords, l):
-    """The payload matrix of `_lift_any` from the coordinates in basis
-    order."""
-    ring, d = alg.ring, alg.d
+def _lift_coords(desc, coords, l):
+    """The element of the group `desc` that `_lift_any` builds from the
+    coordinates in basis order."""
+    from .matgroups import from_payloads
+
+    ring, d = desc.ring, desc.d
     ar = _ZpInts(ring) if ring.kind == "Zp" else _RingOps(ring)
-    program, moves = _lift_program(alg.family, d)
+    program, moves = _lift_program(desc.family.lower(), d)
     coords = list(coords)
     for dst, src, sign in moves:
         coords[dst] = ar.add(coords[dst], ar.scale(coords[src], sign))
@@ -978,7 +982,7 @@ def _lift_coords(alg, coords, l):
             a, b = spec
             delta = ((a, a, xs), (b, b, ar.unit(xs)))
         _times_factor(mat, delta, ar.addmul)
-    return tuple(tuple(row) for row in mat)
+    return from_payloads(desc, mat)
 
 
 def _lift_any(X, l):
@@ -987,14 +991,14 @@ def _lift_any(X, l):
     group.  Over Z/p^N the factors are built and applied on plain ints, one
     reduction mod p^N per update and a plain-int Newton square root for so
     (`_ZpInts`); over F_q[[t]] through the ring's payload ops."""
-    from .matgroups import FilteredElement, GroupDescriptor
+    from .matgroups import GroupDescriptor
 
     alg = X.algebra
     zero = alg.ring.zero
-    mat = _lift_coords(alg, [X.coords.get(name, zero)
-                             for name in alg.basis_names()], l)
     family = {"sl": "SL", "so": "SO", "sp": "Sp"}[alg.family]
-    return FilteredElement(GroupDescriptor(family, alg.d, alg.ring), mat)
+    return _lift_coords(GroupDescriptor(family, alg.d, alg.ring),
+                        [X.coords.get(name, zero)
+                         for name in alg.basis_names()], l)
 
 
 def linearize(g, n):
@@ -1070,8 +1074,6 @@ def commutator_decompose(r, n, m):
 def _commutator_decompose_capped(r, n, m):
     """`commutator_decompose` without its m + 2n <= N check: past it, the
     pairs agree with r mod K_N, which needs 2(n+m) >= N."""
-    from .matgroups import FilteredElement
-
     desc = r.descriptor
     N = desc.ring.N
     if not (1 <= n <= m <= 2 * n):
@@ -1088,8 +1090,7 @@ def _commutator_decompose_capped(r, n, m):
     if eff >= N:
         return []  # r is trivial at this truncation
     plan = _plan(desc.family.lower(), desc.d, desc.ring)
-    P = plan.solve(plan.coordinates(r.mat, eff))
-    return [(FilteredElement(desc, _lift_coords(plan.alg, plan.payloads(Pk),
-                                                n)),
+    P = plan.solve(plan.coordinates(r.stack, eff))
+    return [(_lift_coords(desc, plan.payloads(Pk), n),
              plan.lift_w(k, m, desc))
             for k, Pk in enumerate(P) if Pk.any()]

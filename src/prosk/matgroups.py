@@ -1,15 +1,20 @@
 """Congruence-filtered classical groups SL_d / SO_d / Sp_d over a truncated
 local ring, plus the Nottingham dispatch.
 
-Elements are payload matrices that satisfy the defining equations exactly at
-the working truncation (det 1, M^T M = I, M^T Omega M = Omega).  K_n is the
-kernel of reduction to level n; depth(g) is the largest n with g in K_n,
-capped at N.
+Elements satisfy the defining equations exactly at the working truncation
+(det 1, M^T M = I, M^T Omega M = Omega).  Each holds its matrix as one
+read-only array in `MatrixOps`' stack layout, and its ops are the stack ops
+on a stack of one.  Payload matrices (tuples of ring payloads, see
+rings.Ring) are the input format: they enter through `from_payloads`, and
+`FilteredElement.mat` derives one back.  K_n is the kernel of reduction to
+level n; depth(g) is the largest n with g in K_n, capped at N.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from .errors import (
     DescriptorMismatch,
     InvariantViolated,
     LevelTooLarge,
+    NotAUnit,
     UnsupportedCharacteristic,
     UsageError,
 )
@@ -95,37 +101,89 @@ class GroupDescriptor:
 
 
 class FilteredElement:
-    __slots__ = ("descriptor", "mat")
+    """A group element, held as one owned, read-only array: its facade's
+    stack of one (`MatrixOps`), (1, d, d) residues over Z/p^N (int64 inside
+    the facade's guard, Python ints past it) or (1, d, d, k, N) coefficient
+    planes over F_q[[t]].  Payload matrices are the input format: they enter
+    through `from_payloads`, and `mat` derives one back."""
 
-    def __init__(self, descriptor, mat):
+    __slots__ = ("descriptor", "stack")
+
+    def __init__(self, descriptor, stack):
+        ops = _matrix_ops(descriptor)
         self.descriptor = descriptor
-        self.mat = mat
+        self.stack = np.array(stack)
+        self.stack.setflags(write=False)
+        if self.stack.shape != ops.eye.shape or self.stack.dtype != ops.eye.dtype:
+            raise InvariantViolated(
+                f"{self.stack.dtype} stack {self.stack.shape} for "
+                f"{descriptor.describe()}")
+
+    @property
+    def mat(self):
+        """The payload matrix: tuples of residues, or of coefficient codes."""
+        rows = self.to_rows()
+        if self.descriptor.ring.kind == "Zp":
+            return tuple(map(tuple, rows))
+        return tuple(tuple(map(tuple, row)) for row in rows)
 
     def depth(self):
-        return mx.depth(self.descriptor.ring, self.mat)
+        """min valuation of g - I, capped at N; N means trivial at this
+        truncation.  Over Z/p^N one gcd: p^depth = gcd(p^N, entries)."""
+        ring, d = self.descriptor.ring, self.descriptor.d
+        if ring.kind == "FqT":  # the first t-slot with a nonzero digit
+            D = (self.stack - _matrix_ops(self.descriptor).eye) % ring.p
+            slots = D.reshape(-1, ring.N).any(axis=0).nonzero()[0]
+            return int(slots[0]) if len(slots) else ring.N
+        flat = self.stack.ravel().tolist()
+        for k in range(0, d * d, d + 1):  # the diagonal of g - I
+            flat[k] -= 1
+        g, v = math.gcd(ring.modulus, *flat), 0
+        while g > 1:
+            g //= ring.p
+            v += 1
+        return v
 
     def to_rows(self):
-        ring = self.descriptor.ring
-        if ring.kind == "Zp":
-            return [list(row) for row in self.mat]
-        return [[list(entry) for entry in row] for row in self.mat]
+        """The payload matrix as nested lists, its serialized form."""
+        X = self.stack[0]
+        if self.descriptor.ring.kind == "FqT":
+            X = _matrix_ops(self.descriptor).ctx.codes_from_planes(X)
+        return X.tolist()
 
     def __eq__(self, other):
         return (
             isinstance(other, FilteredElement)
             and other.descriptor == self.descriptor
-            and other.mat == self.mat
+            and np.array_equal(other.stack, self.stack)
         )
 
     def __hash__(self):
-        return hash((self.descriptor, self.mat))
+        return hash((self.descriptor, _matrix_ops(self.descriptor).key(self)))
 
     def __repr__(self):
         return f"<{self.descriptor.describe()} element depth {self.depth()}>"
 
 
+def _payload_stack(desc, mats):
+    """The stack (`MatrixOps`' layout) of the payload matrices `mats`, the
+    one way payload tuples enter: residues over Z/p^N, length-N tuples of
+    coefficient codes over F_q[[t]]."""
+    ops, d = _matrix_ops(desc), desc.d
+    if desc.ring.kind == "Zp":
+        return np.array(mats, dtype=ops.eye.dtype).reshape(-1, d, d)
+    codes = np.array(mats, dtype=np.int64).reshape(-1, d, d, desc.ring.N)
+    return ops.ctx.planes_from_codes(codes)
+
+
+def from_payloads(desc, mat):
+    """The element with payload matrix `mat`, unchecked (`element` checks
+    membership)."""
+    return FilteredElement(desc, _payload_stack(desc, [mat]))
+
+
 def identity(desc):
-    return FilteredElement(desc, mx.eye(desc.ring, desc.d))
+    return FilteredElement(desc, _matrix_ops(desc).eye)
 
 
 def is_member(desc, mat):
@@ -152,7 +210,7 @@ def element(desc, rows):
         raise DescriptorMismatch(
             f"matrix fails the defining equations of {desc.describe()}"
         )
-    return FilteredElement(desc, mat)
+    return from_payloads(desc, mat)
 
 
 def _chk_pair(a, b):
@@ -162,20 +220,22 @@ def _chk_pair(a, b):
 
 def mul(a, b):
     _chk_pair(a, b)
-    return FilteredElement(a.descriptor, mx.mul(a.descriptor.ring, a.mat, b.mat))
+    ops = _matrix_ops(a.descriptor)
+    return FilteredElement(a.descriptor, ops.product(a.stack, b.stack))
 
 
 def inv(a):
-    return FilteredElement(a.descriptor, mx.inv(a.descriptor.ring, a.mat))
+    return FilteredElement(a.descriptor,
+                           _matrix_ops(a.descriptor).inverse(a.stack))
 
 
 def commutator(a, b):
+    """a^-1 b^-1 a b: one stacked inverse and one product tree."""
     _chk_pair(a, b)
-    ring = a.descriptor.ring
-    ia = mx.inv(ring, a.mat)
-    ib = mx.inv(ring, b.mat)
-    m = mx.mul(ring, mx.mul(ring, ia, ib), mx.mul(ring, a.mat, b.mat))
-    return FilteredElement(a.descriptor, m)
+    ops = _matrix_ops(a.descriptor)
+    X = np.concatenate([a.stack, b.stack])
+    return FilteredElement(a.descriptor,
+                           ops.tree_product(np.concatenate([ops.inverse(X), X])))
 
 
 def project(a, m):
@@ -185,7 +245,10 @@ def project(a, m):
     if m > desc.ring.N:
         raise LevelTooLarge(f"level {m} exceeds truncation N={desc.ring.N}")
     newdesc = desc.truncated(m)
-    return FilteredElement(newdesc, mx.reduce_level(newdesc.ring, a.mat, m))
+    if desc.ring.kind == "FqT":
+        return FilteredElement(newdesc, a.stack[..., :m])
+    X = a.stack % desc.ring.p**m
+    return FilteredElement(newdesc, X.astype(_matrix_ops(newdesc).eye.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +357,9 @@ def section_lift(desc, mat1):
         Omi = mx.transpose(Om)  # J^-1 = J^T for the standard form
         A = mx.mul(ring, Omi, mx.mul(ring, mx.transpose(M), mx.mul(ring, Om, M)))
         M = mx.mul(ring, M, _newton_inv_sqrt(ring, A, d))
-    g = FilteredElement(desc, M)
     if not is_member(desc, M):
         raise InvariantViolated("section lift left the group")
-    return g
+    return from_payloads(desc, M)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +391,8 @@ def enumerate_kernel(desc, n):
     alg = liealg.LieAlgebra(fam, desc.d, ring)
     names = alg.basis_names()
     q = ring.field.q
-    out = [identity(desc)]
+    ops = _matrix_ops(desc)
+    out = ops.eye
     for l in range(n, ring.N):
         layer = []
         for coords in itertools.product(range(q), repeat=len(names)):
@@ -337,8 +400,8 @@ def enumerate_kernel(desc, n):
                 {nm: ring.from_int(c) for nm, c in zip(names, coords)}
             )
             layer.append(liealg._lift_any(X, l))
-        out = [mul(a, b) for a in out for b in layer]
-    return out
+        out = ops.outer(out, ops.stack(layer))
+    return ops.unstack(out)
 
 
 def enumerate_quotient(desc):
@@ -352,7 +415,8 @@ def enumerate_quotient(desc):
     from . import _bfs  # local: _bfs imports this module
 
     total = group_order(desc)
-    _bfs.check_budget(total, 0, vectors=_bfs.ELEMENT_WORDS)
+    ops = _matrix_ops(desc)
+    _bfs.check_elements(ops, total)
     ring = desc.ring
     desc1 = desc.truncated(1)
     reps1 = [m for m in _residue_matrices(desc1) if is_member(desc1, m)]
@@ -360,10 +424,10 @@ def enumerate_quotient(desc):
         raise InvariantViolated(
             "residue enumeration disagrees with the order formula")
     if ring.N == 1:
-        return [FilteredElement(desc, m) for m in reps1]
-    sections = [section_lift(desc, m) for m in reps1]
-    kernel = enumerate_kernel(desc, 1)
-    out = [mul(s, k) for s in sections for k in kernel]
+        return ops.unstack(_payload_stack(desc, reps1))
+    sections = ops.stack([section_lift(desc, m) for m in reps1])
+    kernel = ops.stack(enumerate_kernel(desc, 1))
+    out = ops.unstack(ops.outer(sections, kernel))
     if len(out) != total:
         raise InvariantViolated(
             f"enumerated {len(out)} elements, the order formula gives {total}")
@@ -430,15 +494,16 @@ def _cayley_sample(desc, rng):
     d = desc.d
     fam = {"SO": "so", "Sp": "sp"}[desc.family]
     alg = liealg.LieAlgebra(fam, d, ring)
+    ops = _matrix_ops(desc)
     I = mx.eye(ring, d)
     for _ in range(256):
         S = alg.random(rng).to_matrix()
-        IpS = mx.add(ring, I, S)
-        if not ring.is_unit(mx.det(ring, IpS)):
+        X = _payload_stack(desc, [mx.sub(ring, I, S), mx.add(ring, I, S)])
+        try:
+            out = FilteredElement(desc, ops.product(X[:1], ops.inverse(X[1:])))
+        except NotAUnit:
             continue
-        M = mx.mul(ring, mx.sub(ring, I, S), mx.inv(ring, IpS))
-        out = FilteredElement(desc, M)
-        if not is_member(desc, M):
+        if not is_member(desc, out.mat):
             raise InvariantViolated("Cayley transform left the group")
         return out
     raise UsageError("could not draw an invertible I + S (degenerate ring?)")
@@ -449,6 +514,14 @@ def ops_for(desc):
         from . import nottingham
 
         return nottingham.NottinghamOps(desc)
+    return _matrix_ops(desc)
+
+
+@functools.cache
+def _matrix_ops(desc):
+    """The one `MatrixOps` per descriptor, shared by `ops_for` and the
+    element functions: its layout and arithmetic never change, and keys it
+    interns (`BatchOps._keys`) stay equal exactly for equal elements."""
     return MatrixOps(desc)
 
 
@@ -467,6 +540,15 @@ class BatchOps:
         once (result and intermediates), which `_bfs` charges per candidate
         chunk: 2, an unreduced product and its reduction."""
         return 2
+
+    def tree_product(self, X):
+        """Ordered product of the n >= 1 elements of the stack X, as a stack
+        of one: neighbours multiply pairwise, an odd last one waits a
+        round."""
+        while len(X) > 1:
+            Y = self.product(X[0:-1:2], X[1::2])
+            X = np.concatenate([Y, X[-1:]]) if len(X) % 2 else Y
+        return X
 
     def outer(self, A, B, left=False):
         """The stack whose entry i * len(B) + j is A[i] * B[j], or
@@ -495,16 +577,28 @@ class MatrixOps(BatchOps):
     reduction (d (p^N - 1)^2 < 2^63), Python ints (dtype object) past that.
     Over F_q[[t]]/t^N it is (d, d, k, N) coefficient planes (q = p^k, see
     `nottingham.SeriesContext`), whose entry products are series products
-    summed over the inner index."""
+    summed over the inner index.  `eye` is the identity's stack of one, and
+    entries are reduced mod `mod`: p^N over Z/p^N, p digitwise over
+    F_q[[t]]."""
 
     n0 = 1
 
     def __init__(self, desc):
         self.descriptor = desc
-        if desc.ring.kind == "FqT":  # the series arithmetic of the planes
+        ring, d = desc.ring, desc.d
+        if ring.kind == "FqT":  # the series arithmetic of the planes
             from .nottingham import series_context
 
-            self.ctx = series_context(desc.ring.q, desc.ring.N)
+            self.ctx = series_context(ring.q, ring.N)
+            self.mod = ring.p
+            self.eye = np.zeros((1, d, d, self.ctx.k, ring.N), dtype=np.int64)
+            self.eye[0, range(d), range(d), 0, 0] = 1
+        else:
+            self.mod = ring.modulus
+            wide = d * (self.mod - 1) ** 2 >= 2**63
+            self.eye = np.eye(d, dtype=np.int64)[None].astype(
+                object if wide else np.int64)
+        self.eye.setflags(write=False)
 
     def identity(self):
         return identity(self.descriptor)
@@ -522,9 +616,14 @@ class MatrixOps(BatchOps):
         return a.depth()
 
     def key(self, a, level=None):
-        if level is None:
-            return a.mat
-        return mx.key(self.descriptor.ring, a.mat, level)
+        """Hashable, equal exactly when the entries agree mod the
+        uniformizer^level (all of them when level is None): the bytes of an
+        int64 stack, the values of an object stack, whose bytes are
+        pointers."""
+        X, ring = a.stack, self.descriptor.ring
+        if level is not None and level < ring.N:
+            X = X % ring.p**level if ring.kind == "Zp" else X[..., :level]
+        return tuple(X.ravel().tolist()) if X.dtype == object else X.tobytes()
 
     def project(self, a, m):
         return project(a, m)
@@ -563,26 +662,14 @@ class MatrixOps(BatchOps):
     # stacks
 
     def stack(self, elems):
-        """The elements as one stack: (B, d, d) residues over Z/p^N,
-        (B, d, d, k, N) planes over F_q[[t]]."""
-        desc = self.descriptor
-        ring, d = desc.ring, desc.d
-        if ring.kind == "FqT":
-            codes = np.array([x.mat for x in elems], dtype=np.int64)
-            return self.ctx.planes_from_codes(codes.reshape(-1, d, d, ring.N))
-        wide = d * (ring.modulus - 1) ** 2 >= 2**63
-        mats = np.array([x.mat for x in elems],
-                        dtype=object if wide else np.int64)
-        return mats.reshape(-1, d, d)
+        """The elements' stacks of one, concatenated: (B, d, d) residues
+        over Z/p^N, (B, d, d, k, N) planes over F_q[[t]]."""
+        return np.concatenate([self.eye[:0], *(x.stack for x in elems)])
 
     def unstack(self, X):
         """The elements of the stack X, in order."""
-        desc, entry = self.descriptor, int
-        if desc.ring.kind == "FqT":
-            X, entry = self.ctx.codes_from_planes(X), tuple
-        return [FilteredElement(desc, tuple(tuple(map(entry, row))
-                                            for row in m))
-                for m in X.tolist()]
+        return [FilteredElement(self.descriptor, X[i : i + 1])
+                for i in range(len(X))]
 
     def product(self, A, B):
         """Entrywise group products A[i] * B[i] of two stacks, broadcast
@@ -594,6 +681,31 @@ class MatrixOps(BatchOps):
         # (..., i, l, 1) * (..., 1, l, j), summed over l
         T = ctx.mul(A[..., :, :, None, :, :], B[..., None, :, :, :, :])
         return T.sum(axis=-4) % ctx.p
+
+    def inverse(self, X):
+        """Entrywise inverses of the stack X, exact where X is invertible
+        over the ring, NotAUnit otherwise.  X^(E - 1) inverts X mod the
+        uniformizer, for E = p^ceil(log2 d) lcm(q - 1, ..., q^d - 1), a
+        multiple of every element order in GL_d(F_q) (a semisimple part's
+        divides some q^i - 1, a unipotent part's is a power of p, at most
+        the least one >= d); ceil(log2 N) Newton steps Y <- Y (2I - X Y)
+        then square the error I - X Y up to the truncation, and X Y = I is
+        checked.  Every step is a `product`."""
+        ring, d = self.descriptor.ring, self.descriptor.d
+        q = ring.field.q
+        e = (ring.p ** (d - 1).bit_length()
+             * math.lcm(*(q**i - 1 for i in range(1, d + 1))) - 1)
+        Y, P = self.eye, X
+        while e:  # Y <- X^e by squaring and multiplying
+            if e & 1:
+                Y = self.product(Y, P)
+            P = self.product(P, P)
+            e >>= 1
+        for _ in range((ring.N - 1).bit_length()):
+            Y = (2 * Y - self.product(Y, self.product(X, Y))) % self.mod
+        if not (self.product(X, Y) == self.eye).all():
+            raise NotAUnit("matrix is not invertible over this local ring")
+        return Y
 
     def product_copies(self):
         """Over F_q[[t]], the (..., d, d, d, k, N) series products before

@@ -398,7 +398,7 @@ def enumerate_quotient(desc):
 
     q = desc.ring.field.q
     N = desc.ring.N
-    _bfs.check_budget(q ** (N - 1), 0, vectors=_bfs.ELEMENT_WORDS)
+    _bfs.check_elements(NottinghamOps(desc), q ** (N - 1))
     codes = np.zeros((q ** (N - 1), N + 1), dtype=np.int64)
     codes[:, 1] = 1
     codes[:, 2:] = (np.arange(len(codes))[:, None]

@@ -394,7 +394,12 @@ class Ring:
             return RingElem(self, x % self.modulus)
         if isinstance(x, int):
             return RingElem(self, self.from_int(x))
-        codes = [int(c) for c in x]
+        if not isinstance(x, (list, tuple)):
+            raise UsageError(f"Fq[[t]] element from {type(x).__name__}")
+        codes = list(x)
+        for c in codes:
+            if not isinstance(c, int):
+                raise UsageError(f"Fq[[t]] coefficient from {type(c).__name__}")
         if len(codes) > self.N:
             raise UsageError("too many series coefficients")
         codes = codes + [0] * (self.N - len(codes))

@@ -155,8 +155,7 @@ class GeneratingSet:
                     return np.matmul(A, B) % p
             else:
                 product = ops.product
-            entry = M[0].nbytes + (M[0].size * _bfs._BYTES_PER_OBJECT
-                                   if M.dtype == object else 0)
+            entry = _bfs._held_bytes(M[0])
             n = len(M)
             b = next(b for b in (3, 2, 1) if n**b * entry <= _BLOCK_BYTES)
             table = M
@@ -196,15 +195,6 @@ def _unreduced_products(p, n):
     return s
 
 
-def _tree_product(ops, X):
-    """Ordered product of the n >= 1 elements of the stack X, as a stack of
-    one: neighbours multiply pairwise, an odd last one waits a round."""
-    while len(X) > 1:
-        Y = ops.product(X[0:-1:2], X[1::2])
-        X = np.concatenate([Y, X[-1:]]) if len(X) % 2 else Y
-    return X
-
-
 def evaluate(word, gens, left=None):
     """left * (left-to-right product of the word over realized generators),
     left the identity when None.
@@ -215,8 +205,8 @@ def evaluate(word, gens, left=None):
     are exact.
 
     A matrix group gathers 512 blocks at a time; each chunk, and then the
-    stack of chunk products, is reduced by a pairwise product tree of
-    `ops.product`.  `left` heads the first chunk and the leftover letters
+    stack of chunk products, is reduced by `ops.tree_product`, a pairwise
+    product tree.  `left` heads the first chunk and the leftover letters
     close the last.  The stack's layout, and so the arithmetic, is the
     facade's: int64 or Python-int residues over Z/p^N, coefficient planes
     over F_q[[t]].
@@ -272,10 +262,10 @@ def evaluate(word, gens, left=None):
             X.insert(0, ops.stack([left]))
         if start + _CHUNK >= len(idx) and len(rest):
             X.append(letters[rest])
-        chunks.append(_tree_product(ops, np.concatenate(X) if len(X) > 1
-                                    else X[0]))
+        chunks.append(ops.tree_product(np.concatenate(X) if len(X) > 1
+                                       else X[0]))
     if len(chunks) > 1:
-        chunks = [_tree_product(ops, np.concatenate(chunks))]
+        chunks = [ops.tree_product(np.concatenate(chunks))]
     return ops.unstack(chunks[0])[0]
 
 

@@ -47,8 +47,8 @@ def _kernel_lifts(desc):
         for k, name in enumerate(alg.basis_names()):
             for c in range(ring.p):
                 f = liealg._lift_any(alg.from_coords({name: c}), l)
-                F[l - 1, k, c] = f.mat
-                Finv[l - 1, k, c] = matgroups.inv(f).mat
+                F[l - 1, k, c] = f.stack[0]
+                Finv[l - 1, k, c] = matgroups.inv(f).stack[0]
     return F, Finv
 
 

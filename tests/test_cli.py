@@ -103,6 +103,18 @@ def test_compile_bad_nottingham_target_exit_2(tmp_path, target):
     assert rc == 2
 
 
+def test_compile_non_integer_matrix_target_exit_2(tmp_path):
+    # an F_q[[t]] matrix entry with a float coefficient is a usage error,
+    # not the identity it would truncate to
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps([[[1.7, 0], [0, 0]], [[0, 0], [1, 0]]]))
+    rc = main([
+        "compile", "--group", "SL:d=2,Fq[[t]]:q=5,N=2", "--level", "2",
+        "--gens", "sampled:3:11", "--target", f"file:{path}", "--seed", "4",
+    ])
+    assert rc == 2
+
+
 def test_diam_with_file_gens(tmp_path, capsys):
     from prosk.matgroups import GroupDescriptor, element, ops_for
 

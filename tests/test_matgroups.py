@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from prosk.errors import BudgetExceeded, InvariantViolated, UsageError
+from prosk.errors import BudgetExceeded, InvariantViolated, NotAUnit, UsageError
 from prosk.matgroups import (
     GroupDescriptor,
     element,
@@ -217,6 +217,35 @@ def test_enumeration_is_checked_against_the_budget(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=3",
+                                  "SL:d=2,Fq[[t]]:q=5,N=2",
+                                  "Nottingham,Fq[[t]]:q=5,N=7"])
+def test_enumeration_charge_covers_its_peak(monkeypatch, text):
+    # the budget charge per element is at least the enumeration's peak
+    # traced memory per element (warm caches: plans, series contexts)
+    import gc
+    import tracemalloc
+
+    from prosk import _bfs
+
+    desc = GroupDescriptor.parse(text)
+    enumerate_quotient(desc)
+    charged = []
+    real = _bfs._charge
+    monkeypatch.setattr(_bfs, "_charge",
+                        lambda need, what: charged.append(need)
+                        or real(need, what))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        n = len(enumerate_quotient(desc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == group_order(desc) > 10_000
+    assert len(charged) == 1 and charged[0] >= peak, (charged[0] / n, peak / n)
+
+
 def test_membership_and_count_checks_raise(monkeypatch):
     from prosk import matgroups
 
@@ -250,7 +279,7 @@ def test_kernel_draws_generate_k1_over_f9():
     assert g.order == 729
 
 
-# --- depth over Z/p^N by one gcd ----------------------------------------------
+# --- depth read off the element's array ---------------------------------------
 
 
 def _depth_by_valuation(ring, A):
@@ -265,10 +294,9 @@ def _depth_by_valuation(ring, A):
 @pytest.mark.parametrize("text", [
     "SL:d=2,Zp:p=3,N=8", "SO:d=3,Zp:p=3,N=9", "Sp:d=4,Zp:p=5,N=3",
     "SL:d=3,Zp:p=2,N=6", "SL:d=2,Zp:p=3,N=20",  # past the int64 guard
+    "SO:d=3,Fq[[t]]:q=9,N=4",  # the first nonzero plane slot
 ])
 def test_depth_by_gcd_matches_the_valuation_formula(text):
-    from prosk import _matrix as mx
-
     desc = GroupDescriptor.parse(text)
     ops = ops_for(desc)
     ring, N = desc.ring, desc.ring.N
@@ -278,6 +306,89 @@ def test_depth_by_gcd_matches_the_valuation_formula(text):
         elems += [ops.sample_kernel(n, rng) for _ in range(4)]
     depths = set()
     for g in elems:
-        depths.add(mx.depth(ring, g.mat))
-        assert mx.depth(ring, g.mat) == _depth_by_valuation(ring, g.mat)
+        depths.add(g.depth())
+        assert g.depth() == _depth_by_valuation(ring, g.mat)
     assert {0, N} <= depths and len(depths) > 3
+
+
+# --- the stacked inverse -------------------------------------------------------
+
+
+def _random_stack(desc, rng, B):
+    """B matrices with uniform entries in the facade's layout, most of them
+    invertible over the ring and some not."""
+    ops, ring, d = ops_for(desc), desc.ring, desc.d
+    if ring.kind == "FqT":
+        return rng.integers(0, ring.p, (B, d, d, ring.field.k, ring.N))
+    digits = rng.integers(0, ring.p, (B, d, d, ring.N)).astype(object)
+    powers = np.array([ring.p**i for i in range(ring.N)], dtype=object)
+    return (digits * powers).sum(axis=-1).astype(ops.eye.dtype)
+
+
+def _residue_det(desc, X):
+    """The determinant over F_q of the residue of the stack of one X."""
+    from prosk import _matrix as mx
+
+    ring1 = desc.ring.truncated(1)
+    ops = ops_for(desc)
+    if desc.ring.kind == "FqT":
+        codes = ops.ctx.codes(X[0, ..., 0]).tolist()
+        return mx.det(ring1, [[(c,) for c in row] for row in codes])[0]
+    return mx.det(ring1, (X[0] % desc.ring.p).tolist())
+
+
+@pytest.mark.parametrize("text", [
+    "SL:d=2,Zp:p=3,N=8", "SL:d=3,Zp:p=5,N=5", "SO:d=3,Zp:p=3,N=9",
+    "Sp:d=4,Zp:p=3,N=5",
+    # past the int64 guard: Python-int stacks
+    "SL:d=2,Zp:p=3,N=20", "SL:d=3,Zp:p=7,N=23", "SO:d=3,Zp:p=5,N=14",
+    "Sp:d=4,Zp:p=3,N=20",
+    "SL:d=2,Fq[[t]]:q=5,N=6", "SL:d=3,Fq[[t]]:q=9,N=3",
+    "SO:d=3,Fq[[t]]:q=9,N=4", "Sp:d=4,Fq[[t]]:q=5,N=3",
+])
+def test_stacked_inverse(text):
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    eye = ops.eye
+    rng = np.random.default_rng(46)
+    # random stacks: X X^-1 = X^-1 X = I exactly, and NotAUnit exactly when
+    # some entry's residue is singular
+    X = _random_stack(desc, rng, 24)
+    singular = [b for b in range(len(X))
+                if _residue_det(desc, X[b : b + 1]) == 0]
+    assert 0 < len(singular) < len(X)
+    with pytest.raises(NotAUnit):
+        ops.inverse(X)
+    for b in singular:
+        with pytest.raises(NotAUnit):
+            ops.inverse(X[b : b + 1])
+    U = np.delete(X, singular, axis=0)
+    Y = ops.inverse(U)
+    assert Y.dtype == U.dtype and Y.shape == U.shape
+    assert (ops.product(U, Y) == eye).all() and (ops.product(Y, U) == eye).all()
+    # group elements: the stacked inverse is the B = 1 inverse, entry by
+    # entry, and SO's inverse is the transpose
+    elems = [ops.sample_uniform(rng) for _ in range(6)]
+    elems += [ops.sample_kernel(n, rng) for n in range(1, desc.ring.N + 1)]
+    G = ops.stack(elems)
+    assert ops.unstack(ops.inverse(G)) == [ops.inv(g) for g in elems]
+    if desc.family == "SO":
+        assert (ops.inverse(G) == G.swapaxes(1, 2)).all()
+
+
+@pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=20", "SO:d=3,Zp:p=5,N=14"])
+def test_equal_elements_past_the_guard_share_keys(text):
+    # two elements with equal entries, built apart, hold different Python
+    # ints: equality, hashes and keys must come from the values, never from
+    # an object array's bytes (which are pointers)
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        a = ops.sample_uniform(rng)
+        b = element(desc, a.to_rows())
+        assert a.stack.dtype == object
+        assert a is not b and a == b and hash(a) == hash(b)
+        for level in (None, 1, 2, desc.ring.N - 1, desc.ring.N):
+            assert ops.key(a, level) == ops.key(b, level)
+        assert len({a, b, ops.unstack(ops.stack([a]))[0]}) == 1

@@ -153,6 +153,16 @@ def test_sqrt_rejects_bad_seed():
 # --- descriptors -------------------------------------------------------------
 
 
+def test_elem_rejects_non_integer_input():
+    # a float or string entry is a usage error, not a value truncated by
+    # int(): 1.7 once loaded silently as the series coefficient 1
+    for ring, bad in ((Z36, 1.7), (Z36, "2"), (F5T, 1.7), (F5T, "12"),
+                      (F5T, [1.7, 0]), (F5T, [0, "2"]), (F5T, (1, 0.0))):
+        with pytest.raises(UsageError):
+            ring.elem(bad)
+    assert F5T.elem([1, 2]).payload == (1, 2) + (0,) * 6
+
+
 def test_parse_roundtrip():
     for text in ("Zp:p=3,N=6", "Zp:p=7,N=2", "Fq[[t]]:q=9,N=40", "Fq[[t]]:q=5,N=1"):
         ring = Ring.parse(text)

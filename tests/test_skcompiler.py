@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosk import _bfs, matgroups, nottingham, skcompiler
+from prosk import _bfs, matgroups, nottingham, rings, skcompiler
 from prosk.errors import InvariantViolated, NotGenerating, UsageError
 from prosk.matgroups import GroupDescriptor, element, ops_for
 from prosk.skcompiler import (
@@ -242,27 +242,42 @@ def test_matrix_block_table_rows_and_fallback(monkeypatch, text):
                 ops.mul(left, g)
 
 
-@pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=8", "SO:d=3,Zp:p=3,N=9"])
+@pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=8", "SO:d=3,Zp:p=3,N=9",
+                                  "SL:d=2,Zp:p=3,N=20"])  # past the guard
 def test_matrix_compile_makes_no_scalar_products(monkeypatch, text):
     # the ladder's residuals g eval(w)^-1 run inside the product tree, with
-    # g heading it, so a whole compile multiplies no two single elements
+    # g heading it, so a whole compile multiplies no two single elements;
+    # and every element op reads the element's array, so no payload matrix
+    # is derived and no payload entry reduced
     desc = GroupDescriptor.parse(text)
     ops = ops_for(desc)
     gens = sample_generating_set(desc, 3, 100)
     plan = CompilePlan()
     sess = CompilerSession(gens, build_base_table(desc, plan.n_base(desc),
                                                   gens), plan)
+    target = ops.sample_uniform(np.random.default_rng(16))
     calls = []
-    real = matgroups.MatrixOps.mul
+    real_mul = matgroups.MatrixOps.mul
+    real_mat = matgroups.FilteredElement.mat
+    real_reduce = rings.Ring.reduce_level
 
-    def counted(self, a, b):
-        calls.append(1)
-        return real(self, a, b)
+    def counted_mul(self, a, b):
+        calls.append("mul")
+        return real_mul(self, a, b)
 
-    monkeypatch.setattr(matgroups.MatrixOps, "mul", counted)
-    rng = np.random.default_rng(16)
+    def counted_mat(self):
+        calls.append("mat")
+        return real_mat.__get__(self)
+
+    def counted_reduce(self, a, m):
+        calls.append("reduce_level")
+        return real_reduce(self, a, m)
+
+    monkeypatch.setattr(matgroups.MatrixOps, "mul", counted_mul)
+    monkeypatch.setattr(matgroups.FilteredElement, "mat", property(counted_mat))
+    monkeypatch.setattr(rings.Ring, "reduce_level", counted_reduce)
     N = desc.ring.N
-    word, cert = sess.compile(ops.sample_uniform(rng), N)
+    word, cert = sess.compile(target, N)
     assert cert.residual_depth >= N and len(word) > 100
     assert calls == []
 

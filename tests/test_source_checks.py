@@ -90,6 +90,32 @@ def test_nottingham_module_owns_the_element_format():
     assert not names & {"eval_begin", "eval_finish"}
 
 
+def test_matgroups_module_owns_the_element_format():
+    # a matrix element's array is built in matgroups.py alone (payload
+    # matrices enter through from_payloads), the tuple engine's inverse,
+    # depth and keys are gone from _matrix.py, and the BFS engine names no
+    # element type
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "matgroups.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and _callee(node) == "FilteredElement"]
+    assert not callers, f"FilteredElement built outside matgroups.py: {callers}"
+    tree = ast.parse((SRC / "_matrix.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"inv", "depth", "key", "reduce_level"}, defined
+    tree = ast.parse((SRC / "_bfs.py").read_text())
+    names = {node.attr if isinstance(node, ast.Attribute) else
+             node.id if isinstance(node, ast.Name) else node.name
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name, ast.alias))}
+    assert "FilteredElement" not in names
+
+
 def test_every_exception_class_is_used():
     # an exception type that nothing raises or catches only pads the
     # exit-code contract: each class in errors.py must be named by an
