@@ -1,16 +1,12 @@
-"""Internal payload-level matrix helpers over a truncated local ring.
+"""Internal payload-level matrix helpers over a truncated local ring, for
+the Lie-algebra reference code (`liealg`).
 
-Matrices are tuples of tuples of ring payloads (see rings.Ring), the input
-format of group elements: these helpers build and check elements before
-they enter `matgroups` as arrays, and serve the Lie-algebra reference code.
-Group arithmetic runs on the arrays (`matgroups.MatrixOps`).
+Matrices are tuples of tuples of ring payloads (see rings.Ring).  Group
+arithmetic, membership and section lifts run on arrays
+(`matgroups.MatrixOps`).
 """
 
 from __future__ import annotations
-
-import itertools
-
-_PERM_CACHE: dict[int, list] = {}
 
 
 def eye(ring, d):
@@ -29,12 +25,6 @@ def omega(ring, d):
         out[i][g + i] = one
         out[g + i][i] = ring.neg(one)
     return tuple(tuple(r) for r in out)
-
-
-def add(ring, A, B):
-    return tuple(
-        tuple(ring.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
 
 
 def sub(ring, A, B):
@@ -70,28 +60,3 @@ def transpose(A):
 def unshift(ring, A, k):
     return tuple(tuple(ring.unshift(a, k) for a in row) for row in A)
 
-
-
-
-
-
-def det(ring, A):
-    d = len(A)
-    if d not in _PERM_CACHE:
-        perms = []
-        for perm in itertools.permutations(range(d)):
-            inversions = sum(
-                1
-                for a in range(d)
-                for b in range(a + 1, d)
-                if perm[a] > perm[b]
-            )
-            perms.append((perm, inversions % 2))
-        _PERM_CACHE[d] = perms
-    acc = ring.zero
-    for perm, parity in _PERM_CACHE[d]:
-        term = A[0][perm[0]]
-        for i in range(1, d):
-            term = ring.mul(term, A[i][perm[i]])
-        acc = ring.sub(acc, term) if parity else ring.add(acc, term)
-    return acc

@@ -2,12 +2,14 @@
 local ring, plus the Nottingham dispatch.
 
 Elements satisfy the defining equations exactly at the working truncation
-(det 1, M^T M = I, M^T Omega M = Omega).  Each holds its matrix as one
-read-only array in `MatrixOps`' stack layout, and its ops are the stack ops
-on a stack of one.  Payload matrices (tuples of ring payloads, see
-rings.Ring) are the input format: they enter through `from_payloads`, and
-`FilteredElement.mat` derives one back.  K_n is the kernel of reduction to
-level n; depth(g) is the largest n with g in K_n, capped at N.
+(det 1, M^T M = I, M^T Omega M = Omega), which `MatrixOps.is_member` checks
+on a stack.  Each holds its matrix as one read-only array in `MatrixOps`'
+stack layout, and every op on it, membership, section lifts and sampling
+included, is a stack op.  Payload matrices (tuples of ring payloads, see
+rings.Ring) are the input format only: they enter through `element` and
+`from_payloads`, and `FilteredElement.mat` derives one back.  K_n is the
+kernel of reduction to level n; depth(g) is the largest n with g in K_n,
+capped at N.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 
 import numpy as np
 
-from . import _matrix as mx
 from .errors import (
     BudgetExceeded,
     DescriptorMismatch,
@@ -105,7 +106,7 @@ class FilteredElement:
     stack of one (`MatrixOps`), (1, d, d) residues over Z/p^N (int64 inside
     the facade's guard, Python ints past it) or (1, d, d, k, N) coefficient
     planes over F_q[[t]].  Payload matrices are the input format: they enter
-    through `from_payloads`, and `mat` derives one back."""
+    through `element` and `from_payloads`, and `mat` derives one back."""
 
     __slots__ = ("descriptor", "stack")
 
@@ -186,31 +187,18 @@ def identity(desc):
     return FilteredElement(desc, _matrix_ops(desc).eye)
 
 
-def is_member(desc, mat):
-    ring = desc.ring
-    d = desc.d
-    if desc.family == "SL":
-        return mx.det(ring, mat) == ring.one
-    if desc.family == "SO":
-        MtM = mx.mul(ring, mx.transpose(mat), mat)
-        return MtM == mx.eye(ring, d) and mx.det(ring, mat) == ring.one
-    if desc.family == "Sp":
-        Om = mx.omega(ring, d)
-        return mx.mul(ring, mx.transpose(mat), mx.mul(ring, Om, mat)) == Om
-    raise UsageError("membership test is for matrix families")
-
-
 def element(desc, rows):
     ring = desc.ring
     d = desc.d
     if len(rows) != d or any(len(r) != d for r in rows):
         raise UsageError(f"need a {d}x{d} matrix")
-    mat = tuple(tuple(ring.elem(entry).payload for entry in row) for row in rows)
-    if not is_member(desc, mat):
+    X = _payload_stack(desc, [[ring.elem(entry).payload for entry in row]
+                              for row in rows])
+    if not _matrix_ops(desc).is_member(X)[0]:
         raise DescriptorMismatch(
             f"matrix fails the defining equations of {desc.describe()}"
         )
-    return from_payloads(desc, mat)
+    return FilteredElement(desc, X)
 
 
 def _chk_pair(a, b):
@@ -307,78 +295,44 @@ def kernel_order(desc, n):
 # section lifts (exact representatives over the residue field)
 
 
-def _entry_lift(ring, rring, mat1):
-    """Lift a residue-level payload matrix entrywise to the full ring."""
+def _first_diag(ops, u):
+    """diag(u, 1, ..., 1) for each entry u of a stack of ring elements."""
+    D = np.repeat(ops.eye, len(u), axis=0)
+    D[:, 0, 0] = u
+    return D
+
+
+def section_lift(desc, X1):
+    """Exact group elements over the full ring reducing to the stack X1 of
+    residue-level matrices (`desc.truncated(1)`'s layout), as a stack."""
+    ring, ops = desc.ring, _matrix_ops(desc)
     if ring.kind == "Zp":
-        return tuple(tuple(int(e) for e in row) for row in mat1)
-    pad = ring.N - 1
-    return tuple(tuple(e + (0,) * pad for e in row) for row in mat1)
-
-
-def _fix_det(ring, mat):
-    """Scale column 1 by det^-1 (a 1-unit), making det exactly one."""
-    u = mx.det(ring, mat)
-    ui = ring.inv(u)
-    out = [list(row) for row in mat]
-    for i in range(len(out)):
-        out[i][0] = ring.mul(out[i][0], ui)
-    return tuple(tuple(r) for r in out)
-
-
-def _newton_inv_sqrt(ring, A, d):
-    """A^(-1/2) for A = I mod the maximal ideal, as a polynomial in A."""
-    inv2 = ring.inv(ring.from_int(2))
-    U = mx.eye(ring, d)
-    three = [
-        [ring.from_int(3) if i == j else ring.zero for j in range(d)]
-        for i in range(d)
-    ]
-    three = tuple(tuple(r) for r in three)
-    for _ in range(max(4, ring.N.bit_length() + 2)):
-        AU2 = mx.mul(ring, A, mx.mul(ring, U, U))
-        diff = mx.sub(ring, three, AU2)
-        U = mx.mul(ring, U, diff)
-        U = tuple(tuple(ring.mul(e, inv2) for e in row) for row in U)
-    return U
-
-
-def section_lift(desc, mat1):
-    """Exact group element over the full ring reducing to mat1 at level 1."""
-    ring = desc.ring
-    d = desc.d
-    M = _entry_lift(ring, ring.truncated(1), mat1)
-    if desc.family == "SL":
-        M = _fix_det(ring, M)
-    elif desc.family == "SO":
-        A = mx.mul(ring, mx.transpose(M), M)
-        M = mx.mul(ring, M, _newton_inv_sqrt(ring, A, d))
-    else:  # Sp
-        Om = mx.omega(ring, d)
-        Omi = mx.transpose(Om)  # J^-1 = J^T for the standard form
-        A = mx.mul(ring, Omi, mx.mul(ring, mx.transpose(M), mx.mul(ring, Om, M)))
-        M = mx.mul(ring, M, _newton_inv_sqrt(ring, A, d))
-    if not is_member(desc, M):
+        M = X1.astype(ops.eye.dtype)
+    else:  # the residue planes in slot 0 of each series
+        M = np.zeros(X1.shape[:-1] + (ring.N,), dtype=np.int64)
+        M[..., :1] = X1
+    if desc.family == "SL":  # scale column 1 by det^-1, a 1-unit
+        M = ops.product(M, ops.inverse(_first_diag(ops, ops.det(M))))
+    else:  # M A^(-1/2) by Newton's iteration U <- U (3I - A U^2) / 2
+        MT = M.swapaxes(1, 2)
+        if desc.family == "SO":
+            A = ops.product(MT, M)
+        else:  # Omega^-1 = Omega^T for the standard form
+            Om = ops.omega()
+            A = ops.product(ops.product(Om.swapaxes(1, 2), MT),
+                            ops.product(Om, M))
+        half, U = pow(2, -1, ops.mod), ops.eye
+        for _ in range(max(4, ring.N.bit_length() + 2)):
+            AU2 = ops.product(A, ops.product(U, U))
+            U = ops.product(U, (3 * ops.eye - AU2) % ops.mod) * half % ops.mod
+        M = ops.product(M, U)
+    if not ops.is_member(M).all():
         raise InvariantViolated("section lift left the group")
-    return from_payloads(desc, M)
+    return M
 
 
 # ---------------------------------------------------------------------------
 # enumeration and sampling
-
-
-def _residue_matrices(desc1):
-    ring1 = desc1.ring
-    d = desc1.d
-    q = ring1.field.q
-    if q ** (d * d) > ENUM_WORK_CAP:
-        raise BudgetExceeded(
-            f"residue-level enumeration needs {q ** (d * d)} candidates"
-        )
-    mk = (lambda c: c) if ring1.kind == "Zp" else (lambda c: (c,))
-    for flat in itertools.product(range(q), repeat=d * d):
-        yield tuple(
-            tuple(mk(flat[i * d + j]) for j in range(d)) for i in range(d)
-        )
 
 
 def enumerate_kernel(desc, n):
@@ -417,17 +371,28 @@ def enumerate_quotient(desc):
     total = group_order(desc)
     ops = _matrix_ops(desc)
     _bfs.check_elements(ops, total)
-    ring = desc.ring
+    d, q = desc.d, desc.ring.field.q
+    count = q ** (d * d)
+    if count > ENUM_WORK_CAP:
+        raise BudgetExceeded(
+            f"residue-level enumeration needs {count} candidates")
+    # the residue matrices in itertools.product order, a chunk at a time
     desc1 = desc.truncated(1)
-    reps1 = [m for m in _residue_matrices(desc1) if is_member(desc1, m)]
-    if len(reps1) != residue_group_order(desc.family, desc.d, ring.field.q):
+    ops1 = _matrix_ops(desc1)
+    powers = q ** np.arange(d * d - 1, -1, -1)
+    reps = [ops1.eye[:0]]
+    for start in range(0, count, _bfs._CHUNK):
+        flat = np.arange(start, min(start + _bfs._CHUNK, count))
+        X = _payload_stack(desc1, flat[:, None] // powers % q)
+        reps.append(X[ops1.is_member(X)])
+    reps = np.concatenate(reps)
+    if len(reps) != residue_group_order(desc.family, d, q):
         raise InvariantViolated(
             "residue enumeration disagrees with the order formula")
-    if ring.N == 1:
-        return ops.unstack(_payload_stack(desc, reps1))
-    sections = ops.stack([section_lift(desc, m) for m in reps1])
+    if desc.ring.N == 1:
+        return ops.unstack(reps)
     kernel = ops.stack(enumerate_kernel(desc, 1))
-    out = ops.unstack(ops.outer(sections, kernel))
+    out = ops.unstack(ops.outer(section_lift(desc, reps), kernel))
     if len(out) != total:
         raise InvariantViolated(
             f"enumerated {len(out)} elements, the order formula gives {total}")
@@ -459,21 +424,16 @@ def sample_uniform(desc, rng):
     ring = desc.ring
     d = desc.d
     if desc.family == "SL":
-        q = ring.field.q
-        r1 = ring.truncated(1)
+        desc1 = desc.truncated(1)
+        ops1 = _matrix_ops(desc1)
         while True:
-            flat = rng.integers(0, q, size=d * d)
-            mk = (lambda c: int(c)) if ring.kind == "Zp" else (lambda c: (int(c),))
-            m1 = tuple(
-                tuple(mk(flat[i * d + j]) for j in range(d)) for i in range(d)
-            )
-            dt = mx.det(r1, m1)
-            if r1.is_unit(dt):
+            X1 = _payload_stack(desc1, rng.integers(0, ring.field.q, size=d * d))
+            dt = ops1.det(X1)
+            if dt.any():
                 break
         # scale row 1 by det^-1: pushes uniform GL to uniform SL
-        di = r1.inv(dt)
-        row0 = tuple(r1.mul(e, di) for e in m1[0])
-        g = section_lift(desc, (row0,) + m1[1:])
+        X1 = ops1.product(ops1.inverse(_first_diag(ops1, dt)), X1)
+        g = FilteredElement(desc, section_lift(desc, X1))
     elif desc.family in ("SO", "Sp"):
         # product of two Cayley transforms: each covers the no-(-1)-eigenvalue
         # part of the group, products of two reach everything
@@ -490,22 +450,19 @@ def _cayley_sample(desc, rng):
     exactly orthogonal/symplectic with det 1 over the full truncated ring."""
     from . import liealg
 
-    ring = desc.ring
-    d = desc.d
     fam = {"SO": "so", "Sp": "sp"}[desc.family]
-    alg = liealg.LieAlgebra(fam, d, ring)
+    alg = liealg.LieAlgebra(fam, desc.d, desc.ring)
     ops = _matrix_ops(desc)
-    I = mx.eye(ring, d)
     for _ in range(256):
-        S = alg.random(rng).to_matrix()
-        X = _payload_stack(desc, [mx.sub(ring, I, S), mx.add(ring, I, S)])
+        S = _payload_stack(desc, [alg.random(rng).to_matrix()])
+        X = np.concatenate([ops.eye - S, ops.eye + S]) % ops.mod
         try:
-            out = FilteredElement(desc, ops.product(X[:1], ops.inverse(X[1:])))
+            Y = ops.product(X[:1], ops.inverse(X[1:]))
         except NotAUnit:
             continue
-        if not is_member(desc, out.mat):
+        if not ops.is_member(Y)[0]:
             raise InvariantViolated("Cayley transform left the group")
-        return out
+        return FilteredElement(desc, Y)
     raise UsageError("could not draw an invertible I + S (degenerate ring?)")
 
 
@@ -515,6 +472,22 @@ def ops_for(desc):
 
         return nottingham.NottinghamOps(desc)
     return _matrix_ops(desc)
+
+
+@functools.cache
+def _signed_permutations(d):
+    """(perm, sign) for each permutation of range(d), the Leibniz terms."""
+    out = []
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        out.append((perm, -1 if inversions % 2 else 1))
+    return out
+
+
+def _all_equal(A, B):
+    """Per entry of the batch axis, whether the stacks A and B agree."""
+    E = A == B
+    return E.all(axis=tuple(range(1, E.ndim)))
 
 
 @functools.cache
@@ -702,10 +675,47 @@ class MatrixOps(BatchOps):
             P = self.product(P, P)
             e >>= 1
         for _ in range((ring.N - 1).bit_length()):
-            Y = (2 * Y - self.product(Y, self.product(X, Y))) % self.mod
+            XY = self.product(X, Y)
+            if (XY == self.eye).all():
+                return Y
+            Y = (2 * Y - self.product(Y, XY)) % self.mod
         if not (self.product(X, Y) == self.eye).all():
             raise NotAUnit("matrix is not invertible over this local ring")
         return Y
+
+    def det(self, X):
+        """Determinants of the stack X by the Leibniz expansion: (B,)
+        residues over Z/p^N, (B, k, N) planes over F_q[[t]]."""
+        zp = self.descriptor.ring.kind == "Zp"
+        out = 0
+        for perm, sign in _signed_permutations(self.descriptor.d):
+            term = X[:, 0, perm[0]]
+            for i, j in enumerate(perm[1:], 1):
+                term = (term * X[:, i, j] % self.mod if zp
+                        else self.ctx.mul(term, X[:, i, j]))
+            out = out + sign * term
+        return out % self.mod
+
+    def omega(self):
+        """The standard symplectic form [[0, I], [-I, 0]], a stack of one."""
+        g = self.descriptor.d // 2
+        Om = np.zeros_like(self.eye)
+        Om[:, :g, g:] = self.eye[:, :g, :g]
+        Om[:, g:, :g] = -self.eye[:, :g, :g] % self.mod
+        return Om
+
+    def is_member(self, X):
+        """One bool per entry of the stack X: the defining equations at the
+        truncation, det X = 1 (SL), X^T X = I and det X = 1 (SO), X^T Omega
+        X = Omega (Sp)."""
+        XT, fam = X.swapaxes(1, 2), self.descriptor.family
+        if fam == "Sp":
+            Om = self.omega()
+            return _all_equal(self.product(XT, self.product(Om, X)), Om)
+        ok = _all_equal(self.det(X), self.eye[:, 0, 0])
+        if fam == "SO":
+            ok &= _all_equal(self.product(XT, X), self.eye)
+        return ok
 
     def product_copies(self):
         """Over F_q[[t]], the (..., d, d, d, k, N) series products before

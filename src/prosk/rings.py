@@ -369,9 +369,20 @@ class Ring:
         return a[:m] + (0,) * (self.N - m)
 
     def rand(self, rng):
-        if self.kind == "Zp":
+        if self.kind == "FqT":
+            return tuple(int(x) for x in rng.integers(0, self.q, size=self.N))
+        if self.modulus <= 2**63:
             return int(rng.integers(0, self.modulus))
-        return tuple(int(x) for x in rng.integers(0, self.q, size=self.N))
+        # past numpy's int64 range: base p^m digits, p^m <= 2^63
+        m = 1
+        while self.p ** (m + 1) <= 2**63:
+            m += 1
+        x, base = 0, 1
+        for lo in range(0, self.N, m):
+            top = self.p ** min(m, self.N - lo)
+            x += int(rng.integers(0, top)) * base
+            base *= top
+        return x
 
     def rand_unit(self, rng):
         while True:

@@ -136,8 +136,7 @@ def test_criterion_1_filtration_bulk():
         ms = rng.integers(1, N, PAIRS)
         g, gi = _sample_depths(lifts, ns, rng)
         h, hi = _sample_depths(lifts, ms, rng)
-        assert all(matgroups.is_member(desc, tuple(map(tuple, x.tolist())))
-                   for x in g[:200]), desc.describe()
+        assert ops_for(desc).is_member(g[:200]).all(), desc.describe()
         assert not (g @ gi % mod - I).any(), desc.describe()
         c = _commutator(g, gi, h, hi, mod)
         dep = _depths(c, p, N)

@@ -115,6 +115,18 @@ def test_compile_non_integer_matrix_target_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_compile_past_the_int64_range(tmp_path):
+    # 5^28 > 2^63: the Cayley draws of SO's sampled generators take
+    # residues mod p^N in base p^m digits
+    out = tmp_path / "so.json"
+    rc = main([
+        "compile", "--group", "SO:d=3,Zp:p=5,N=28", "--level", "2",
+        "--gens", "sampled:3:1", "--seed", "0", "--out", str(out),
+    ])
+    assert rc == 0
+    assert json.loads(out.read_text())["report"]["certificate"]["n"] == 2
+
+
 def test_diam_with_file_gens(tmp_path, capsys):
     from prosk.matgroups import GroupDescriptor, element, ops_for
 

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -171,7 +172,7 @@ def test_section_lift_reduces_back(desc):
     ops1 = ops_for(desc.truncated(1))
     for _ in range(25):
         g1 = ops1.sample_uniform(rng)
-        g = section_lift(desc, g1.mat)
+        [g] = ops_for(desc).unstack(section_lift(desc, g1.stack))
         assert g.descriptor == desc
         assert project(g, 1) == g1
 
@@ -250,7 +251,7 @@ def test_membership_and_count_checks_raise(monkeypatch):
     from prosk import matgroups
 
     rng = np.random.default_rng(31)
-    mat1 = ops_for(SL2_9.truncated(1)).sample_uniform(rng).mat
+    X1 = ops_for(SL2_9.truncated(1)).sample_uniform(rng).stack
     with monkeypatch.context() as m:
         m.setattr(matgroups, "residue_group_order", lambda *a: -1)
         with pytest.raises(InvariantViolated, match="order formula"):
@@ -259,9 +260,10 @@ def test_membership_and_count_checks_raise(monkeypatch):
         m.setattr(matgroups, "enumerate_kernel", lambda desc, n: [])
         with pytest.raises(InvariantViolated, match="order formula gives"):
             enumerate_quotient(SL2_9)
-    monkeypatch.setattr(matgroups, "is_member", lambda desc, M: False)
+    monkeypatch.setattr(matgroups.MatrixOps, "is_member",
+                        lambda self, X: np.zeros(len(X), dtype=bool))
     with pytest.raises(InvariantViolated, match="section lift"):
-        section_lift(SL2_9, mat1)
+        section_lift(SL2_9, X1)
     with pytest.raises(InvariantViolated, match="Cayley transform"):
         matgroups._cayley_sample(SO3_5, rng)
 
@@ -326,18 +328,14 @@ def _random_stack(desc, rng, B):
 
 
 def _residue_det(desc, X):
-    """The determinant over F_q of the residue of the stack of one X."""
-    from prosk import _matrix as mx
-
-    ring1 = desc.ring.truncated(1)
-    ops = ops_for(desc)
+    """The determinants over F_q of the residues of the stack X."""
+    ops1 = ops_for(desc.truncated(1))
     if desc.ring.kind == "FqT":
-        codes = ops.ctx.codes(X[0, ..., 0]).tolist()
-        return mx.det(ring1, [[(c,) for c in row] for row in codes])[0]
-    return mx.det(ring1, (X[0] % desc.ring.p).tolist())
+        return ops1.ctx.codes(ops1.det(X[..., :1])[..., 0])
+    return ops1.det(X % desc.ring.p)
 
 
-@pytest.mark.parametrize("text", [
+INVERSE_GROUPS = [
     "SL:d=2,Zp:p=3,N=8", "SL:d=3,Zp:p=5,N=5", "SO:d=3,Zp:p=3,N=9",
     "Sp:d=4,Zp:p=3,N=5",
     # past the int64 guard: Python-int stacks
@@ -345,7 +343,10 @@ def _residue_det(desc, X):
     "Sp:d=4,Zp:p=3,N=20",
     "SL:d=2,Fq[[t]]:q=5,N=6", "SL:d=3,Fq[[t]]:q=9,N=3",
     "SO:d=3,Fq[[t]]:q=9,N=4", "Sp:d=4,Fq[[t]]:q=5,N=3",
-])
+]
+
+
+@pytest.mark.parametrize("text", INVERSE_GROUPS)
 def test_stacked_inverse(text):
     desc = GroupDescriptor.parse(text)
     ops = ops_for(desc)
@@ -355,7 +356,7 @@ def test_stacked_inverse(text):
     # some entry's residue is singular
     X = _random_stack(desc, rng, 24)
     singular = [b for b in range(len(X))
-                if _residue_det(desc, X[b : b + 1]) == 0]
+                if _residue_det(desc, X[b : b + 1])[0] == 0]
     assert 0 < len(singular) < len(X)
     with pytest.raises(NotAUnit):
         ops.inverse(X)
@@ -376,6 +377,37 @@ def test_stacked_inverse(text):
         assert (ops.inverse(G) == G.swapaxes(1, 2)).all()
 
 
+def _products_per_inverse(monkeypatch, ops, X):
+    calls = []
+    real = ops.product
+    monkeypatch.setattr(ops, "product",
+                        lambda A, B: calls.append(1) or real(A, B))
+    ops.inverse(X)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("text", INVERSE_GROUPS)
+def test_inverse_stops_once_exact(monkeypatch, text):
+    # the Newton steps stop once X Y = I; a full run is the ladder for
+    # X^(E - 1), ceil(log2 N) steps of two products and the final check
+    desc = GroupDescriptor.parse(text)
+    ops, ring, d = ops_for(desc), desc.ring, desc.d
+    q = ring.field.q
+    e = (ring.p ** (d - 1).bit_length()
+         * math.lcm(*(q**i - 1 for i in range(1, d + 1))) - 1)
+    full = e.bit_length() + bin(e).count("1") + 2 * (ring.N - 1).bit_length() + 1
+    rng = np.random.default_rng(50)
+    X = _random_stack(desc, rng, 24)
+    X = X[[_residue_det(desc, X[b : b + 1])[0] != 0 for b in range(len(X))]]
+    G = ops.stack([ops.sample_uniform(rng) for _ in range(6)])
+    counts = [_products_per_inverse(monkeypatch, ops, Z)
+              for Z in (X, G, G[:1], G[1:2])]
+    assert max(counts) <= full, (counts, full)
+    if text == "SO:d=3,Zp:p=3,N=9":  # X^E is already in K_2 or deeper
+        assert min(counts) < full
+
+
 @pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=20", "SO:d=3,Zp:p=5,N=14"])
 def test_equal_elements_past_the_guard_share_keys(text):
     # two elements with equal entries, built apart, hold different Python
@@ -392,3 +424,71 @@ def test_equal_elements_past_the_guard_share_keys(text):
         for level in (None, 1, 2, desc.ring.N - 1, desc.ring.N):
             assert ops.key(a, level) == ops.key(b, level)
         assert len({a, b, ops.unstack(ops.stack([a]))[0]}) == 1
+
+
+# --- determinants and membership on stacks -------------------------------------
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 3), (7, 4), (2, 3)])
+def test_det_matches_numpy_over_prime_fields(p, d):
+    rng = np.random.default_rng(48)
+    X = rng.integers(0, p, (200, d, d))
+    want = np.rint(np.linalg.det(X)).astype(np.int64) % p
+    ops = ops_for(GroupDescriptor("SL", d, Ring("Zp", p, p, 1)))
+    assert (ops.det(X) == want).all()
+    # the same residues as constant series over F_p[[t]]/t^1
+    ops = ops_for(GroupDescriptor("SL", d, Ring("FqT", 0, p, 1)))
+    assert (ops.det(X[..., None, None])[:, 0, 0] == want).all()
+
+
+@pytest.mark.parametrize("text", [
+    "SL:d=2,Zp:p=3,N=8", "SL:d=3,Zp:p=5,N=5", "Sp:d=4,Zp:p=3,N=5",
+    "SL:d=2,Zp:p=3,N=20", "SL:d=3,Zp:p=7,N=23",  # past the int64 guard
+    "SL:d=2,Fq[[t]]:q=5,N=6", "SL:d=3,Fq[[t]]:q=9,N=3",
+])
+def test_det_is_multiplicative(text):
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    rng = np.random.default_rng(49)
+    X, Y = _random_stack(desc, rng, 40), _random_stack(desc, rng, 40)
+    dX, dY, dXY = ops.det(X), ops.det(Y), ops.det(ops.product(X, Y))
+    assert dXY.dtype == X.dtype and len(dXY) == 40
+    if desc.ring.kind == "Zp":
+        assert (dXY == dX * dY % ops.mod).all()
+    else:
+        assert (dXY == ops.ctx.mul(dX, dY)).all()
+    assert len({str(x) for x in dXY.tolist()}) > 30
+
+
+@pytest.mark.parametrize("text", [
+    "SL:d=2,Zp:p=3,N=1", "SL:d=2,Zp:p=3,N=3", "SO:d=3,Zp:p=3,N=2",
+    "Sp:d=2,Zp:p=5,N=2", "SL:d=2,Fq[[t]]:q=5,N=2", "SL:d=2,Fq[[t]]:q=9,N=1",
+])
+def test_is_member_accepts_the_group_and_rejects_perturbed_entries(text):
+    # adding 1 to entry (i, j) moves det by the cofactor (X^-1)_ji, so
+    # perturbing where that cofactor is a unit leaves the group
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    X = ops.stack(enumerate_quotient(desc))
+    assert ops.is_member(X).all()
+    Y = ops.inverse(X).swapaxes(1, 2)
+    units = (Y[..., 0].any(axis=-1) if desc.ring.kind == "FqT"  # t^0 digits
+             else Y % desc.ring.p != 0).reshape(len(X), -1)
+    rows, pos = np.arange(len(X)), units.argmax(axis=1)
+    assert units[rows, pos].all()
+    Z = X.copy().reshape((len(X), -1) + X.shape[3:])
+    idx = (rows, pos, 0, 0) if desc.ring.kind == "FqT" else (rows, pos)
+    Z[idx] = (Z[idx] + 1) % ops.mod
+    assert not ops.is_member(Z.reshape(X.shape)).any()
+
+
+def test_enumerate_so3_over_f5():
+    # 1,953,125 residue candidates, filtered a chunk at a time
+    desc = GroupDescriptor.parse("SO:d=3,Zp:p=5,N=1")
+    t0 = time.perf_counter()
+    elems = enumerate_quotient(desc)
+    assert time.perf_counter() - t0 < 20.0
+    assert len(elems) == residue_group_order("SO", 3, 5) == 120
+    ops = ops_for(desc)
+    assert len({ops.key(g) for g in elems}) == 120
+    assert ops.is_member(ops.stack(elems)).all()

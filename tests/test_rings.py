@@ -150,6 +150,27 @@ def test_sqrt_rejects_bad_seed():
         hensel_sqrt(RingElem(Z36, 2), RingElem(Z36, 1))
 
 
+def test_rand_past_the_int64_range():
+    # p^N <= 2^63: one draw, as numpy gives it; past that, base p^m digits
+    # with p^m <= 2^63, so every residue class mod p^N is reachable
+    for ring in (Z36, Ring("Zp", 2, 2, 63), Ring("Zp", 3, 3, 39)):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        assert [ring.rand(a) for _ in range(20)] == \
+            [int(b.integers(0, ring.modulus)) for _ in range(20)]
+    from prosk.matgroups import GroupDescriptor, ops_for
+
+    ring = Ring("Zp", 5, 5, 28)  # 5^28 > 2^63
+    rng = np.random.default_rng(6)
+    draws = [ring.rand(rng) for _ in range(2000)]
+    assert all(0 <= x < ring.modulus for x in draws)
+    assert max(draws) > 2**63 and min(draws) < 5**27
+    assert len({x % 5**27 for x in draws}) == len(draws)
+    assert {x // 5**27 for x in draws} == set(range(5))
+    ops = ops_for(GroupDescriptor("SO", 3, ring))
+    g = ops.sample_uniform(rng)
+    assert ops.is_member(g.stack).all()
+
+
 # --- descriptors -------------------------------------------------------------
 
 

@@ -480,10 +480,11 @@ sys.exit(main(["spectral", "--group", "SL:d=2,Zp:p=3,N=1",
                "--gens", "sampled:2:3", "--l", "12", "--seed", "1"]))
 """, "sandwich violated"), ("""
 import sys
+import numpy as np
 from prosk import matgroups
 from prosk.cli import main
 
-matgroups.is_member = lambda desc, M: False
+matgroups.MatrixOps.is_member = lambda self, X: np.zeros(len(X), dtype=bool)
 sys.exit(main(["spectral", "--group", "SL:d=2,Zp:p=3,N=2",
                "--gens", "sampled:2:3", "--l", "12", "--seed", "1"]))
 """, "section lift left the group"), ("""

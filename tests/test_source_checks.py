@@ -116,6 +116,32 @@ def test_matgroups_module_owns_the_element_format():
     assert "FilteredElement" not in names
 
 
+def test_payload_matrices_serve_only_the_lie_reference_code():
+    # membership and the section lifts run on MatrixOps' stacks: the
+    # payload-matrix helpers keep no det or add, and only liealg.py
+    # imports them
+    importers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "_matrix" for name in names):
+                importers.add(path.name)
+    assert importers == {"liealg.py"}, importers
+    defined = set()
+    for node in ast.parse((SRC / "_matrix.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert not defined & {"det", "add", "_PERM_CACHE"}, defined
+
+
 def test_every_exception_class_is_used():
     # an exception type that nothing raises or catches only pads the
     # exit-code contract: each class in errors.py must be named by an
