@@ -18,9 +18,10 @@ the left members P_k, the fixed right members W_k and their lifts.  Both
 arrays (int64 inside d^2 (p^N - 1)^2 < 2^63, Python ints past it), over
 F_q[[t]] on the base-p digits of the coefficients.  Every decomposition is
 re-verified exactly, sum_k [P_k, W_k] = X as one stacked matrix product,
-before being returned; a failure is a bug, not a data error.  Lifts over
-Z/p^N run on plain ints (`_ZpInts`), over F_q[[t]] on the ring's payload
-ops.
+before being returned; a failure is a bug, not a data error.  Lifts and
+brackets run on `matgroups.MatrixOps` stacks: `_lift_stack` turns a stack
+of coordinate vectors, each at its own level, into one stack of group
+elements.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _matrix as mx
+from . import matgroups
 from .errors import (
     AlgebraMismatch,
     BadLevelPair,
     InvariantViolated,
-    NoSquareRoot,
     NotDeepEnough,
     OracleLevelRejected,
     PrecisionExceedsTruncation,
@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedCharacteristic,
     UsageError,
 )
-from .rings import Ring, RingElem, hensel_sqrt
+from .rings import Ring
 
 _SL_SCHEME_CACHE: dict[int, dict] = {}
 _PLAN_CACHE: dict[tuple, "_Plan"] = {}
@@ -317,12 +317,15 @@ def from_matrix(algebra, M):
 
 
 def bracket(X, Y):
-    """[X, Y] = XY - YX, computed exactly and re-extracted."""
+    """[X, Y] = XY - YX, both products one `MatrixOps.product` of the stack
+    (X, Y) by (Y, X), re-extracted."""
     X._chk(Y)
-    ring = X.algebra.ring
-    A, B = X.to_matrix(), Y.to_matrix()
-    M = mx.sub(ring, mx.mul(ring, A, B), mx.mul(ring, B, A))
-    return from_matrix(X.algebra, M)
+    ops = _ops(X.algebra)
+    desc = ops.descriptor
+    A = matgroups._payload_stack(desc, [X.to_matrix(), Y.to_matrix()])
+    XY, YX = ops.product(A, A[::-1])
+    return from_matrix(X.algebra,
+                       matgroups._payload_matrix(desc, (XY - YX) % ops.mod))
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +479,8 @@ def bracket_decompose(X):
     """
     alg = X.algebra
     plan = _plan(alg.family, alg.d, alg.ring)
-    zero = alg.ring.zero
-    P = plan.solve(plan.planes([X.coords.get(name, zero)
-                                for name in plan.names]))
-    return [(LieVector(plan.alg, dict(zip(plan.names, plan.payloads(Pk)))),
-             W) for Pk, W in zip(P, plan.W) if Pk.any()]
+    P = plan.solve(plan.planes(X))
+    return [(plan.vector(Pk), W) for Pk, W in zip(P, plan.W) if Pk.any()]
 
 
 def _decompose(X):
@@ -588,7 +588,7 @@ def _decompose_sp(X):
     g = alg.g
     zero = ring.zero
     inv2 = ring.inv(ring.from_int(2))
-    inv4 = ring.mul(inv2, inv2)
+    inv8 = ring.mul(inv2, ring.mul(inv2, inv2))
     M = X.to_matrix()
     P = [[M[i][j] for j in range(g)] for i in range(g)]
     Q = [[M[i][g + j] for j in range(g)] for i in range(g)]
@@ -620,23 +620,11 @@ def _decompose_sp(X):
     for i in range(g - 1):
         G[i][i + 1] = ring.one
         G[i + 1][i] = ring.neg(ring.one)
-    G = tuple(tuple(row) for row in G)
-    Y1 = tuple(tuple(row) for row in Y1)
-    BrY = mx.sub(ring, mx.mul(ring, Y1, G), mx.mul(ring, G, Y1))
-    # Z = sym part of [Y1, G]; the skew part equals skew(P) by construction
-    Z = [
-        [ring.mul(ring.add(BrY[i][j], BrY[j][i]), inv2) for j in range(g)]
-        for i in range(g)
-    ]
-    DA = [
-        [
-            ring.sub(
-                ring.mul(ring.add(P[i][j], P[j][i]), inv2), Z[i][j]
-            )
-            for j in range(g)
-        ]
-        for i in range(g)
-    ]
+
+    def scaled(A, c, transpose=False):
+        """c A, or c A^T, for a ring constant c."""
+        return [[ring.mul(A[j][i] if transpose else A[i][j], c)
+                 for j in range(g)] for i in range(g)]
 
     def emb(TL, TR, BL, BRm):
         out = [[zero] * (2 * g) for _ in range(2 * g)]
@@ -649,26 +637,26 @@ def _decompose_sp(X):
         return tuple(tuple(row) for row in out)
 
     zg = [[zero] * g for _ in range(g)]
-    negY1T = [[ring.neg(Y1[j][i]) for j in range(g)] for i in range(g)]
-    negGT = [[ring.neg(G[j][i]) for j in range(g)] for i in range(g)]
-    pair1 = (
-        from_matrix(alg, emb(Y1, zg, zg, negY1T)),
-        from_matrix(alg, emb(G, zg, zg, negGT)),
-    )
-    DA4 = [[ring.mul(DA[i][j], inv4) for j in range(g)] for i in range(g)]
-    nDA4 = [[ring.neg(DA4[i][j]) for j in range(g)] for i in range(g)]
     eye = [[ring.one if i == j else zero for j in range(g)] for i in range(g)]
-    two = [[ring.from_int(2) if i == j else zero for j in range(g)] for i in range(g)]
-    neye = [[ring.neg(eye[i][j]) for j in range(g)] for i in range(g)]
-    pair2 = (
-        from_matrix(alg, emb(zg, DA4, nDA4, zg)),
-        from_matrix(alg, emb(zg, two, two, zg)),
+    minus, two = ring.from_int(-1), ring.from_int(2)
+    pair1 = (
+        from_matrix(alg, emb(Y1, zg, zg, scaled(Y1, minus, True))),
+        from_matrix(alg, emb(G, zg, zg, scaled(G, minus, True))),
     )
-    nQ2 = [[ring.neg(ring.mul(Q[i][j], inv2)) for j in range(g)] for i in range(g)]
-    S2 = [[ring.mul(S[i][j], inv2) for j in range(g)] for i in range(g)]
+    # [Y1, G] is the top-left block of the pair's bracket, and its skew
+    # part equals skew(P) by construction: DA = sym(P) - sym([Y1, G])
+    BrY = bracket(*pair1).to_matrix()
+    DA4 = [[ring.mul(ring.sub(ring.add(P[i][j], P[j][i]),
+                              ring.add(BrY[i][j], BrY[j][i])), inv8)
+            for j in range(g)] for i in range(g)]
+    pair2 = (
+        from_matrix(alg, emb(zg, DA4, scaled(DA4, minus), zg)),
+        from_matrix(alg, emb(zg, scaled(eye, two), scaled(eye, two), zg)),
+    )
     pair3 = (
-        from_matrix(alg, emb(zg, nQ2, S2, zg)),
-        from_matrix(alg, emb(eye, zg, zg, neye)),
+        from_matrix(alg, emb(zg, scaled(Q, ring.neg(inv2)), scaled(S, inv2),
+                             zg)),
+        from_matrix(alg, emb(eye, zg, zg, scaled(eye, minus))),
     )
     return [pair1, pair2, pair3]
 
@@ -744,21 +732,24 @@ class _Plan:
                              for a in range(d) for b in range(d)])
         self._wlifts = {}
 
-    def planes(self, payloads):
-        """The (z, n) planes of n payloads."""
+    def planes(self, X):
+        """The (z, dim) planes of the coordinates of the LieVector X."""
+        payloads = [X.coords.get(name, X.algebra.ring.zero)
+                    for name in self.names]
         if self._digits is None:
             return np.array([payloads], dtype=self.dtype)
-        codes = np.array(payloads, dtype=np.int64)  # (n, N)
+        codes = np.array(payloads, dtype=np.int64)  # (dim, N)
         digits = codes[..., None] // self._digits % self.mod
         return digits.reshape(len(payloads), -1).T
 
-    def payloads(self, planes):
-        """The n payloads of (z, n) planes."""
+    def vector(self, c):
+        """The LieVector of the (z, dim) coordinate planes c."""
         if self._digits is None:
-            return planes[0].tolist()
-        n, k = planes.shape[-1], len(self._digits)
-        codes = planes.T.reshape(n, -1, k) @ self._digits
-        return [tuple(row) for row in codes.tolist()]
+            payloads = c[0].tolist()
+        else:
+            codes = c.T.reshape(len(self.names), -1, len(self._digits))
+            payloads = [tuple(row) for row in (codes @ self._digits).tolist()]
+        return LieVector(self.alg, dict(zip(self.names, payloads)))
 
     def coordinates(self, X, n):
         """The planes (z, dim) of the coordinates of `linearize`: the
@@ -791,16 +782,23 @@ class _Plan:
             raise InvariantViolated("decomposition failed to reproduce its input")
         return P
 
+    def coord_stack(self, P, ops):
+        """The (K, z, dim) planes P as `_lift_stack`'s coordinate stack for
+        the group facade `ops`: (K, dim) residues in its dtype, or
+        (K, dim, k, N) planes, the rows t * k + r of `planes` regrouped."""
+        if self._digits is None:
+            return P[:, 0].astype(ops.eye.dtype, copy=False)
+        K, dim = len(P), len(self.names)
+        return P.reshape(K, self.alg.ring.N, -1, dim).transpose(0, 3, 2, 1)
+
     def lift_w(self, k, m, desc):
-        """The lift of W_k at level m in the group `desc`, computed once per
-        (k, m)."""
-        key = (k, m)
-        if key not in self._wlifts:
-            zero = self.alg.ring.zero
-            W = self.W[k]
-            self._wlifts[key] = _lift_coords(
-                desc, [W.coords.get(name, zero) for name in self.names], m)
-        return self._wlifts[key]
+        """The lift of W_k at level m in the group `desc`; all K of level m
+        are lifted in one call, once."""
+        if m not in self._wlifts:
+            ops = matgroups.ops_for(desc)
+            C = self.coord_stack(np.stack([self.planes(W) for W in self.W]), ops)
+            self._wlifts[m] = ops.unstack(_lift_stack(ops, C, m))
+        return self._wlifts[m][k]
 
 
 def _unit_matrix(ring, d, a, b):
@@ -839,166 +837,120 @@ def lift(X, l):
     return _lift_any(X, l)
 
 
-class _ZpInts:
-    """Z/p^N arithmetic of the lift on plain ints, one reduction per
-    operation."""
-
-    zero, one = 0, 1
-
-    def __init__(self, ring):
-        self.p, self.N, self.mod = ring.p, ring.N, ring.modulus
-
-    def add(self, a, b):
-        return (a + b) % self.mod
-
-    def shift(self, a, l):
-        return a * self.p**l % self.mod
-
-    def scale(self, a, c):
-        return a * c % self.mod
-
-    def addmul(self, a, b, x):
-        return (a + b * x) % self.mod
-
-    def unit(self, a):
-        """(1 + a)^-1 - 1."""
-        return (pow(1 + a, -1, self.mod) - 1) % self.mod
-
-    def rot(self, a):
-        """sqrt(1 - a^2) - 1, the root that is 1 mod p, by the Newton steps
-        of `rings.hensel_sqrt` from the seed 1."""
-        mod = self.mod
-        t = (1 - a * a) % mod
-        inv2 = pow(2, -1, mod)
-        x = 1
-        for _ in range(max(4, self.N.bit_length() + 2)):
-            x = (x + t * pow(x, -1, mod)) * inv2 % mod
-        if x * x % mod != t:
-            raise NoSquareRoot("iteration stalled; target has no square root here")
-        return (x - 1) % mod
-
-
-class _RingOps:
-    """The same arithmetic through a ring's payload ops (F_q[[t]])."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.zero, self.one = ring.zero, ring.one
-        self.add, self.shift = ring.add, ring.shift
-
-    def scale(self, a, c):
-        ring = self.ring
-        return a if c == 1 else ring.mul(a, ring.from_int(c))
-
-    def addmul(self, a, b, x):
-        return self.ring.add(a, self.ring.mul(b, x))
-
-    def unit(self, a):
-        ring = self.ring
-        return ring.sub(ring.inv(ring.add(self.one, a)), self.one)
-
-    def rot(self, a):
-        ring, one = self.ring, self.one
-        t = ring.sub(one, ring.mul(a, a))
-        beta = hensel_sqrt(RingElem(ring, t), RingElem(ring, one)).payload
-        return ring.sub(beta, one)
-
-
-def _times_factor(mat, delta, addmul):
-    """mat <- mat * (I + delta) in place, delta a few (i, j, x) entries.
-
-    Each entry is one column update, O(d) `addmul`s, instead of an O(d^3)
-    product with the full factor; columns are read before any of them is
-    written."""
-    cols = {}
-    for i, j, x in delta:
-        col = cols.setdefault(j, [row[j] for row in mat])
-        for r, row in enumerate(mat):
-            col[r] = addmul(col[r], row[i], x)
-    for j, col in cols.items():
-        for r, row in enumerate(mat):
-            row[j] = col[r]
-
-
 @functools.cache
 def _lift_program(family, d):
-    """The factor each basis coordinate lifts to, in basis order, which is
-    the order the factors multiply in, and the moves of the sl diagonal
-    coordinates onto the off-diagonal ones.
+    """The factor I + delta each basis coordinate x lifts to, for xs =
+    pi^l x, in basis order, which is the order the factors multiply in,
+    and the moves of the sl diagonal coordinates onto the off-diagonal
+    ones.
 
-    A factor is ("lin", entries): I + xs * sum c E_ij over the (i, j, c)
-    entries (det 1, or symplectic, exactly); ("rot", (a, b)): the rotation
-    with off-diagonal +-xs and diagonal sqrt(1 - xs^2) in the (a, b) plane
-    (so); ("unit", (a, b)): diag(1 + xs, (1 + xs)^-1) at a, b (sp A_i_i).
+    - `lin` (dim, d, d): the part xs * lin[j] of factor j's delta.  That is
+      all of it for the sl and sp coordinates (det 1, or symplectic,
+      exactly), the off-diagonal +-xs of the so rotations, and the entry
+      1 + xs of the sp units diag(1 + xs, (1 + xs)^-1) (A_i_i);
+    - `rot` (j, a, b): the diagonal entries sqrt(1 - xs^2) at (a, a) and
+      (b, b) of factor j's rotation (so);
+    - `unit` (j, b): the entry (1 + xs)^-1 at (b, b) of factor j (sp);
+    - `moves` (dst, src, sign): coordinate dst gains sign * coordinate src.
+
     An sl D_j coordinate c lifts to the det-1 block [[1 + cs, cs], [-cs,
     1 - cs]], whose off-diagonal entries the moves (E_j_j+1 -= c, E_j+1_j
     += c) take back out of the E factors."""
     basis = _make_basis(family, d)
     index = {name: k for k, (name, _) in enumerate(basis)}
     g = d // 2
-    program, moves = [], []
+    lin = np.zeros((len(basis), d, d), dtype=np.int64)
+    rot, unit, moves = [], [], []
     for k, (name, entries) in enumerate(basis):
         kind, i, j = name.split("_")
         i, j = int(i), int(j)
         if kind == "D":
-            program.append(("lin", entries + ((i - 1, j - 1, 1),
-                                              (j - 1, i - 1, -1))))
+            entries += ((i - 1, j - 1, 1), (j - 1, i - 1, -1))
             moves += [(index[_name("E", i, j)], k, -1),
                       (index[_name("E", j, i)], k, 1)]
         elif kind == "X":
-            program.append(("rot", (i - 1, j - 1)))
+            rot.append((k, i - 1, j - 1))
         elif kind == "A" and i == j:
-            program.append(("unit", (i - 1, g + i - 1)))
-        else:
-            program.append(("lin", entries))
-    return program, moves
+            entries = ((i - 1, i - 1, 1),)
+            unit.append((k, g + i - 1))
+        for a, b, c in entries:
+            lin[k, a, b] = c
+    return (lin, *(np.array(t, dtype=np.int64).reshape(-1, n).T
+                   for t, n in ((rot, 3), (unit, 2), (moves, 3))))
 
 
-def _lift_coords(desc, coords, l):
-    """The element of the group `desc` that `_lift_any` builds from the
-    coordinates in basis order."""
-    from .matgroups import from_payloads
+def _ops(alg):
+    """The `matgroups.MatrixOps` of the group whose algebra is `alg`."""
+    family = {"sl": "SL", "so": "SO", "sp": "Sp"}[alg.family]
+    return matgroups.ops_for(
+        matgroups.GroupDescriptor(family, alg.d, alg.ring))
 
-    ring, d = desc.ring, desc.d
-    ar = _ZpInts(ring) if ring.kind == "Zp" else _RingOps(ring)
-    program, moves = _lift_program(desc.family.lower(), d)
-    coords = list(coords)
-    for dst, src, sign in moves:
-        coords[dst] = ar.add(coords[dst], ar.scale(coords[src], sign))
-    zero, one = ar.zero, ar.one
-    mat = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    for x, (kind, spec) in zip(coords, program):
-        if x == zero:
-            continue
-        xs = ar.shift(x, l)
-        if kind == "lin":
-            delta = tuple((a, b, ar.scale(xs, c)) for a, b, c in spec)
-        elif kind == "rot":
-            a, b = spec
-            c = ar.rot(xs)
-            delta = ((a, a, c), (b, b, c),
-                     (a, b, xs), (b, a, ar.scale(xs, -1)))
-        else:
-            a, b = spec
-            delta = ((a, a, xs), (b, b, ar.unit(xs)))
-        _times_factor(mat, delta, ar.addmul)
-    return from_payloads(desc, mat)
+
+def _newton(ops, y, step, v):
+    """Newton's iteration y <- step(y) from y, whose error has valuation
+    v >= 1: each step at least doubles it, until it reaches N."""
+    while v < ops.descriptor.ring.N:
+        y, v = step(y), 2 * v
+    return y
+
+
+def _lift_stack(ops, C, levels):
+    """The exact lifts, as a stack of the group facade `ops`, of the rows
+    of the coordinate stack C, row b at level levels[b] >= 1 (one int for
+    all rows): (B, dim) residues in the stacks' dtype over Z/p^N, (B, dim,
+    k, N) planes over F_q[[t]].  A row lifts to the product, in basis
+    order, of one factor I + delta per coordinate (`_lift_program`), each
+    exactly in the group.  The factors are built as one (dim, B, d, d...)
+    stack, the rotations' sqrt(1 - xs^2) and the units' (1 + xs)^-1 by
+    Newton steps on the entry product alone (unique, so exact), and those
+    of the coordinates nonzero in some row are multiplied pairwise
+    (`tree_product`)."""
+    desc, one = ops.descriptor, ops.eye[0, 0, 0]
+    ring, mod, mul = desc.ring, ops.mod, ops.entry_product
+    lin, rot, unit, (dst, src, sign) = _lift_program(desc.family.lower(),
+                                                     desc.d)
+    C = C.swapaxes(0, 1)  # (dim, B, ...), the factors' layout
+    axes = (None,) * (C.ndim - 2)  # for the (k, N) axes of planes
+    if len(dst):
+        C = C.copy()
+        C[dst] = (C[dst] + sign[(slice(None), None) + axes] * C[src]) % mod
+    levels = np.array(levels).reshape((1, -1) + (1,) * len(axes))
+    if ring.kind == "Zp":
+        xs = C * np.power(np.array(ring.p, dtype=C.dtype), levels) % mod
+    else:  # the codes of t^s move to t^(s + l)
+        s = np.arange(ring.N) - levels
+        xs = np.where(s >= 0, np.take_along_axis(C, np.maximum(s, 0), -1), 0)
+    F = (ops.eye + lin[(slice(None), None, Ellipsis) + axes]
+         * xs[:, :, None, None]) % mod
+    low = levels.min(initial=ring.N)
+    j, a, b = rot
+    if len(j):  # y -> y (3 - t y^2) / 2 to t^(-1/2), t = 1 - xs^2, from
+        # its first step; then sqrt(t) = t y
+        x, half = xs[j], pow(2, -1, mod)
+        t = (one - mul(x, x)) % mod
+        th, c = t * half % mod, 3 * half % mod * one
+        y = _newton(ops, (c - th) % mod, lambda y: mul(
+            y, (c - mul(th, mul(y, y))) % mod), 4 * low)
+        F[j, :, a, a] = F[j, :, b, b] = mul(t, y)
+    j, b = unit
+    if len(j):  # y -> y (2 - u y) to u^-1, u = 1 + xs, from its first
+        # step
+        u = (one + xs[j]) % mod
+        F[j, :, b, b] = _newton(ops, (2 * one - u) % mod, lambda y: mul(
+            y, (2 * one - mul(u, y)) % mod), 2 * low)
+    live = (xs != 0).reshape(len(xs), -1).any(axis=1)
+    if not live.any():
+        return np.repeat(ops.eye, xs.shape[1], axis=0)
+    return ops.tree_product(F[live])[0]
 
 
 def _lift_any(X, l):
-    """The exact lift of X at level l: the product, in basis order, of one
-    factor per nonzero coordinate (`_lift_program`), each exactly in the
-    group.  Over Z/p^N the factors are built and applied on plain ints, one
-    reduction mod p^N per update and a plain-int Newton square root for so
-    (`_ZpInts`); over F_q[[t]] through the ring's payload ops."""
-    from .matgroups import GroupDescriptor
-
+    """The exact lift of X at level l: `_lift_stack` on X's coordinates."""
     alg = X.algebra
-    zero = alg.ring.zero
-    family = {"sl": "SL", "so": "SO", "sp": "Sp"}[alg.family]
-    return _lift_coords(GroupDescriptor(family, alg.d, alg.ring),
-                        [X.coords.get(name, zero)
-                         for name in alg.basis_names()], l)
+    ops = _ops(alg)
+    C = matgroups._entries(ops, [[X.coords.get(name, alg.ring.zero)
+                                  for name in alg.basis_names()]])
+    return ops.unstack(_lift_stack(ops, C, l))[0]
 
 
 def linearize(g, n):
@@ -1006,7 +958,6 @@ def linearize(g, n):
     the algebra.  Requires 2n <= N so the congruence is meaningful."""
     desc = g.descriptor
     ring = desc.ring
-    d = desc.d
     if 2 * n > ring.N:
         raise TruncationTooShallow(
             f"linearize at depth {n} needs 2n <= N={ring.N}"
@@ -1017,8 +968,8 @@ def linearize(g, n):
         raise NotDeepEnough(f"element depth {g.depth()} < {n}")
     if desc.family not in ("SL", "SO", "Sp"):
         raise UsageError(f"linearize does not apply to family {desc.family}")
-    M = mx.unshift(ring, mx.sub(ring, g.mat, mx.eye(ring, d)), n)
-    return _project(LieAlgebra(desc.family.lower(), d, ring), M)
+    plan = _plan(desc.family.lower(), desc.d, ring)
+    return plan.vector(plan.coordinates(g.stack, n))
 
 
 def _project(alg, M):
@@ -1035,20 +986,21 @@ def _project(alg, M):
         M = tuple(tuple(row) for row in M)
     elif alg.family == "so":
         inv2 = ring.inv(ring.from_int(2))
-        Mt = mx.transpose(M)
         M = tuple(
             tuple(
                 ring.mul(ring.sub(a, b), inv2) for a, b in zip(ra, rb)
             )
-            for ra, rb in zip(M, Mt)
+            for ra, rb in zip(M, zip(*M))
         )
-    else:
-        inv2 = ring.inv(ring.from_int(2))
-        Om = mx.omega(ring, d)
-        OMO = mx.mul(ring, Om, mx.mul(ring, mx.transpose(M), Om))
+    else:  # (Omega M^T Omega)_ij = +-M_j'i' for i' = i + g mod d, with
+        # the minus sign when i and j lie in the same block
+        g, inv2 = alg.g, ring.inv(ring.from_int(2))
         M = tuple(
-            tuple(ring.mul(ring.add(a, b), inv2) for a, b in zip(ra, rb))
-            for ra, rb in zip(M, OMO)
+            tuple(ring.mul(ring.add(M[i][j], (
+                M[(j + g) % d][(i + g) % d] if (i < g) != (j < g)
+                else ring.neg(M[(j + g) % d][(i + g) % d]))), inv2)
+                for j in range(d))
+            for i in range(d)
         )
     return from_matrix(alg, M)
 
@@ -1060,9 +1012,9 @@ def commutator_decompose(r, n, m):
 
     Runs from the plan of r's algebra (`_plan`): the coordinates c of the
     projection X of (r - I) / pi^(n+m) into the algebra, the left members
-    P_k = c D_k, checked exactly (sum_k [P_k, W_k] = X) and each lifted at
-    level n, and the plan's lift of W_k at level m, computed once per
-    level."""
+    P_k = c D_k, checked exactly (sum_k [P_k, W_k] = X) and the nonzero
+    ones lifted at level n in one call, and the plan's lift of W_k at level
+    m, computed once per level."""
     N = r.descriptor.ring.N
     if not (1 <= n <= m <= 2 * n):
         raise BadLevelPair(f"need 1 <= n <= m <= 2n, got ({n}, {m})")
@@ -1090,7 +1042,8 @@ def _commutator_decompose_capped(r, n, m):
     if eff >= N:
         return []  # r is trivial at this truncation
     plan = _plan(desc.family.lower(), desc.d, desc.ring)
+    ops = matgroups.ops_for(desc)
     P = plan.solve(plan.coordinates(r.stack, eff))
-    return [(_lift_coords(desc, plan.payloads(Pk), n),
-             plan.lift_w(k, m, desc))
-            for k, Pk in enumerate(P) if Pk.any()]
+    live = [k for k, Pk in enumerate(P) if Pk.any()]
+    lifts = ops.unstack(_lift_stack(ops, plan.coord_stack(P[live], ops), n))
+    return [(g, plan.lift_w(k, m, desc)) for k, g in zip(live, lifts)]

@@ -4,10 +4,11 @@ local ring, plus the Nottingham dispatch.
 Elements satisfy the defining equations exactly at the working truncation
 (det 1, M^T M = I, M^T Omega M = Omega), which `MatrixOps.is_member` checks
 on a stack.  Each holds its matrix as one read-only array in `MatrixOps`'
-stack layout, and every op on it, membership, section lifts and sampling
-included, is a stack op.  Payload matrices (tuples of ring payloads, see
-rings.Ring) are the input format only: they enter through `element` and
-`from_payloads`, and `FilteredElement.mat` derives one back.  K_n is the
+stack layout, and every op on it, membership, section lifts, the Lie
+lifts (`liealg._lift_stack`) and sampling included, is a stack op.
+Payload matrices (tuples of ring payloads, see rings.Ring) are the input
+format only: they enter through `element` (payloads in general through
+`_entries`), and `FilteredElement.mat` derives one back.  K_n is the
 kernel of reduction to level n; depth(g) is the largest n with g in K_n,
 capped at N.
 """
@@ -106,7 +107,7 @@ class FilteredElement:
     stack of one (`MatrixOps`), (1, d, d) residues over Z/p^N (int64 inside
     the facade's guard, Python ints past it) or (1, d, d, k, N) coefficient
     planes over F_q[[t]].  Payload matrices are the input format: they enter
-    through `element` and `from_payloads`, and `mat` derives one back."""
+    through `element`, and `mat` derives one back."""
 
     __slots__ = ("descriptor", "stack")
 
@@ -123,10 +124,7 @@ class FilteredElement:
     @property
     def mat(self):
         """The payload matrix: tuples of residues, or of coefficient codes."""
-        rows = self.to_rows()
-        if self.descriptor.ring.kind == "Zp":
-            return tuple(map(tuple, rows))
-        return tuple(tuple(map(tuple, row)) for row in rows)
+        return _payload_matrix(self.descriptor, self.stack[0])
 
     def depth(self):
         """min valuation of g - I, capped at N; N means trivial at this
@@ -166,21 +164,28 @@ class FilteredElement:
         return f"<{self.descriptor.describe()} element depth {self.depth()}>"
 
 
+def _entries(ops, payloads):
+    """An array of ring payloads as entries of `ops`' stacks, the one way
+    payloads enter: residues over Z/p^N in the stacks' dtype, and over
+    F_q[[t]] each length-N tuple of coefficient codes as (k, N) planes."""
+    if ops.descriptor.ring.kind == "Zp":
+        return np.array(payloads, dtype=ops.eye.dtype)
+    return ops.ctx.planes_from_codes(np.array(payloads, dtype=np.int64))
+
+
 def _payload_stack(desc, mats):
-    """The stack (`MatrixOps`' layout) of the payload matrices `mats`, the
-    one way payload tuples enter: residues over Z/p^N, length-N tuples of
-    coefficient codes over F_q[[t]]."""
-    ops, d = _matrix_ops(desc), desc.d
+    """The stack (`MatrixOps`' layout) of the payload matrices `mats`."""
+    tail = (desc.ring.N,) if desc.ring.kind == "FqT" else ()
+    return _entries(_matrix_ops(desc),
+                    np.reshape(mats, (-1, desc.d, desc.d) + tail))
+
+
+def _payload_matrix(desc, X):
+    """The payload matrix of one (d, d[, k, N]) entry X of a stack."""
     if desc.ring.kind == "Zp":
-        return np.array(mats, dtype=ops.eye.dtype).reshape(-1, d, d)
-    codes = np.array(mats, dtype=np.int64).reshape(-1, d, d, desc.ring.N)
-    return ops.ctx.planes_from_codes(codes)
-
-
-def from_payloads(desc, mat):
-    """The element with payload matrix `mat`, unchecked (`element` checks
-    membership)."""
-    return FilteredElement(desc, _payload_stack(desc, [mat]))
+        return tuple(map(tuple, X.tolist()))
+    rows = _matrix_ops(desc).ctx.codes_from_planes(X).tolist()
+    return tuple(tuple(map(tuple, row)) for row in rows)
 
 
 def identity(desc):
@@ -335,26 +340,29 @@ def section_lift(desc, X1):
 # enumeration and sampling
 
 
+def _residue_coords(ops, codes):
+    """The coordinate stack (`liealg._lift_stack`) of the residue field
+    codes `codes` (ints in [0, q)), each the constant it names."""
+    ring = ops.descriptor.ring
+    if ring.kind == "FqT":  # the codes of t^0 .. t^(N-1)
+        codes = codes[..., None] * (np.arange(ring.N) == 0)
+    return _entries(ops, codes)
+
+
 def enumerate_kernel(desc, n):
     """All of K_n, as products of depth-graded exact lifts (each element
-    exactly once)."""
+    exactly once): one lift call per layer over all q^dim residue
+    coordinate vectors."""
     from . import liealg
 
-    ring = desc.ring
-    fam = {"SL": "sl", "SO": "so", "Sp": "sp"}[desc.family]
-    alg = liealg.LieAlgebra(fam, desc.d, ring)
-    names = alg.basis_names()
+    ring, ops, dim = desc.ring, _matrix_ops(desc), desc.algebra_dim()
     q = ring.field.q
-    ops = _matrix_ops(desc)
+    # the codes in itertools.product order
+    codes = np.arange(q**dim)[:, None] // q ** np.arange(dim - 1, -1, -1) % q
+    C = _residue_coords(ops, codes)
     out = ops.eye
     for l in range(n, ring.N):
-        layer = []
-        for coords in itertools.product(range(q), repeat=len(names)):
-            X = alg.from_coords(
-                {nm: ring.from_int(c) for nm, c in zip(names, coords)}
-            )
-            layer.append(liealg._lift_any(X, l))
-        out = ops.outer(out, ops.stack(layer))
+        out = ops.outer(out, liealg._lift_stack(ops, C, l))
     return ops.unstack(out)
 
 
@@ -400,27 +408,29 @@ def enumerate_quotient(desc):
 
 
 def sample_kernel(desc, n, rng):
-    """Exactly uniform element of K_n (triangular coordinates)."""
+    """Exactly uniform element of K_n (triangular coordinates): one
+    residue code per layer and basis coordinate, lifted in one call with a
+    level per layer, and multiplied in layer order."""
     from . import liealg
 
-    ring = desc.ring
+    ring, ops, dim = desc.ring, _matrix_ops(desc), desc.algebra_dim()
     if not 1 <= n <= ring.N:
         raise LevelTooLarge(f"kernel level {n} out of range")
-    fam = {"SL": "sl", "SO": "so", "Sp": "sp"}[desc.family]
-    alg = liealg.LieAlgebra(fam, desc.d, ring)
-    g = identity(desc)
-    for l in range(n, ring.N):
-        X = alg.random(rng, residue_only=True)
-        g = mul(g, liealg._lift_any(X, l))
-    return g
+    if n == ring.N:
+        return identity(desc)
+    codes = np.array([[int(rng.integers(0, ring.field.q)) for _ in range(dim)]
+                      for _ in range(n, ring.N)])
+    X = liealg._lift_stack(ops, _residue_coords(ops, codes),
+                           np.arange(n, ring.N))
+    return FilteredElement(desc, ops.tree_product(X))
 
 
 def sample_uniform(desc, rng):
     """Uniform over the full group for SL (exact).  For SO/Sp the residue
     part is the product of two Cayley transforms, which is NOT uniform: on
-    SO3(F_3), 12,000 draws at seed 0 give chi^2 = 278 on 23 df (ROADMAP
-    item 7).  The kernel part is an exact uniform draw from K_1 for every
-    family."""
+    SO3(F_3), 12,000 draws at seed 0 give chi^2 = 278 on 23 df (ROADMAP,
+    "Uniform sampling for SO/Sp").  The kernel part is an exact uniform
+    draw from K_1 for every family."""
     ring = desc.ring
     d = desc.d
     if desc.family == "SL":
@@ -663,11 +673,14 @@ class MatrixOps(BatchOps):
         divides some q^i - 1, a unipotent part's is a power of p, at most
         the least one >= d); ceil(log2 N) Newton steps Y <- Y (2I - X Y)
         then square the error I - X Y up to the truncation, and X Y = I is
-        checked.  Every step is a `product`."""
+        checked.  Every step is a `product`.  A stack that is I mod the
+        uniformizer skips the ladder: Newton starts from Y = I."""
         ring, d = self.descriptor.ring, self.descriptor.d
         q = ring.field.q
+        R = (X - self.eye) % ring.p
         e = (ring.p ** (d - 1).bit_length()
-             * math.lcm(*(q**i - 1 for i in range(1, d + 1))) - 1)
+             * math.lcm(*(q**i - 1 for i in range(1, d + 1))) - 1
+             if (R if ring.kind == "Zp" else R[..., 0]).any() else 0)
         Y, P = self.eye, X
         while e:  # Y <- X^e by squaring and multiplying
             if e & 1:
@@ -686,15 +699,20 @@ class MatrixOps(BatchOps):
     def det(self, X):
         """Determinants of the stack X by the Leibniz expansion: (B,)
         residues over Z/p^N, (B, k, N) planes over F_q[[t]]."""
-        zp = self.descriptor.ring.kind == "Zp"
         out = 0
         for perm, sign in _signed_permutations(self.descriptor.d):
             term = X[:, 0, perm[0]]
             for i, j in enumerate(perm[1:], 1):
-                term = (term * X[:, i, j] % self.mod if zp
-                        else self.ctx.mul(term, X[:, i, j]))
+                term = self.entry_product(term, X[:, i, j])
             out = out + sign * term
         return out % self.mod
+
+    def entry_product(self, A, B):
+        """Entrywise ring products of two broadcastable arrays of stack
+        entries: residues mod p^N, or series products of (k, N) planes."""
+        if self.descriptor.ring.kind == "Zp":
+            return A * B % self.mod
+        return self.ctx.mul(A, B)
 
     def omega(self):
         """The standard symplectic form [[0, I], [-I, 0]], a stack of one."""

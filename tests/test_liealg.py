@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from prosk import liealg
+from prosk import liealg, matgroups
 from prosk.liealg import LieAlgebra, bracket, bracket_decompose, from_matrix
 from prosk.matgroups import GroupDescriptor, ops_for
 from prosk.rings import Ring
@@ -70,17 +70,33 @@ def test_matrix_roundtrip(alg):
         assert from_matrix(alg, X.to_matrix()) == X
 
 
+def _eye(ring, d):
+    return [[ring.one if i == j else ring.zero for j in range(d)]
+            for i in range(d)]
+
+
+def _mat_mul(ring, A, B):
+    """The payload matrix product AB, one ring op at a time."""
+    out = []
+    for row in A:
+        out.append([])
+        for col in zip(*B):
+            acc = ring.zero
+            for a, b in zip(row, col):
+                acc = ring.add(acc, ring.mul(a, b))
+            out[-1].append(acc)
+    return out
+
+
 def test_bracket_matches_matrix_commutator():
     rng = np.random.default_rng(24)
-    from prosk import _matrix as mx
-
-    for alg in (SL2, SO5, SP4):
+    for alg in (SL2, SO5, SP4, SL2T):
         ring = alg.ring
         for _ in range(20):
             X, Y = alg.random(rng), alg.random(rng)
             A, B = X.to_matrix(), Y.to_matrix()
-            AB = mx.mul(ring, A, B)
-            BA = mx.mul(ring, B, A)
+            AB = _mat_mul(ring, A, B)
+            BA = _mat_mul(ring, B, A)
             diff = tuple(
                 tuple(ring.sub(a, b) for a, b in zip(ra, rb))
                 for ra, rb in zip(AB, BA)
@@ -239,8 +255,7 @@ def _times_factor_ring(ring, mat, delta):
 
 def _lift_by_ring_ops(X, l):
     """The lift as it was computed before the plan, on Ring payload ops
-    throughout: the reference for the plain-int lift."""
-    from prosk import _matrix as mx
+    throughout: the reference for the stack lift."""
     from prosk.liealg import _name
     from prosk.rings import RingElem, hensel_sqrt
 
@@ -249,7 +264,7 @@ def _lift_by_ring_ops(X, l):
     d = alg.d
     zero, one = ring.zero, ring.one
     fam = alg.family
-    mat = [list(row) for row in mx.eye(ring, d)]
+    mat = _eye(ring, d)
     if fam == "sl":
         off = {}
         for name, v in X.coords.items():
@@ -312,7 +327,7 @@ def _lift_by_ring_ops(X, l):
     return tuple(tuple(r) for r in mat)
 
 
-@pytest.mark.parametrize("alg", [
+LIFT_ALGEBRAS = [
     LieAlgebra("sl", 2, Ring("Zp", 3, 3, 8)),
     LieAlgebra("sl", 3, Ring("Zp", 2, 2, 6)),
     LieAlgebra("so", 3, Ring("Zp", 3, 3, 9)),
@@ -322,7 +337,10 @@ def _lift_by_ring_ops(X, l):
     LieAlgebra("so", 3, Ring("Zp", 3, 3, 20)),
     LieAlgebra("so", 3, Ring("FqT", 0, 9, 4)),
     LieAlgebra("sp", 4, Ring("FqT", 0, 5, 4)),
-], ids=LieAlgebra.describe)
+]
+
+
+@pytest.mark.parametrize("alg", LIFT_ALGEBRAS, ids=LieAlgebra.describe)
 def test_int_lift_matches_the_ring_lift(alg):
     rng = np.random.default_rng(42)
     for l in range(1, alg.ring.N):
@@ -331,6 +349,29 @@ def test_int_lift_matches_the_ring_lift(alg):
             if k % 3 == 1:  # a sparse vector: every other coordinate dropped
                 X = alg.from_coords(dict(list(X.coords.items())[::2]))
             assert liealg._lift_any(X, l).mat == _lift_by_ring_ops(X, l)
+
+
+@pytest.mark.parametrize("alg", LIFT_ALGEBRAS + [
+    LieAlgebra("sl", 2, Ring("FqT", 0, 4, 6)),
+    LieAlgebra("so", 3, Ring("FqT", 0, 9, 6)),
+    LieAlgebra("so", 3, Ring("Zp", 3, 3, 40)),  # p^N past 2^63
+], ids=LieAlgebra.describe)
+def test_stack_lift_matches_the_ring_lift_row_by_row(alg):
+    # one call lifts many rows, each at its own level; zero rows lift to I
+    ops = liealg._ops(alg)
+    N = alg.ring.N
+    rng = np.random.default_rng(45)
+    X = [alg.random(rng, residue_only=k % 4 == 3) for k in range(12)]
+    X[2] = X[7] = alg.zero()
+    X[5] = alg.from_coords(dict(list(X[5].coords.items())[::2]))
+    levels = rng.integers(1, N, len(X))
+    zero = alg.ring.zero
+    C = matgroups._entries(ops, [[x.coords.get(name, zero)
+                                  for name in alg.basis_names()] for x in X])
+    got = ops.unstack(liealg._lift_stack(ops, C, levels))
+    assert [g.mat for g in got] == [
+        _lift_by_ring_ops(x, int(l)) for x, l in zip(X, levels)]
+    assert got[2] == got[7] == ops.identity()
 
 
 def test_w_lifts_are_cached_and_the_plan_built_once(monkeypatch):
@@ -380,11 +421,11 @@ def test_plan_with_swapped_rows_raises(alg, monkeypatch):
         liealg.commutator_decompose(r, 1, 1)
 
 
-def test_zp_oracle_makes_no_ring_dispatch(monkeypatch):
-    """Once the plan is built, the Z/p^N oracle runs on integers alone:
-    no bracket, no from_matrix, no Ring.mul."""
+def _oracle_makes_no_ring_dispatch(monkeypatch, texts):
+    """Once the plans are built, the oracle runs on arrays alone, the W_k
+    lifts included: no bracket, no from_matrix, no Ring.mul."""
     work = []
-    for text in ("SO:d=3,Zp:p=3,N=9", "SL:d=2,Zp:p=3,N=8"):
+    for text in texts:
         desc = GroupDescriptor.parse(text)
         ops = ops_for(desc)
         N = desc.ring.N
@@ -398,6 +439,8 @@ def test_zp_oracle_makes_no_ring_dispatch(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-entry ring dispatch on the oracle path")
 
+    for plan in liealg._PLAN_CACHE.values():
+        monkeypatch.setattr(plan, "_wlifts", {})
     monkeypatch.setattr(liealg, "bracket", refuse)
     monkeypatch.setattr(liealg, "from_matrix", refuse)
     monkeypatch.setattr(Ring, "mul", refuse)
@@ -407,3 +450,13 @@ def test_zp_oracle_makes_no_ring_dispatch(monkeypatch):
         else:
             got = liealg.commutator_decompose(r, n, m)
         assert got == want
+
+
+def test_zp_oracle_makes_no_ring_dispatch(monkeypatch):
+    _oracle_makes_no_ring_dispatch(
+        monkeypatch, ("SO:d=3,Zp:p=3,N=9", "SL:d=2,Zp:p=3,N=8"))
+
+
+def test_fqt_oracle_makes_no_ring_dispatch(monkeypatch):
+    _oracle_makes_no_ring_dispatch(
+        monkeypatch, ("SL:d=3,Fq[[t]]:q=5,N=6", "SO:d=3,Fq[[t]]:q=9,N=6"))

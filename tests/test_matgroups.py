@@ -57,6 +57,21 @@ def test_enumerate_quotient_counts():
     assert len(keys) == 648
 
 
+@pytest.mark.parametrize("text,kernel", [
+    ("SL:d=2,Fq[[t]]:q=9,N=2", True), ("SL:d=2,Fq[[t]]:q=4,N=2", False),
+])
+def test_enumeration_over_a_non_prime_field_lists_distinct_elements(
+        text, kernel):
+    # each kernel layer runs over every F_q residue, not only the F_p ones
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    if kernel:
+        elems, order = enumerate_kernel(desc, 1), kernel_order(desc, 1)
+    else:
+        elems, order = enumerate_quotient(desc), group_order(desc)
+    assert len({ops.key(g) for g in elems}) == len(elems) == order
+
+
 def test_enumerate_kernel_counts():
     elems = enumerate_kernel(SL2_9, 1)
     assert len(elems) == 27
@@ -406,6 +421,22 @@ def test_inverse_stops_once_exact(monkeypatch, text):
     assert max(counts) <= full, (counts, full)
     if text == "SO:d=3,Zp:p=3,N=9":  # X^E is already in K_2 or deeper
         assert min(counts) < full
+
+
+@pytest.mark.parametrize("text", INVERSE_GROUPS + ["SL:d=2,Fq[[t]]:q=9,N=8"])
+def test_inverse_of_a_k1_stack_skips_the_ladder(monkeypatch, text):
+    # a stack that is I mod the uniformizer starts Newton from I: at most
+    # ceil(log2 N) steps of two products and the final check
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    rng = np.random.default_rng(51)
+    elems = [ops.sample_kernel(n, rng) for n in (1, 1, 2, desc.ring.N)]
+    G = ops.stack(elems)
+    bound = 2 * (desc.ring.N - 1).bit_length() + 1
+    assert _products_per_inverse(monkeypatch, ops, G) <= bound
+    Y = ops.inverse(G)
+    assert (ops.product(G, Y) == ops.eye).all()
+    assert (ops.product(Y, G) == ops.eye).all()
 
 
 @pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=20", "SO:d=3,Zp:p=5,N=14"])

@@ -91,10 +91,8 @@ def test_nottingham_module_owns_the_element_format():
 
 
 def test_matgroups_module_owns_the_element_format():
-    # a matrix element's array is built in matgroups.py alone (payload
-    # matrices enter through from_payloads), the tuple engine's inverse,
-    # depth and keys are gone from _matrix.py, and the BFS engine names no
-    # element type
+    # a matrix element's array is built in matgroups.py alone, and the BFS
+    # engine names no element type
     callers = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "matgroups.py":
@@ -104,10 +102,6 @@ def test_matgroups_module_owns_the_element_format():
                     if isinstance(node, ast.Call)
                     and _callee(node) == "FilteredElement"]
     assert not callers, f"FilteredElement built outside matgroups.py: {callers}"
-    tree = ast.parse((SRC / "_matrix.py").read_text())
-    defined = {node.name for node in tree.body
-               if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"inv", "depth", "key", "reduce_level"}, defined
     tree = ast.parse((SRC / "_bfs.py").read_text())
     names = {node.attr if isinstance(node, ast.Attribute) else
              node.id if isinstance(node, ast.Name) else node.name
@@ -117,10 +111,12 @@ def test_matgroups_module_owns_the_element_format():
 
 
 def test_payload_matrices_serve_only_the_lie_reference_code():
-    # membership and the section lifts run on MatrixOps' stacks: the
-    # payload-matrix helpers keep no det or add, and only liealg.py
-    # imports them
-    importers = set()
+    # no module keeps or imports a payload-matrix engine (`_matrix`): the Lie
+    # lifts, brackets and projections run on MatrixOps' stacks or on the
+    # plan's arrays, and outside matgroups.py only liealg.py turns payload
+    # matrices into stacks or back
+    assert not (SRC / "_matrix.py").exists()
+    importers, users = set(), set()
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom):
@@ -128,18 +124,14 @@ def test_payload_matrices_serve_only_the_lie_reference_code():
             elif isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             else:
-                continue
+                names = []
             if any(name.split(".")[-1] == "_matrix" for name in names):
                 importers.add(path.name)
-    assert importers == {"liealg.py"}, importers
-    defined = set()
-    for node in ast.parse((SRC / "_matrix.py").read_text()).body:
-        if isinstance(node, ast.FunctionDef):
-            defined.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = getattr(node, "targets", [getattr(node, "target", None)])
-            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
-    assert not defined & {"det", "add", "_PERM_CACHE"}, defined
+            if (path.name != "matgroups.py" and isinstance(node, ast.Call)
+                    and _callee(node) in {"_payload_stack", "_payload_matrix"}):
+                users.add(path.name)
+    assert not importers, importers
+    assert users == {"liealg.py"}, users
 
 
 def test_every_exception_class_is_used():
