@@ -512,7 +512,7 @@ class BatchOps:
     """The batch surface of a group facade, on which `_bfs` and
     `skcompiler.evaluate` run.  A stack holds elements along a leading batch
     axis in a layout the facade picks; a subclass supplies `stack`,
-    `unstack`, `product` and `keys`."""
+    `unstack`, `product`, `inverse` and `keys`."""
 
     def identity_stack(self):
         """A stack of one element, the identity."""

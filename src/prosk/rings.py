@@ -22,7 +22,6 @@ from .errors import (
     InvariantViolated,
     NoSquareRoot,
     NotAUnit,
-    NotDeepEnough,
     UsageError,
 )
 
@@ -339,34 +338,6 @@ class Ring:
             if c:
                 return i
         return self.N
-
-    def shift(self, a, k):
-        """Multiply by the k-th power of the uniformizer."""
-        if k == 0:
-            return a
-        if self.kind == "Zp":
-            return (a * self.p**k) % self.modulus
-        if k >= self.N:
-            return self.zero
-        return (0,) * k + a[: self.N - k]
-
-    def unshift(self, a, k):
-        """Exact division by the k-th power of the uniformizer."""
-        if k == 0:
-            return a
-        if self.val(a) < k:
-            raise NotDeepEnough(
-                f"payload valuation {self.val(a)} < {k}, division not exact"
-            )
-        if self.kind == "Zp":
-            return a // self.p**k
-        return a[k:] + (0,) * k
-
-    def reduce_level(self, a, m):
-        """Canonical representative mod the m-th power of the uniformizer."""
-        if self.kind == "Zp":
-            return a % self.p**m
-        return a[:m] + (0,) * (self.N - m)
 
     def rand(self, rng):
         if self.kind == "FqT":

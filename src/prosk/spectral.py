@@ -13,9 +13,12 @@ citizen — it is both the non-FAb contrast family and the corpus for the
 exhaustive generating-set sweeps.  Those sweeps share one multi-source BFS
 (`_union_eccentricities`) over left-multiplication tables that the same
 engine fills once per group: each vertex holds one bit per union of
-inverse-pair classes, 64 unions to a uint64 word.  They refuse a group past
-SWEEP_ELEMENT_CAP by its order, before enumerating it.  The sampled sweeps
-share one draw loop (`_generating_draws`).
+inverse-pair classes, 64 unions to a uint64 word, and a level ANDs every
+permutation row's gather with the words of the unions that hold its class.
+The classes pair each element with its inverse from one `inverse` of the
+corpus's stack.  The sweeps refuse a group past SWEEP_ELEMENT_CAP by its
+order, before enumerating it.  The sampled sweeps share one draw loop
+(`_generating_draws`).
 
 The walk operator's norm rho comes from one solver, Lanczos on mean-zero
 vectors (`lanczos_gap`): every product is one `walk_matvec`, and its Krylov
@@ -64,7 +67,7 @@ SWEEP_WORK_CAP = 2 * 10**8  # exhaustive generating-set sweeps, gather units
 # exhaustive sweeps refuse a bigger group by its order, before enumerating
 # it: 65+ elements make 32+ inverse-pair classes, far past SWEEP_WORK_CAP
 SWEEP_ELEMENT_CAP = 64
-SWEEP_BLOCK = 1024  # unions whose BFS levels run together
+SWEEP_BLOCK_BYTES = 1 << 19  # a sweep block's gather per BFS level, bytes
 SET_SIZES = (2, 3, 4)  # sampled generating sets draw this many elements
 CONTRAST_ORDER_CAP = 200_000  # cyclic contrast levels stop past this order
 
@@ -123,6 +126,10 @@ class CyclicOps(BatchOps):
     def product(self, A, B):
         """Entrywise sums mod n, broadcast over the batch axes."""
         return (A + B) % self.n
+
+    def inverse(self, X):
+        """Entrywise negatives mod n."""
+        return -X % self.n
 
     def keys(self, X):
         """The residues themselves."""
@@ -536,19 +543,26 @@ def spectral_report(ops, gens, *, l_max=50, adjoin_identity=True):
 
 def inverse_pair_classes(ops, elements):
     """The {x, x^-1} classes with the identity dropped — the atoms every
-    symmetric subset is a union of."""
-    ekey = ops.key(ops.identity())
-    seen = set()
+    symmetric subset is a union of — in order of each class's first element
+    in `elements`.  The inverses are one `inverse` of the elements' stack,
+    and the keys of both stacks pair the classes; x^-1 is the element of
+    `elements` with its key where there is one."""
+    X = ops.stack(elements)
+    inverses = ops.inverse(X)
+    keys, ikeys = ops.keys(X).tolist(), ops.keys(inverses).tolist()
+    at = dict(zip(keys, range(len(keys))))
+    seen = set(ops.keys(ops.identity_stack()).tolist())
     classes = []
-    for x in elements:
-        k = ops.key(x)
-        if k == ekey or k in seen:
+    for i, (x, k, ki) in enumerate(zip(elements, keys, ikeys)):
+        if k in seen:
             continue
-        xi = ops.inv(x)
-        ki = ops.key(xi)
-        seen.add(k)
-        seen.add(ki)
-        classes.append((x,) if ki == k else (x, xi))
+        seen.update((k, ki))
+        if ki == k:
+            classes.append((x,))
+        else:
+            xi = (elements[at[ki]] if ki in at
+                  else ops.unstack(inverses[i : i + 1])[0])
+            classes.append((x, xi))
     return classes
 
 
@@ -568,12 +582,13 @@ def _union_eccentricities(cperms, n, root, masks):
     """One BFS from `root` for every union of permutation classes in `masks`
     (bit i selects cperms[i]), laid out as the multi-source traversal of
     Then et al. (PVLDB 8(4), 2014): bit j of reach[v, k] says that union
-    64k + j has reached vertex v.  A level gathers `reach` by every class
-    row, ORs the rows of each class, ANDs each class with the words of the
-    unions that hold it, and ORs over the classes and the old `reach`.  A
-    union's eccentricity is the first level at which every vertex has its
-    bit.  The unions run sorted by class count, so slow ones (few classes)
-    share words, SWEEP_BLOCK of them at a time; a word leaves the loop once
+    64k + j has reached vertex v.  A level gathers `reach` by every
+    permutation row, ANDs each row with the words of the unions that hold
+    its class, and ORs over all rows and the old `reach`.  A union's
+    eccentricity is the first level at which every vertex has its bit.  The
+    unions run sorted by class count, so slow ones (few classes) share
+    words, in blocks of as many words as keep a level's gather (rows x n x
+    words x 8 bytes) within SWEEP_BLOCK_BYTES; a word leaves the loop once
     none of its unions is still growing.  Returns the root's eccentricity
     per mask (the diameter: the graph is vertex-transitive), -1 where the
     union does not reach all n vertices."""
@@ -581,22 +596,24 @@ def _union_eccentricities(cperms, n, root, masks):
     if n == 1:
         return out
     c = len(cperms)
-    starts = np.cumsum([0] + [len(P) for P in cperms[:-1]])
+    rows = np.concatenate(cperms)
+    cls = np.repeat(np.arange(c), [len(P) for P in cperms])  # row -> class
     # reach[v] takes reach[pi^-1(v)]: pulling by the inverse rows pushes
     # every union along its permutations
-    pull = np.argsort(np.concatenate(cperms), axis=1).ravel()
+    pull = np.argsort(rows, axis=1).ravel()
     count = np.zeros(1, dtype=np.uint8)  # count[m]: the classes in union m
     for _ in range(c):
         count = np.concatenate([count, count + 1])
     order = np.argsort(count[masks], kind="stable")
-    for lo in range(0, len(masks), SWEEP_BLOCK):
-        block = order[lo : lo + SWEEP_BLOCK]
+    span = 64 * max(1, SWEEP_BLOCK_BYTES // (len(rows) * n * 8))
+    for lo in range(0, len(masks), span):
+        block = order[lo : lo + span]
         held = np.zeros((c, -(-len(block) // 64) * 64), dtype=np.uint8)
         np.right_shift(masks[block], np.arange(c)[:, None],
                        out=held[:, : len(block)], casting="unsafe")
         held &= 1
         words = np.packbits(held, axis=1, bitorder="little").view("<u8")
-        words = words[:, None]  # (class, 1, word)
+        words = words[cls, None]  # (row, 1, word)
         cols = np.arange(words.shape[-1])
         reach = np.zeros((n, len(cols)), dtype=np.uint64)
         reach[root] = ~np.uint64(0)
@@ -605,7 +622,6 @@ def _union_eccentricities(cperms, n, root, masks):
         while len(cols):
             level += 1
             nbr = reach.take(pull, axis=0).reshape(-1, n, len(cols))
-            nbr = np.bitwise_or.reduceat(nbr, starts, axis=0)
             nbr &= words
             grown = np.bitwise_or.reduce(nbr, axis=0)
             grown |= reach
@@ -644,11 +660,12 @@ def _generating_unions(ops, elems, factor):
     monotonicity_exhaustive and extension_bound_check: the inverse-pair
     classes of `elems`, then the ascending masks of every union of classes
     that generates (bit i selects classes[i]) and each one's diameter.  The
-    class permutations are one left `_bfs.bfs` table (InvariantViolated
-    unless `elems` is a subgroup); every union runs through the one
-    multi-source BFS of `_union_eccentricities`, one bit per union at each
-    vertex.  `elems` comes from
-    `_sweep_corpus`, within SWEEP_ELEMENT_CAP; the subset count is the
+    classes come from one stack inverse (`inverse_pair_classes`), the class
+    permutations from one left `_bfs.bfs` table (InvariantViolated unless
+    `elems` is a subgroup); every union runs through the one multi-source
+    BFS of `_union_eccentricities`, one bit per union at each vertex, in
+    blocks whose level gathers stay within SWEEP_BLOCK_BYTES.  `elems` comes
+    from `_sweep_corpus`, within SWEEP_ELEMENT_CAP; the subset count is the
     hard wall: BudgetExceeded once 2^classes * |G| * factor * classes
     leaves SWEEP_WORK_CAP."""
     n = len(elems)
@@ -722,25 +739,28 @@ def monotonicity_exhaustive(G_ops, Q_ops, proj):
     quotient's whole left-multiplication table is one `_bfs.bfs`.  pi(S)
     depends only on the quotient elements that S's classes project onto, so
     each class of G becomes the bit of its image (none for the identity,
-    which moves no vertex), each S the OR of its classes' bits, and only the
+    which moves no vertex), each S the OR of its classes' bits (one table
+    over all unions, doubled class by class), and only the
     distinct images of the generating sets run through the multi-source BFS
-    over the quotient (at most 15 for Z/27 -> Z/9 against 8,176 sets)."""
+    over the quotient (at most 15 for Z/27 -> Z/9 against 8,176 sets).  The
+    identity and every class's projections are found in the quotient's
+    enumeration by one `_bfs.positions` lookup (InvariantViolated where a
+    projection is missing from it)."""
     classes, bits, dG = _generating_unions(G_ops, _sweep_corpus(G_ops), 4)
     qbatch = Q_ops.stack(all_elements(Q_ops))
     table = _bfs.bfs(Q_ops, qbatch, len(qbatch), left=True).perms
-    one = _bfs.positions(Q_ops, qbatch, Q_ops.identity_stack())[0]
+    at = _bfs.positions(Q_ops, qbatch, Q_ops.stack(
+        [Q_ops.identity()] + [proj(x) for cls in classes for x in cls]))
+    one = int(at[0])
     images = {}  # the quotient elements of an image -> its bit position
-    qbits = np.zeros_like(bits)
-    for i, cls in enumerate(classes):
-        hit = np.unique(_bfs.positions(Q_ops, qbatch,
-                                       Q_ops.stack([proj(x) for x in cls])))
-        hit = tuple(hit[hit != one].tolist())
-        if hit:
-            bit = 1 << images.setdefault(hit, len(images))
-            qbits |= np.where(bits >> i & 1, bit, 0)
+    image = np.zeros(1, dtype=np.int64)  # image[m]: OR of m's class bits
+    for hit in np.split(at[1:], np.cumsum([len(cls) for cls in classes[:-1]])):
+        hit = tuple(sorted(set(hit.tolist()) - {one}))
+        bit = 1 << images.setdefault(hit, len(images)) if hit else 0
+        image = np.concatenate([image, image | bit])
     if len(qbatch) > 1 and not images:
         raise NotGenerating("projected set does not generate the quotient")
-    unions, inverse = np.unique(qbits, return_inverse=True)
+    unions, inverse = np.unique(image[bits], return_inverse=True)
     dQ = _union_eccentricities([table[list(hit)] for hit in images],
                                len(qbatch), 0, unions)[inverse]
     if (dQ < 0).any():

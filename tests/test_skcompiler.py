@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosk import _bfs, matgroups, nottingham, rings, skcompiler
+from prosk import _bfs, matgroups, nottingham, skcompiler
 from prosk.errors import InvariantViolated, NotGenerating, UsageError
 from prosk.matgroups import GroupDescriptor, element, ops_for
 from prosk.skcompiler import (
@@ -248,7 +248,7 @@ def test_matrix_compile_makes_no_scalar_products(monkeypatch, text):
     # the ladder's residuals g eval(w)^-1 run inside the product tree, with
     # g heading it, so a whole compile multiplies no two single elements;
     # and every element op reads the element's array, so no payload matrix
-    # is derived and no payload entry reduced
+    # is derived
     desc = GroupDescriptor.parse(text)
     ops = ops_for(desc)
     gens = sample_generating_set(desc, 3, 100)
@@ -259,7 +259,6 @@ def test_matrix_compile_makes_no_scalar_products(monkeypatch, text):
     calls = []
     real_mul = matgroups.MatrixOps.mul
     real_mat = matgroups.FilteredElement.mat
-    real_reduce = rings.Ring.reduce_level
 
     def counted_mul(self, a, b):
         calls.append("mul")
@@ -269,13 +268,8 @@ def test_matrix_compile_makes_no_scalar_products(monkeypatch, text):
         calls.append("mat")
         return real_mat.__get__(self)
 
-    def counted_reduce(self, a, m):
-        calls.append("reduce_level")
-        return real_reduce(self, a, m)
-
     monkeypatch.setattr(matgroups.MatrixOps, "mul", counted_mul)
     monkeypatch.setattr(matgroups.FilteredElement, "mat", property(counted_mat))
-    monkeypatch.setattr(rings.Ring, "reduce_level", counted_reduce)
     N = desc.ring.N
     word, cert = sess.compile(target, N)
     assert cert.residual_depth >= N and len(word) > 100

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -320,18 +321,68 @@ def _reference_monotonicity(G, Q, proj):
             "worst_case_Q": wcQ, "worst_case_ok": wcQ <= wcG}
 
 
-def test_bitset_sweep_matches_index_bfs():
+def _sweep_corpora():
+    """(label, ops, elements) for the sweeps checked against the index BFS."""
     nott = ops_for(GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=3"))
     cases = [(f"Z/{n}", CyclicOps(n), None) for n in range(2, 33)] + [
         ("SL2(F_3)", ops_for(SL2_F3), None),
         ("N(F_5)/K_3", nott, None),
         ("Z/8 kernel", CyclicOps(8), [0, 2, 4, 6]),
     ]
-    for label, ops, elems in cases:
-        elems = spectral.all_elements(ops) if elems is None else elems
+    return [(label, ops, spectral.all_elements(ops) if elems is None
+             else elems) for label, ops, elems in cases]
+
+
+def test_bitset_sweep_matches_index_bfs():
+    for label, ops, elems in _sweep_corpora():
         _, bits, diam = spectral._generating_unions(ops, elems, 2)
         got = list(zip(bits.tolist(), diam.tolist()))
         assert got == _reference_unions(ops, elems), label
+
+
+def _loop_pair_classes(ops, elements):
+    """Reference: the inverse-pair classes paired element by element with
+    ops.key and ops.inv."""
+    ekey = ops.key(ops.identity())
+    seen = set()
+    classes = []
+    for x in elements:
+        k = ops.key(x)
+        if k == ekey or k in seen:
+            continue
+        xi = ops.inv(x)
+        ki = ops.key(xi)
+        seen.add(k)
+        seen.add(ki)
+        classes.append((x,) if ki == k else (x, xi))
+    return classes
+
+
+def test_inverse_pair_classes_match_the_element_loop():
+    # the same classes in the same order with the same representatives; in
+    # the last corpus the inverses of 1 and 2 lie outside the elements
+    so3 = ops_for(GroupDescriptor.parse("SO:d=3,Zp:p=3,N=1"))
+    for label, ops, elems in _sweep_corpora() + [
+            ("SO3(F_3)", so3, spectral.all_elements(so3)),
+            ("Z/12 non-subgroup", CyclicOps(12), [0, 1, 2, 1])]:
+        got = spectral.inverse_pair_classes(ops, elems)
+        want = _loop_pair_classes(ops, elems)
+        assert [[ops.serialize(x) for x in cls] for cls in got] == \
+            [[ops.serialize(x) for x in cls] for cls in want], label
+
+
+@pytest.mark.parametrize("text", [
+    "SL:d=2,Zp:p=3,N=1", "SL:d=2,Zp:p=3,N=3", "SO:d=3,Zp:p=3,N=1",
+    "SL:d=2,Zp:p=3,N=40", "SL:d=2,Fq[[t]]:q=5,N=2",
+    "Nottingham,Fq[[t]]:q=5,N=3", "Nottingham,Fq[[t]]:q=9,N=5", "cyclic"])
+def test_stack_inverse_matches_inv(text):
+    ops = CyclicOps(12) if text == "cyclic" else \
+        ops_for(GroupDescriptor.parse(text))
+    rng = np.random.default_rng(23)
+    elems = [ops.identity()] + [ops.sample_uniform(rng) for _ in range(12)]
+    got = ops.unstack(ops.inverse(ops.stack(elems)))
+    assert [ops.serialize(x) for x in got] == \
+        [ops.serialize(ops.inv(x)) for x in elems]
 
 
 def test_bitset_sweep_on_a_full_word():
@@ -342,25 +393,35 @@ def test_bitset_sweep_on_a_full_word():
     assert got.tolist() == [32]
 
 
-def test_union_eccentricities_match_index_bfs():
-    # (n, classes of shifts, masks): 255 unions on 64 vertices, a count
-    # that is no multiple of 64; a sparse, strided mask view as on the
-    # quotient side of monotonicity_exhaustive; one-row classes (the
-    # involution 32, the directed +1 cycle); and classes inside <2>, where
-    # no union generates
+def _shift_rows(n, classes):
+    """One (rows, n) permutation array per class of shifts v -> v + s."""
+    return [np.stack([(np.arange(n) + s) % n for s in cls]) for cls in classes]
+
+
+def _union_cases():
+    """(n, classes of shifts, masks): 255 unions on 64 vertices, a count
+    that is no multiple of 64; a sparse, strided mask view as on the
+    quotient side of monotonicity_exhaustive; one-row classes (the
+    involution 32, the directed +1 cycle); whole words of unions that stop
+    growing in {0, 32} and in <16>, which leave the loop before the words
+    of slower unions that sort after them; and classes inside <2>, where
+    no union generates."""
     sparse = np.arange(1, 2**7, dtype=np.int64)[[3, 9, 10, 40, 77, 126]]
-    cases = [
+    return [
         (64, [(1, 63), (8, 56), (32,), (5, 59), (24, 40), (2, 62), (3, 61),
               (16, 48)], np.arange(1, 2**8, dtype=np.int64)),
         (21, [(1, 20), (3, 18), (7, 14), (2, 19), (6, 15), (9, 12),
               (4, 17)], np.repeat(sparse, 2)[::2]),
         (30, [(15,), (1,), (10, 20), (6, 24)],
          np.arange(1, 2**4, dtype=np.int64)),
+        (64, [(32,), (16, 48), (1, 63)], np.repeat([1, 2, 4, 7], 64)),
         (8, [(2, 6), (4,)], np.arange(1, 4, dtype=np.int64)),
     ]
-    for n, classes, masks in cases:
-        rows = [np.stack([(np.arange(n) + s) % n for s in cls])
-                for cls in classes]  # v -> v + s (mod n)
+
+
+def _check_union_cases():
+    for n, classes, masks in _union_cases():
+        rows = _shift_rows(n, classes)
         want = []
         for m in masks.tolist():
             dist = _index_bfs([r for i, cls in enumerate(rows) if m >> i & 1
@@ -369,6 +430,56 @@ def test_union_eccentricities_match_index_bfs():
         got = spectral._union_eccentricities(rows, n, 0, masks)
         assert got.tolist() == want, (n, classes)
     assert set(want) == {-1}
+
+
+def test_union_eccentricities_match_index_bfs():
+    _check_union_cases()
+
+
+@pytest.mark.parametrize("words", [1, 3])
+def test_union_eccentricities_across_block_boundaries(monkeypatch, words):
+    # a byte budget of `words` words per block: a case of more words runs
+    # in several blocks, the 255 unions on 64 vertices end in a partial
+    # word, and with 3 words a block's words leave the loop at different
+    # levels
+    real = spectral._union_eccentricities
+
+    def budgeted(cperms, n, root, masks):
+        rows = sum(len(P) for P in cperms)
+        monkeypatch.setattr(spectral, "SWEEP_BLOCK_BYTES",
+                            rows * n * 8 * words)
+        return real(cperms, n, root, masks)
+
+    monkeypatch.setattr(spectral, "_union_eccentricities", budgeted)
+    _check_union_cases()
+    ops = CyclicOps(27)
+    elems = spectral.all_elements(ops)
+    _, bits, diam = spectral._generating_unions(ops, elems, 2)
+    assert list(zip(bits.tolist(), diam.tolist())) == \
+        _reference_unions(ops, elems)
+
+
+@pytest.mark.parametrize("n, classes", [
+    (19, [(s,) for s in range(1, 19)]),  # 2^18 - 1 unions of one-row classes
+    (64, [(s, 64 - s) for s in range(1, 17)]),  # 64 vertices, 32 rows
+])
+def test_union_eccentricities_stay_within_the_block_budget(n, classes):
+    # the largest shapes SWEEP_WORK_CAP admits at the sweeps' least factor
+    # (2), a group of n elements holding at most n - 1 classes; besides one
+    # level's gather, the peak holds only per-union arrays (the masks, their
+    # order and counts, the output), charged 32 bytes per union
+    c = len(classes)
+    assert 2**c * n * 2 * c <= spectral.SWEEP_WORK_CAP
+    rows = _shift_rows(n, classes)
+    masks = np.arange(1, 2**c, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = spectral._union_eccentricities(rows, n, 0, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[-1] >= 0
+    assert peak <= spectral.SWEEP_BLOCK_BYTES + 4 * masks.nbytes, peak
 
 
 def test_monotonicity_matches_index_bfs():
@@ -382,6 +493,12 @@ def test_monotonicity_matches_index_bfs():
     assert monotonicity_exhaustive(*fold)["violations"]
     with pytest.raises(NotGenerating, match="projected set"):
         monotonicity_exhaustive(CyclicOps(4), CyclicOps(2), lambda x: 0)
+
+
+def test_monotonicity_needs_every_projection_in_the_quotient():
+    # Z/27's residues projected unreduced: 9..26 are no element of Z/9
+    with pytest.raises(InvariantViolated, match="missing"):
+        monotonicity_exhaustive(CyclicOps(27), CyclicOps(9), lambda x: x)
 
 
 def test_monotonicity_runs_one_quotient_bfs_per_image(monkeypatch):
