@@ -118,7 +118,7 @@ class LieAlgebra:
         for name, value in coords.items():
             if name not in self._index:
                 raise AlgebraMismatch(f"{name} is not a basis name of {self.describe()}")
-            pay = value.payload if hasattr(value, "payload") else ring.from_int(value) if isinstance(value, int) else value
+            pay = ring.from_int(value) if isinstance(value, int) else value
             if pay != ring.zero:
                 clean[name] = pay
         return LieVector(self, clean)
@@ -226,9 +226,8 @@ class LieVector:
 
     def scale(self, c):
         ring = self.algebra.ring
-        pay = c.payload if hasattr(c, "payload") else c
         return LieVector(
-            self.algebra, {k: ring.mul(pay, v) for k, v in self.coords.items()}
+            self.algebra, {k: ring.mul(c, v) for k, v in self.coords.items()}
         )
 
     def _chk(self, other):
@@ -705,10 +704,9 @@ class _Plan:
             self.mod = ring.modulus
             wide = d * d * (self.mod - 1) ** 2 >= 2**63
             self.dtype = object if wide else np.int64
-            self._digits = None
+            self._ctx = None
         else:
-            self.mod, self.dtype = ring.p, np.int64
-            self._digits = ring.p ** np.arange(ring.field.k)
+            self.mod, self.dtype, self._ctx = ring.p, np.int64, ring.ctx
 
         def ints(values):
             return np.array([_coefficient(ring, x) for x in values],
@@ -736,19 +734,17 @@ class _Plan:
         """The (z, dim) planes of the coordinates of the LieVector X."""
         payloads = [X.coords.get(name, X.algebra.ring.zero)
                     for name in self.names]
-        if self._digits is None:
+        if self._ctx is None:
             return np.array([payloads], dtype=self.dtype)
-        codes = np.array(payloads, dtype=np.int64)  # (dim, N)
-        digits = codes[..., None] // self._digits % self.mod
-        return digits.reshape(len(payloads), -1).T
+        return self._ctx.digits(payloads).reshape(len(payloads), -1).T
 
     def vector(self, c):
         """The LieVector of the (z, dim) coordinate planes c."""
-        if self._digits is None:
+        if self._ctx is None:
             payloads = c[0].tolist()
         else:
-            codes = c.T.reshape(len(self.names), -1, len(self._digits))
-            payloads = [tuple(row) for row in (codes @ self._digits).tolist()]
+            digits = c.T.reshape(len(self.names), -1, self._ctx.k)
+            payloads = [tuple(row) for row in self._ctx.codes(digits).tolist()]
         return LieVector(self.alg, dict(zip(self.names, payloads)))
 
     def coordinates(self, X, n):
@@ -757,7 +753,7 @@ class _Plan:
         one X in `matgroups.MatrixOps`' layout, whose planes over F_q[[t]]
         are already digits."""
         ring, d = self.alg.ring, self.alg.d
-        if self._digits is None:
+        if self._ctx is None:
             flat = (X[0] - np.eye(d, dtype=np.int64)) % self.mod // ring.p**n
             return flat.reshape(1, -1).astype(self.dtype) @ self.lin % self.mod
         G = X[0].copy()
@@ -786,7 +782,7 @@ class _Plan:
         """The (K, z, dim) planes P as `_lift_stack`'s coordinate stack for
         the group facade `ops`: (K, dim) residues in its dtype, or
         (K, dim, k, N) planes, the rows t * k + r of `planes` regrouped."""
-        if self._digits is None:
+        if self._ctx is None:
             return P[:, 0].astype(ops.eye.dtype, copy=False)
         K, dim = len(P), len(self.names)
         return P.reshape(K, self.alg.ring.N, -1, dim).transpose(0, 3, 2, 1)

@@ -441,8 +441,11 @@ def sample_uniform(desc, rng):
             dt = ops1.det(X1)
             if dt.any():
                 break
-        # scale row 1 by det^-1: pushes uniform GL to uniform SL
-        X1 = ops1.product(ops1.inverse(_first_diag(ops1, dt)), X1)
+        # scale row 1 by det^-1, one residue field inverse: pushes uniform
+        # GL to uniform SL
+        codes = dt if ring.kind == "Zp" else ops1.ctx.codes_from_planes(dt)
+        dt = _entries(ops1, ring.field.inv_table[codes])
+        X1 = ops1.product(_first_diag(ops1, dt), X1)
         g = FilteredElement(desc, section_lift(desc, X1))
     elif desc.family in ("SO", "Sp"):
         # product of two Cayley transforms: each covers the no-(-1)-eigenvalue

@@ -2,12 +2,13 @@
 F_q[t]/(t^N) (descriptor "Fq[[t]]:q=9,N=40").
 
 Elements carry exact payloads: an int in [0, p^N) for Zp, a length-N tuple
-of F_q element codes for the series ring.  The valuation of a nonzero
-element is the number of uniformizer factors; the zero element reports N.
-F_q for prime powers is realized as F_p[x]/(m(x)) with m the
-lexicographically smallest monic irreducible (coefficients compared from
-the constant term up); element codes are base-p digit packings of the
-polynomial coefficients.
+of F_q element codes for the series ring, whose products and inverses run
+on `nottingham.SeriesContext`, the series engine of the F_q[[t]] groups.
+The valuation of a nonzero element is the number of uniformizer factors;
+the zero element reports N.  F_q for prime powers is realized as
+F_p[x]/(m(x)) with m the lexicographically smallest monic irreducible
+(coefficients compared from the constant term up); element codes are
+base-p digit packings of the polynomial coefficients.
 """
 
 from __future__ import annotations
@@ -181,7 +182,9 @@ class Ring:
     """A truncated local ring together with payload-level arithmetic.
 
     kind "Zp": payloads are ints mod p^N, uniformizer p.
-    kind "FqT": payloads are length-N tuples of F_q codes, uniformizer t.
+    kind "FqT": payloads are length-N tuples of F_q codes, uniformizer t;
+    products and inverses convert them to the (k, N) planes of `ctx`, the
+    `nottingham.SeriesContext` of (q, N), and back.
     """
 
     def __init__(self, kind, p, q, N):
@@ -194,9 +197,12 @@ class Ring:
         if kind == "Zp":
             self.modulus = p**N
             self.field = get_field(p)
-        elif kind == "FqT":
+        elif kind == "FqT":  # the series arithmetic of the payloads
+            from .nottingham import series_context
+
             self.field = get_field(q)
             self.p = self.field.p
+            self.ctx = series_context(q, N)
         else:
             raise UsageError(f"unknown ring kind {kind!r}")
 
@@ -287,17 +293,8 @@ class Ring:
     def mul(self, a, b):
         if self.kind == "Zp":
             return (a * b) % self.modulus
-        F = self.field
-        N = self.N
-        out = [0] * N
-        for i, ai in enumerate(a):
-            if ai:
-                row = F.mul_table[ai]
-                for j in range(N - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] = F.add(out[i + j], int(row[bj]))
-        return tuple(out)
+        P = self.ctx.planes_from_codes
+        return self._payload(self.ctx.mul(P(a), P(b)))
 
     def is_unit(self, a):
         if self.kind == "Zp":
@@ -305,24 +302,25 @@ class Ring:
         return a[0] != 0
 
     def inv(self, a):
+        """Over F_q[[t]], Newton's y <- y (2 - a y) from the constant term's
+        field inverse: each step doubles the t-adic precision, so
+        ceil(log2 N) steps reach t^N (Brent & Kung 1978)."""
         if self.kind == "Zp":
             if a % self.p == 0:
                 raise NotAUnit(f"{a} is not a unit in {self.describe()}")
             return pow(a, -1, self.modulus)
         if a[0] == 0:
             raise NotAUnit(f"series with zero constant term in {self.describe()}")
-        F = self.field
-        N = self.N
-        b = [0] * N
-        c0 = F.inv(a[0])
-        b[0] = c0
-        for n in range(1, N):
-            acc = 0
-            for i in range(1, n + 1):
-                if a[i] and b[n - i]:
-                    acc = F.add(acc, F.mul(a[i], b[n - i]))
-            b[n] = F.mul(F.neg(c0), acc)
-        return tuple(b)
+        P = self.ctx.planes_from_codes
+        A, two = P(a), P(self.from_int(2))
+        Y = P(self.from_code(self.field.inv(a[0])))
+        for _ in range((self.N - 1).bit_length()):
+            Y = self.ctx.mul(Y, two - self.ctx.mul(A, Y))
+        return self._payload(Y)
+
+    def _payload(self, planes):
+        """The payload of (k, N) planes of `ctx`."""
+        return tuple(self.ctx.codes_from_planes(planes).tolist())
 
     def val(self, a):
         """Uniformizer-adic valuation, N for the zero payload."""
@@ -410,35 +408,6 @@ class RingElem:
 
     def __setattr__(self, *a):
         raise AttributeError("RingElem is immutable")
-
-    def _chk(self, other):
-        if not isinstance(other, RingElem) or other.ring != self.ring:
-            raise DescriptorMismatch("mixed-ring arithmetic")
-
-    def __add__(self, other):
-        self._chk(other)
-        return RingElem(self.ring, self.ring.add(self.payload, other.payload))
-
-    def __sub__(self, other):
-        self._chk(other)
-        return RingElem(self.ring, self.ring.sub(self.payload, other.payload))
-
-    def __mul__(self, other):
-        self._chk(other)
-        return RingElem(self.ring, self.ring.mul(self.payload, other.payload))
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.payload))
-
-    def inv(self):
-        return RingElem(self.ring, self.ring.inv(self.payload))
-
-    def valuation(self):
-        return self.ring.val(self.payload)
-
-    @property
-    def is_unit(self):
-        return self.ring.is_unit(self.payload)
 
     def __eq__(self, other):
         return (

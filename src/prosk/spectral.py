@@ -79,7 +79,8 @@ CONTRAST_ORDER_CAP = 200_000  # cyclic contrast levels stop past this order
 class CyclicOps(BatchOps):
     """Additive Z/nZ behind the same duck-typed surface as the quotient
     facades.  `p` marks a Z/p^e instance so digit coordinates make sense.
-    Stacks are int64 vectors of residues, which are their own keys."""
+    Stacks are int64 vectors of residues.  A residue is its own key on both
+    surfaces, as given: every op returns reduced residues."""
 
     def __init__(self, n, p=None):
         if n < 1:
@@ -98,7 +99,7 @@ class CyclicOps(BatchOps):
         return (-a) % self.n
 
     def key(self, a, level=None):
-        return a % self.n
+        return a
 
     def group_order(self):
         return self.n

@@ -27,6 +27,17 @@ def test_verify_rings_ok(capsys):
     assert any("valuation" in n for n in names)
 
 
+def test_verify_rings_at_large_series_truncation(capsys):
+    # the ring laws of the series engine the F_q[[t]] groups run, at N = 40
+    rc, out = run(capsys, "verify", "--suite", "rings", "--ring",
+                  "Fq[[t]]:q=25,N=40", "--scale", "0.2", "--seed", "0")
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["config"]["ring"] == "Fq[[t]]:q=25,N=40"
+    props = rep["report"]["suites"][0]["properties"]
+    assert props and all(p["checked"] and not p["failed"] for p in props)
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     rc = main(["verify", "--suite", "nope", "--seed", "1"])
     assert rc == 2

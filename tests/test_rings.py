@@ -11,8 +11,9 @@ F9T = Ring("FqT", 0, 9, 5)
 
 
 # --- oracles -----------------------------------------------------------------
-# Zp arithmetic must agree with plain Python ints mod p^N; FqT with numpy
-# polynomial convolution mod (p, t^N).
+# Zp arithmetic must agree with plain Python ints mod p^N; FqT with a
+# schoolbook product over the field tables (numpy convolution mod (p, t^N)
+# at q = p), independent of the series engine it runs on.
 
 
 @given(st.integers(0, 3**6 - 1), st.integers(0, 3**6 - 1))
@@ -22,13 +23,25 @@ def test_zp_matches_int_arithmetic(a, b):
     assert Z36.neg(a) == (-a) % 3**6
 
 
-@given(st.lists(st.integers(0, 4), min_size=8, max_size=8),
-       st.lists(st.integers(0, 4), min_size=8, max_size=8))
-def test_fqt_mul_matches_polymul(a, b):
-    got = F5T.mul(tuple(a), tuple(b))
-    full = np.convolve(a, b) % 5
-    want = tuple(int(c) for c in full[:8])
-    assert got == want
+def _schoolbook(field, a, b):
+    """The truncated series product, one field table lookup per term."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] = int(field.add_table[out[i + j], field.mul_table[ai, b[j]]])
+    return tuple(out)
+
+
+@given(st.data())
+def test_fqt_mul_matches_polymul(data):
+    for q in (5, 9, 25, 27):
+        ring = Ring("FqT", 0, q, 8)
+        codes = st.lists(st.integers(0, q - 1), min_size=8, max_size=8)
+        a, b = tuple(data.draw(codes)), tuple(data.draw(codes))
+        got = ring.mul(a, b)
+        assert got == _schoolbook(ring.field, a, b)
+        if q == 5:
+            assert got == tuple(int(c) for c in np.convolve(a, b)[:8] % 5)
 
 
 def test_f9_modulus_is_x2_plus_1():
@@ -96,14 +109,30 @@ def test_units(ring):
         u = ring.rand_unit(rng)
         assert ring.is_unit(u)
         assert ring.mul(u, ring.inv(u)) == ring.one
-    with pytest.raises(NotAUnit):
-        ring.inv(ring.zero)
+    # the uniformizer's multiples: a zero constant term over F_q[[t]]
+    pi = ring.p if ring.kind == "Zp" else (0, 1) + (0,) * (ring.N - 2)
+    for a in [ring.zero] + [ring.mul(pi, ring.rand(rng)) for _ in range(20)]:
+        assert not ring.is_unit(a)
+        with pytest.raises(NotAUnit):
+            ring.inv(a)
+
+
+@pytest.mark.parametrize("q", [4, 9, 25])
+def test_series_inverse_at_every_newton_step_count(q):
+    # N = 2^s and 2^s + 1 are where ceil(log2 N) Newton steps change count
+    rng = np.random.default_rng(q)
+    for N in (1, 2, 3, 4, 5, 8, 9, 17, 40):
+        ring = Ring("FqT", 0, q, N)
+        for _ in range(5):
+            u = ring.rand_unit(rng)
+            assert ring.mul(u, ring.inv(u)) == ring.one
 
 
 # --- hensel lifting ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("ring", [Z36, Ring("Zp", 5, 5, 4), F5T, F9T])
+@pytest.mark.parametrize("ring", [Z36, Ring("Zp", 5, 5, 4), F5T, F9T,
+                                  Ring("FqT", 0, 25, 40)])
 def test_sqrt_of_squares(ring):
     rng = np.random.default_rng(5)
     for _ in range(60):

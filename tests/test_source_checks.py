@@ -155,3 +155,23 @@ def test_every_exception_class_is_used():
                 named.add(node.name)
     unused = [name for name in declared if name not in named]
     assert not unused, f"exception classes nothing else names: {unused}"
+
+
+def test_series_payloads_run_on_the_series_engine():
+    # SeriesContext.mul is the one series product: rings.Ring multiplies
+    # and inverts F_q[[t]] payloads on its series context and reads no
+    # field multiplication table, and a RingElem only pairs a ring with a
+    # payload
+    tree = ast.parse((SRC / "rings.py").read_text())
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    names = {node.attr if isinstance(node, ast.Attribute) else
+             node.id if isinstance(node, ast.Name) else node.name
+             for node in ast.walk(classes["Ring"])
+             if isinstance(node, (ast.Attribute, ast.Name, ast.alias))}
+    assert "series_context" in names
+    assert "mul_table" not in names
+    methods = {node.name for node in classes["RingElem"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert methods <= {"__init__", "__setattr__", "__eq__", "__hash__",
+                       "__repr__"}, methods

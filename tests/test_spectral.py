@@ -501,6 +501,13 @@ def test_monotonicity_needs_every_projection_in_the_quotient():
         monotonicity_exhaustive(CyclicOps(27), CyclicOps(9), lambda x: x)
 
 
+def test_cyclic_key_agrees_with_the_stack_keys():
+    # an element is its own key on both surfaces, reduced or not
+    ops = CyclicOps(12)
+    for x in (0, 1, 11, 12, 13, 25):
+        assert ops.key(x) == ops.keys(ops.stack([x]))[0] == x
+
+
 def test_monotonicity_runs_one_quotient_bfs_per_image(monkeypatch):
     # Z/6 -> Z/3: the classes {1, 5} and {2, 4} both project onto {1, 2},
     # and {3} onto the identity, so the 5 generating sets of Z/6 have one
