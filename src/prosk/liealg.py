@@ -1,6 +1,8 @@
 """Integral Lie algebras sl_d / so_d / sp_d over a truncated local ring,
 with constructive two- or three-bracket decompositions, exact lifts into
-congruence levels, and the depth-graded commutator oracle.
+congruence levels, and the depth-graded commutator oracle, whose pairs
+agree with their target mod K_min(2n+m, N): past the truncation the window
+clips at N.
 
 Basis conventions (1-indexed names used in serialized coordinates):
   sl_d: E_i_j (i != j, matrix unit) and D_j_{j+1} = E_jj - E_{j+1,j+1}.
@@ -37,7 +39,6 @@ from .errors import (
     BadLevelPair,
     InvariantViolated,
     NotDeepEnough,
-    OracleLevelRejected,
     PrecisionExceedsTruncation,
     TruncationTooShallow,
     UnsupportedCharacteristic,
@@ -1004,32 +1005,17 @@ def _project(alg, M):
 def commutator_decompose(r, n, m):
     """Depth-graded oracle: express r in K_{n+m} as a product of at most
     A commutators [g_k, h_k], g_k in K_n, h_k in K_m, agreeing with r
-    mod K_{2n+m}.
+    mod K_{2n+m}, clipped to K_N when 2n + m > N.
 
     Runs from the plan of r's algebra (`_plan`): the coordinates c of the
     projection X of (r - I) / pi^(n+m) into the algebra, the left members
     P_k = c D_k, checked exactly (sum_k [P_k, W_k] = X) and the nonzero
     ones lifted at level n in one call, and the plan's lift of W_k at level
     m, computed once per level."""
-    N = r.descriptor.ring.N
-    if not (1 <= n <= m <= 2 * n):
-        raise BadLevelPair(f"need 1 <= n <= m <= 2n, got ({n}, {m})")
-    if m + 2 * n > N:
-        raise OracleLevelRejected(f"m + 2n = {m + 2 * n} exceeds N = {N}")
-    return _commutator_decompose_capped(r, n, m)
-
-
-def _commutator_decompose_capped(r, n, m):
-    """`commutator_decompose` without its m + 2n <= N check: past it, the
-    pairs agree with r mod K_N, which needs 2(n+m) >= N."""
     desc = r.descriptor
     N = desc.ring.N
     if not (1 <= n <= m <= 2 * n):
         raise BadLevelPair(f"need 1 <= n <= m <= 2n, got ({n}, {m})")
-    if m + 2 * n > N and 2 * (n + m) < N:
-        raise OracleLevelRejected(
-            "capped oracle needs 2(n+m) >= N when 2n+m overshoots"
-        )
     if desc.family == "SL" and desc.d == 2 and desc.ring.p == 2:
         raise UnsupportedCharacteristic("SL_2 oracle needs odd p")
     eff = min(n + m, N)

@@ -5,7 +5,8 @@ Elements satisfy the defining equations exactly at the working truncation
 (det 1, M^T M = I, M^T Omega M = Omega), which `MatrixOps.is_member` checks
 on a stack.  Each holds its matrix as one read-only array in `MatrixOps`'
 stack layout, and every op on it, membership, section lifts, the Lie
-lifts (`liealg._lift_stack`) and sampling included, is a stack op.
+lifts (`liealg._lift_stack`) and sampling included, is a stack op; the
+element ops (identity, mul, inv, commutator) are `MatrixOps` methods.
 Payload matrices (tuples of ring payloads, see rings.Ring) are the input
 format only: they enter through `element` (payloads in general through
 `_entries`), and `FilteredElement.mat` derives one back.  K_n is the
@@ -188,10 +189,6 @@ def _payload_matrix(desc, X):
     return tuple(tuple(map(tuple, row)) for row in rows)
 
 
-def identity(desc):
-    return FilteredElement(desc, _matrix_ops(desc).eye)
-
-
 def element(desc, rows):
     ring = desc.ring
     d = desc.d
@@ -204,31 +201,6 @@ def element(desc, rows):
             f"matrix fails the defining equations of {desc.describe()}"
         )
     return FilteredElement(desc, X)
-
-
-def _chk_pair(a, b):
-    if a.descriptor != b.descriptor:
-        raise DescriptorMismatch("elements live in different groups")
-
-
-def mul(a, b):
-    _chk_pair(a, b)
-    ops = _matrix_ops(a.descriptor)
-    return FilteredElement(a.descriptor, ops.product(a.stack, b.stack))
-
-
-def inv(a):
-    return FilteredElement(a.descriptor,
-                           _matrix_ops(a.descriptor).inverse(a.stack))
-
-
-def commutator(a, b):
-    """a^-1 b^-1 a b: one stacked inverse and one product tree."""
-    _chk_pair(a, b)
-    ops = _matrix_ops(a.descriptor)
-    X = np.concatenate([a.stack, b.stack])
-    return FilteredElement(a.descriptor,
-                           ops.tree_product(np.concatenate([ops.inverse(X), X])))
 
 
 def project(a, m):
@@ -417,7 +389,7 @@ def sample_kernel(desc, n, rng):
     if not 1 <= n <= ring.N:
         raise LevelTooLarge(f"kernel level {n} out of range")
     if n == ring.N:
-        return identity(desc)
+        return ops.identity()
     codes = np.array([[int(rng.integers(0, ring.field.q)) for _ in range(dim)]
                       for _ in range(n, ring.N)])
     X = liealg._lift_stack(ops, _residue_coords(ops, codes),
@@ -431,8 +403,7 @@ def sample_uniform(desc, rng):
     SO3(F_3), 12,000 draws at seed 0 give chi^2 = 278 on 23 df (ROADMAP,
     "Uniform sampling for SO/Sp").  The kernel part is an exact uniform
     draw from K_1 for every family."""
-    ring = desc.ring
-    d = desc.d
+    ring, d, ops = desc.ring, desc.d, _matrix_ops(desc)
     if desc.family == "SL":
         desc1 = desc.truncated(1)
         ops1 = _matrix_ops(desc1)
@@ -450,11 +421,11 @@ def sample_uniform(desc, rng):
     elif desc.family in ("SO", "Sp"):
         # product of two Cayley transforms: each covers the no-(-1)-eigenvalue
         # part of the group, products of two reach everything
-        g = mul(_cayley_sample(desc, rng), _cayley_sample(desc, rng))
+        g = ops.mul(_cayley_sample(desc, rng), _cayley_sample(desc, rng))
     else:
         raise UsageError("sample_uniform is for matrix families")
     if ring.N > 1:
-        g = mul(g, sample_kernel(desc, 1, rng))
+        g = ops.mul(g, sample_kernel(desc, 1, rng))
     return g
 
 
@@ -517,6 +488,15 @@ class BatchOps:
     axis in a layout the facade picks; a subclass supplies `stack`,
     `unstack`, `product`, `inverse` and `keys`."""
 
+    def _own(self, x):
+        """x, checked to be an element of this facade's group: the same
+        descriptor object, or failing that an equal one."""
+        desc = self.descriptor
+        if x.descriptor is not desc and x.descriptor != desc:
+            raise DescriptorMismatch(f"an element of {x.descriptor.describe()}"
+                                     f" given to {desc.describe()}")
+        return x
+
     def identity_stack(self):
         """A stack of one element, the identity."""
         return self.stack([self.identity()])
@@ -567,7 +547,7 @@ class MatrixOps(BatchOps):
     entries are reduced mod `mod`: p^N over Z/p^N, p digitwise over
     F_q[[t]]."""
 
-    n0 = 1
+    n0 = 1  # a compile plan's default base depth: tables of G/K_(D n0)
 
     def __init__(self, desc):
         self.descriptor = desc
@@ -587,16 +567,21 @@ class MatrixOps(BatchOps):
         self.eye.setflags(write=False)
 
     def identity(self):
-        return identity(self.descriptor)
+        return FilteredElement(self.descriptor, self.eye)
 
     def mul(self, a, b):
-        return mul(a, b)
+        return FilteredElement(self.descriptor, self.product(
+            self._own(a).stack, self._own(b).stack))
 
     def inv(self, a):
-        return inv(a)
+        return FilteredElement(self.descriptor,
+                               self.inverse(self._own(a).stack))
 
     def commutator(self, a, b):
-        return commutator(a, b)
+        """a^-1 b^-1 a b: one stacked inverse and one product tree."""
+        X = self.stack([a, b])
+        return FilteredElement(self.descriptor, self.tree_product(
+            np.concatenate([self.inverse(X), X])))
 
     def depth(self, a):
         return a.depth()
@@ -614,15 +599,15 @@ class MatrixOps(BatchOps):
     def project(self, a, m):
         return project(a, m)
 
-    def oracle(self, r, n, m, capped=False):
+    def oracle(self, r, n, m):
+        """At most `pairs_bound()` pairs (g, h), g in K_n and h in K_m,
+        whose commutators multiply to r in K_(n+m) mod K_min(2n+m, N)."""
         from . import liealg
 
-        if capped:
-            return liealg._commutator_decompose_capped(r, n, m)
         return liealg.commutator_decompose(r, n, m)
 
     def oracle_admissible(self, n, m):
-        return self.n0 <= n <= m <= 2 * n
+        return 1 <= n <= m <= 2 * n
 
     def pairs_bound(self):
         return 2 if self.descriptor.family == "SL" else 3
@@ -650,7 +635,8 @@ class MatrixOps(BatchOps):
     def stack(self, elems):
         """The elements' stacks of one, concatenated: (B, d, d) residues
         over Z/p^N, (B, d, d, k, N) planes over F_q[[t]]."""
-        return np.concatenate([self.eye[:0], *(x.stack for x in elems)])
+        return np.concatenate([self.eye[:0],
+                               *(self._own(x).stack for x in elems)])
 
     def unstack(self, X):
         """The elements of the stack X, in order."""

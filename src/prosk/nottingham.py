@@ -10,6 +10,11 @@ arrays (..., k, L) of base-p digits, k the field degree, L = N + 1
 coefficients t^0..t^N (a_j has field code sum_r planes[r, j] p^r).  Kernels
 broadcast over leading batch axes.  Field codes enter through `from_codes`
 and leave through `NottElement.coeffs` or `NottinghamOps.entry_codes`.
+
+The element ops (identity, mul, inv, commutator) are `NottinghamOps`
+methods, as are the oracle's level rules (`oracle_admissible`: n <= m <= 2n
+and p not dividing m - n).  The oracle, `commutator_pairs`, agrees with its
+target mod K_min(2n+m, N): its window clips at the truncation.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import numpy as np
 
 from .errors import (
     BadLevelPair,
-    DescriptorMismatch,
     IndexOutOfRange,
     InvariantViolated,
     LevelTooLarge,
@@ -318,10 +322,6 @@ def from_codes(desc, codes):
     return NottElement(desc, planes)
 
 
-def identity(desc):
-    return NottElement(desc, _ctx_of(desc).t())
-
-
 def generator(desc, n, lam):
     """e_{n, lam} = t + lam t^(n+1)."""
     N = desc.ring.N
@@ -333,28 +333,6 @@ def generator(desc, n, lam):
     coeffs = [0] * (N - 1)
     coeffs[n - 1] = lam
     return from_codes(desc, coeffs)
-
-
-def mul(a, b):
-    """(a*b)(t) = b(a(t))."""
-    if a.descriptor != b.descriptor:
-        raise DescriptorMismatch("elements live in different groups")
-    ctx = _ctx_of(a.descriptor)
-    return _from_planes(a.descriptor, ctx.compose(b.planes, a.planes))
-
-
-def inv(a):
-    return _from_planes(a.descriptor, _ctx_of(a.descriptor).inverse(a.planes))
-
-
-def commutator(a, b):
-    """[a, b] = a^-1 b^-1 a b, computed as the C with C(b·a) = a·b."""
-    if a.descriptor != b.descriptor:
-        raise DescriptorMismatch("elements live in different groups")
-    ctx = _ctx_of(a.descriptor)
-    ab = ctx.compose(b.planes, a.planes)
-    ba = ctx.compose(a.planes, b.planes)
-    return _from_planes(a.descriptor, ctx.solve_right(ab, ba))
 
 
 def project(a, m):
@@ -384,10 +362,11 @@ def canonical_coordinates(f):
 
 
 def from_canonical(desc, gammas):
-    g = identity(desc)
+    ops = NottinghamOps(desc)
+    g = ops.identity()
     for n, c in enumerate(gammas, start=1):
         if c:
-            g = mul(g, generator(desc, n, c))
+            g = ops.mul(g, generator(desc, n, c))
     return g
 
 
@@ -427,18 +406,13 @@ def sample_kernel(desc, n, rng):
 # the commutator oracle
 
 
-def oracle_admissible(desc, n, m):
-    p = desc.ring.p
-    return (1 <= n <= m <= 2 * n and (m - n) % p != 0
-            and 2 * n + m <= desc.ring.N)
-
-
-def commutator_pairs(r, n, m, capped=False):
+def commutator_pairs(r, n, m):
     """Write r in K_{n+m} as [g1, e_{m,1}] * [g2, e_{m+1,1}] agreeing with r
-    mod K_{2n+m}; g1, g2 are products of at most n basic generators in K_n.
+    mod K_min(2n+m, N); g1, g2 are products of at most n basic generators
+    in K_n.
 
-    Level rules: n <= m <= 2n, the residue characteristic must not divide
-    m - n, and (public form) 2n + m <= N.
+    Level rules: n <= m <= 2n, and the residue characteristic must not
+    divide m - n.  Past the truncation the window clips at N.
     """
     desc = r.descriptor
     N = desc.ring.N
@@ -447,8 +421,6 @@ def commutator_pairs(r, n, m, capped=False):
         raise BadLevelPair(f"need 1 <= n <= m <= 2n, got ({n}, {m})")
     if (m - n) % p == 0:
         raise OracleLevelRejected(f"p = {p} divides m - n = {m - n}")
-    if not capped and 2 * n + m > N:
-        raise OracleLevelRejected(f"2n + m = {2 * n + m} exceeds N = {N}")
     if r.depth() < min(n + m, N):
         raise NotDeepEnough(f"oracle input depth {r.depth()} < {n + m}")
     if n + m >= N:
@@ -603,20 +575,30 @@ class NottinghamOps(BatchOps):
     """Uniform handle used by the compiler and the verifier.  Stacks are
     (B, k, L) coefficient planes."""
 
+    n0 = 3  # a compile plan's default base depth: tables of G/K_(D n0)
+
     def __init__(self, desc):
         self.descriptor = desc
 
     def identity(self):
-        return identity(self.descriptor)
+        return NottElement(self.descriptor, _ctx_of(self.descriptor).t())
 
     def mul(self, a, b):
-        return mul(a, b)
+        """(a*b)(t) = b(a(t))."""
+        ctx = _ctx_of(self.descriptor)
+        return _from_planes(self.descriptor, ctx.compose(
+            self._own(b).planes, self._own(a).planes))
 
     def inv(self, a):
-        return inv(a)
+        return _from_planes(self.descriptor, _ctx_of(self.descriptor).inverse(
+            self._own(a).planes))
 
     def commutator(self, a, b):
-        return commutator(a, b)
+        """[a, b] = a^-1 b^-1 a b, computed as the C with C(b·a) = a·b."""
+        ctx = _ctx_of(self.descriptor)
+        A, B = self._own(a).planes, self._own(b).planes
+        return _from_planes(self.descriptor, ctx.solve_right(
+            ctx.compose(B, A), ctx.compose(A, B)))
 
     def depth(self, a):
         return a.depth()
@@ -631,11 +613,13 @@ class NottinghamOps(BatchOps):
     def project(self, a, m):
         return project(a, m)
 
-    def oracle(self, r, n, m, capped=False):
-        return commutator_pairs(r, n, m, capped=capped)
+    def oracle(self, r, n, m):
+        """At most two pairs (g, h), g in K_n and h in K_m, whose
+        commutators multiply to r in K_(n+m) mod K_min(2n+m, N)."""
+        return commutator_pairs(r, n, m)
 
     def oracle_admissible(self, n, m):
-        return oracle_admissible(self.descriptor, n, m)
+        return 1 <= n <= m <= 2 * n and (m - n) % self.descriptor.ring.p != 0
 
     def pairs_bound(self):
         return 2
@@ -671,7 +655,7 @@ class NottinghamOps(BatchOps):
     def stack(self, elems):
         """The elements as (B, k, L) planes."""
         ctx = _ctx_of(self.descriptor)
-        return np.array([x.planes for x in elems],
+        return np.array([self._own(x).planes for x in elems],
                         dtype=np.int64).reshape(-1, ctx.k, ctx.L)
 
     def unstack(self, P):

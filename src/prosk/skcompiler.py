@@ -8,6 +8,12 @@ clipped to the request and the truncation), compile each commutator argument
 recursively at the accuracy the refinement law demands (b - m1 for the left
 entries, b - n1 for the right), and prepend.  Budgets are certified against
 the telescoping bound B^i * l0, never against observed lengths.
+
+The compiler holds no group rule: it sees a group through its facade
+(`ops_for`), whose `oracle(r, n, m)` returns at most `pairs_bound()` pairs
+agreeing with r mod K_min(2n+m, N), whose `oracle_admissible(n, m)` says
+which level pairs the oracle takes, and whose `n0` is a plan's default base
+depth.
 """
 
 from __future__ import annotations
@@ -303,7 +309,7 @@ def build_base_table(desc, n_base, gens):
 @dataclass(frozen=True)
 class CompilePlan:
     kind: str = "dyadic"  # dyadic | triadic
-    n0: int | None = None  # override the per-family default
+    n0: int | None = None  # override the facade's default, `ops.n0`
 
     def __post_init__(self):
         if self.kind not in ("dyadic", "triadic"):
@@ -313,17 +319,12 @@ class CompilePlan:
     def D(self):
         return 2 if self.kind == "dyadic" else 3
 
-    def arity(self, ops):
-        return ops.pairs_bound()
-
     def budget_base(self, ops):
-        A = self.arity(ops)
+        A = ops.pairs_bound()
         return 8 * A * A + 6 * A if self.kind == "dyadic" else (4 * A + 1) ** 6
 
     def default_n0(self, desc):
-        if self.n0 is not None:
-            return self.n0
-        return 3 if desc.family == "Nottingham" else 1
+        return ops_for(desc).n0 if self.n0 is None else self.n0
 
     def n_base(self, desc):
         return min(self.D * self.default_n0(desc), desc.ring.N)
@@ -357,15 +358,9 @@ class CompileCertificate:
 
 def _stage_pair(ops, a):
     """Largest-gain admissible oracle levels (n1, m1) with n1 + m1 = a."""
-    p = ops.descriptor.ring.p
-    nott = ops.descriptor.family == "Nottingham"
     for n1 in range(a // 2, (a + 2) // 3 - 1, -1):
-        m1 = a - n1
-        if not 1 <= n1 <= m1 <= 2 * n1:
-            continue
-        if nott and (m1 - n1) % p == 0:
-            continue
-        return n1, m1
+        if ops.oracle_admissible(n1, a - n1):
+            return n1, a - n1
     raise OracleLevelRejected(f"no admissible stage at depth {a}")
 
 
@@ -410,7 +405,7 @@ class CompilerSession:
                 break
             n1, m1 = _stage_pair(ops, a)
             b = min(2 * n1 + m1, t)
-            pairs = ops.oracle(r, n1, m1, capped=(2 * n1 + m1 > N))
+            pairs = ops.oracle(r, n1, m1)
             cw = Word(self.gens.id)
             for P, W in pairs:
                 wp = self._refine(P, b - m1)
@@ -466,7 +461,7 @@ class CompilerSession:
             budget=budget,
             residual_depth=int(rd),
             plan=plan.kind,
-            A=plan.arity(ops),
+            A=ops.pairs_bound(),
             gens=self.gens.id,
         )
         return word, cert

@@ -325,7 +325,7 @@ def _suite_nottingham(seed, scale, ring=None):
         (n, m)
         for n in range(1, N)
         for m in range(n, min(2 * n, N) + 1)
-        if nottingham.oracle_admissible(desc, n, m)
+        if ops.oracle_admissible(n, m) and 2 * n + m <= N
     ]
     for n, m in admitted:
         for _ in range(max(3, int(8 * scale))):

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from prosk import liealg, matgroups
+from prosk import liealg, matgroups, nottingham
 from prosk.liealg import LieAlgebra, bracket, bracket_decompose, from_matrix
 from prosk.matgroups import GroupDescriptor, ops_for
 from prosk.rings import Ring
@@ -145,7 +145,7 @@ def test_group_oracle_refines(desc_text, n, m):
     rng = np.random.default_rng(26)
     for _ in range(25):
         r = ops.sample_kernel(n + m, rng)
-        pairs = ops.oracle(r, n, m, capped=(2 * n + m > N))
+        pairs = ops.oracle(r, n, m)
         assert len(pairs) <= ops.pairs_bound()
         acc = ops.identity()
         for a, b in pairs:
@@ -153,6 +153,40 @@ def test_group_oracle_refines(desc_text, n, m):
             acc = ops.mul(acc, ops.commutator(a, b))
         gain = min(n + m + min(n, m), N)
         assert ops.depth(ops.mul(ops.inv(acc), r)) >= gain
+
+
+@pytest.mark.parametrize("desc_text", [
+    "SL:d=2,Zp:p=3,N=8",
+    "SO:d=3,Zp:p=3,N=9",
+    "Sp:d=4,Zp:p=3,N=5",
+    "SL:d=3,Fq[[t]]:q=5,N=6",
+    "Nottingham,Fq[[t]]:q=5,N=16",
+])
+def test_oracle_clips_at_truncation(desc_text):
+    # past the truncation (n + m < N < 2n + m) the window clips at N: the
+    # pairs of the facade's oracle and of the module oracle behind it
+    # multiply to r exactly
+    desc = GroupDescriptor.parse(desc_text)
+    ops = ops_for(desc)
+    N = desc.ring.N
+    module_oracle = (nottingham.commutator_pairs
+                     if desc.family == "Nottingham"
+                     else liealg.commutator_decompose)
+    levels = [(n, m) for n in range(1, N) for m in range(n, 2 * n + 1)
+              if n + m < N < 2 * n + m and ops.oracle_admissible(n, m)]
+    assert levels
+    rng = np.random.default_rng(27)
+    for n, m in levels:
+        for _ in range(4):
+            r = ops.sample_kernel(n + m, rng)
+            for oracle in (ops.oracle, module_oracle):
+                pairs = oracle(r, n, m)
+                assert len(pairs) <= ops.pairs_bound()
+                acc = ops.identity()
+                for a, b in pairs:
+                    assert ops.depth(a) >= n and ops.depth(b) >= m
+                    acc = ops.mul(acc, ops.commutator(a, b))
+                assert acc == r, (n, m)
 
 
 def _reduce_level(ring, a, m):
@@ -448,8 +482,7 @@ def _oracle_makes_no_ring_dispatch(monkeypatch, texts):
         for n in range(1, N):
             for m in range(n, min(2 * n, N - n) + 1):
                 r = ops.sample_kernel(n + m, rng)
-                want = ops.oracle(r, n, m, capped=2 * n + m > N)
-                work.append((r, n, m, N, want))
+                work.append((r, n, m, ops.oracle(r, n, m)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-entry ring dispatch on the oracle path")
@@ -459,12 +492,8 @@ def _oracle_makes_no_ring_dispatch(monkeypatch, texts):
     monkeypatch.setattr(liealg, "bracket", refuse)
     monkeypatch.setattr(liealg, "from_matrix", refuse)
     monkeypatch.setattr(Ring, "mul", refuse)
-    for r, n, m, N, want in work:
-        if 2 * n + m > N:
-            got = liealg._commutator_decompose_capped(r, n, m)
-        else:
-            got = liealg.commutator_decompose(r, n, m)
-        assert got == want
+    for r, n, m, want in work:
+        assert liealg.commutator_decompose(r, n, m) == want
 
 
 def test_zp_oracle_makes_no_ring_dispatch(monkeypatch):

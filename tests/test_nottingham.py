@@ -10,7 +10,6 @@ from prosk.nottingham import (
     from_canonical,
     from_codes,
     generator,
-    oracle_admissible,
     parse_series,
 )
 from prosk.rings import Ring, get_field
@@ -120,14 +119,15 @@ def test_depth_pairing_on_kernels():
 
 
 def test_oracle_admissible_table():
-    # n <= m <= 2n, p does not divide m - n, and the window 2n + m fits
-    assert not oracle_admissible(D5L, 1, 1)  # 5 | 0
-    assert oracle_admissible(D5L, 1, 2)
-    assert not oracle_admissible(D5L, 2, 2)
-    assert oracle_admissible(D5L, 3, 4)
-    assert not oracle_admissible(D5L, 2, 5)  # m > 2n
-    assert oracle_admissible(D5L, 5, 6)  # window 2n + m = 16 just fits
-    assert not oracle_admissible(D5L, 6, 7)  # window 19 overflows N = 16
+    # n <= m <= 2n and p does not divide m - n; the window clips at N
+    admissible = ops_for(D5L).oracle_admissible
+    assert not admissible(1, 1)  # 5 | 0
+    assert admissible(1, 2)
+    assert not admissible(2, 2)
+    assert admissible(3, 4)
+    assert not admissible(2, 5)  # m > 2n
+    assert admissible(5, 6)  # window 2n + m = 16 just fits
+    assert admissible(6, 7)  # window 19 clips at N = 16
 
 
 def test_oracle_hits_targets():
@@ -135,7 +135,7 @@ def test_oracle_hits_targets():
     ops = ops_for(D5L)
     N = 16
     for n, m in ((1, 2), (2, 3), (2, 4), (3, 4), (4, 6), (5, 6)):
-        if not oracle_admissible(D5L, n, m):
+        if not ops.oracle_admissible(n, m):
             continue
         for _ in range(20):
             r = ops.sample_kernel(n + m, rng)
@@ -145,18 +145,6 @@ def test_oracle_hits_targets():
                 assert ops.depth(a) >= n and ops.depth(b) >= m
                 acc = ops.mul(acc, ops.commutator(a, b))
             assert ops.depth(ops.mul(ops.inv(acc), r)) >= min(2 * n + m, N)
-
-
-def test_oracle_capped_when_window_overflows():
-    rng = np.random.default_rng(32)
-    ops = OPS5  # N = 8
-    n, m = 3, 4
-    r = ops.sample_kernel(7, rng)
-    pairs = ops.oracle(r, n, m, capped=True)
-    acc = ops.identity()
-    for a, b in pairs:
-        acc = ops.mul(acc, ops.commutator(a, b))
-    assert ops.mul(ops.inv(acc), r) == ops.identity()  # 2n+m = 10 >= N
 
 
 # --- coordinates and parsing -------------------------------------------------
@@ -294,8 +282,8 @@ def test_batched_compose_and_difference_depth_match_scalar(q):
     HG = ctx.compose(G, H)
     dep = ctx.first_difference_depth(GH, HG)
     for i, (g, h) in enumerate(zip(gs, hs)):
-        assert (GH[i] == nottingham.mul(g, h).planes).all()
-        assert dep[i] == nottingham.commutator(g, h).depth()
+        assert (GH[i] == ops.mul(g, h).planes).all()
+        assert dep[i] == ops.commutator(g, h).depth()
     assert dep[-1] == N and len(set(dep.tolist())) > 3
 
 

@@ -157,6 +157,30 @@ def test_every_exception_class_is_used():
     assert not unused, f"exception classes nothing else names: {unused}"
 
 
+def test_compiler_sees_groups_through_the_oracle_contract():
+    # skcompiler holds no group rule: admissibility, the pair bound and the
+    # base depth are facade facts, so it reads no descriptor family; the
+    # oracle clips at N itself, so no function takes a `capped` knob; and
+    # each element op is defined once, as a facade method
+    tree = ast.parse((SRC / "skcompiler.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "family"]
+    knobs = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                knobs += [f"{path.name}:{node.name}" for a in
+                          args.posonlyargs + args.args + args.kwonlyargs
+                          if a.arg == "capped"]
+    assert not knobs, knobs
+    for name in ("matgroups.py", "nottingham.py"):
+        tree = ast.parse((SRC / name).read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"identity", "mul", "inv", "commutator"}, name
+
+
 def test_series_payloads_run_on_the_series_engine():
     # SeriesContext.mul is the one series product: rings.Ring multiplies
     # and inverts F_q[[t]] payloads on its series context and reads no

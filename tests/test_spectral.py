@@ -9,6 +9,7 @@ from prosk import spectral, verify
 from prosk.cli import main
 from prosk.errors import (
     BudgetExceeded,
+    DescriptorMismatch,
     InvariantViolated,
     NotGenerating,
     UsageError,
@@ -36,6 +37,31 @@ from prosk.spectral import (
 )
 
 SL2_F3 = GroupDescriptor.parse("SL:d=2,Zp:p=3,N=1")
+
+
+@pytest.mark.parametrize("own,other", [
+    ("Nottingham,Fq[[t]]:q=5,N=6", "Nottingham,Fq[[t]]:q=7,N=6"),
+    ("SL:d=2,Zp:p=3,N=2", "SL:d=2,Zp:p=5,N=2"),
+])
+def test_facades_refuse_foreign_elements(own, other):
+    # elements of another group, here with the same array shape, are a
+    # DescriptorMismatch wherever a facade meets them, while an element of
+    # an equal descriptor built apart (a projection to the same level) belongs
+    ops = ops_for(GroupDescriptor.parse(own))
+    rng = np.random.default_rng(5)
+    foreign = [ops_for(GroupDescriptor.parse(other)).sample_uniform(rng)
+               for _ in range(2)]
+    mine = ops.project(ops.sample_uniform(rng), ops.descriptor.ring.N)
+    assert mine.descriptor is not ops.descriptor
+    for call in (lambda: build_graph(ops, foreign),
+                 lambda: diameter_bfs(ops, foreign),
+                 lambda: ops.mul(*foreign),
+                 lambda: ops.mul(mine, foreign[0]),
+                 lambda: ops.commutator(*foreign),
+                 lambda: ops.stack([mine, foreign[1]])):
+        with pytest.raises(DescriptorMismatch):
+            call()
+    assert ops.mul(mine, ops.inv(mine)) == ops.identity()
 TRANSVECTIONS = [
     element(SL2_F3, [[1, 1], [0, 1]]),
     element(SL2_F3, [[1, 0], [1, 1]]),
