@@ -86,9 +86,9 @@ def check_elements(ops, count):
     identity and of its stack of one), and its entry of the stack the
     elements are cut from, at the stack product's peak
     (`ops.product_copies()` entries).  Under tracemalloc the peak per
-    element is 268 B for SL2(Z/27), charged 320 B; 378 B for
-    SL2(F_5[[t]]/t^2), charged 608 B; 377 B for the Nottingham group
-    q = 5, N = 7, charged 448 B."""
+    element is 267 B for SL2(Z/27), charged 320 B; 363 B for
+    SL2(F_5[[t]]/t^2), charged 608 B; 393 B for the Nottingham group
+    q = 5, N = 7, charged 512 B."""
     one = ops.identity_stack()
     per = (sys.getsizeof(ops.identity()) + sys.getsizeof(one)
            + _held_bytes(one) * ops.product_copies())

@@ -961,8 +961,9 @@ def linearize(g, n):
         )
     if n < 1:
         raise UsageError("linearize depth must be >= 1")
-    if g.depth() < n:
-        raise NotDeepEnough(f"element depth {g.depth()} < {n}")
+    depth = matgroups.ops_for(desc).depth(g)
+    if depth < n:
+        raise NotDeepEnough(f"element depth {depth} < {n}")
     if desc.family not in ("SL", "SO", "Sp"):
         raise UsageError(f"linearize does not apply to family {desc.family}")
     plan = _plan(desc.family.lower(), desc.d, ring)
@@ -1019,12 +1020,13 @@ def commutator_decompose(r, n, m):
     if desc.family == "SL" and desc.d == 2 and desc.ring.p == 2:
         raise UnsupportedCharacteristic("SL_2 oracle needs odd p")
     eff = min(n + m, N)
-    if r.depth() < eff:
-        raise NotDeepEnough(f"oracle input depth {r.depth()} < n+m = {n + m}")
+    ops = matgroups.ops_for(desc)
+    depth = ops.depth(r)
+    if depth < eff:
+        raise NotDeepEnough(f"oracle input depth {depth} < n+m = {n + m}")
     if eff >= N:
         return []  # r is trivial at this truncation
     plan = _plan(desc.family.lower(), desc.d, desc.ring)
-    ops = matgroups.ops_for(desc)
     P = plan.solve(plan.coordinates(r.stack, eff))
     live = [k for k, Pk in enumerate(P) if Pk.any()]
     lifts = ops.unstack(_lift_stack(ops, plan.coord_stack(P[live], ops), n))

@@ -1,17 +1,19 @@
 """Congruence-filtered classical groups SL_d / SO_d / Sp_d over a truncated
-local ring, plus the Nottingham dispatch.
+local ring, plus the Nottingham dispatch and the element class both facade
+families share.
 
 Elements satisfy the defining equations exactly at the working truncation
 (det 1, M^T M = I, M^T Omega M = Omega), which `MatrixOps.is_member` checks
-on a stack.  Each holds its matrix as one read-only array in `MatrixOps`'
-stack layout, and every op on it, membership, section lifts, the Lie
-lifts (`liealg._lift_stack`) and sampling included, is a stack op; the
-element ops (identity, mul, inv, commutator) are `MatrixOps` methods.
+on a stack.  A `FilteredElement` holds one read-only array, its facade's
+stack of one, so every op on it, membership, section lifts, the Lie lifts
+(`liealg._lift_stack`) and sampling included, is a stack op.  The element
+ops (identity, mul, inv, commutator, stack, unstack) and the orders are
+written once on `BatchOps` from a facade's `eye`, `product` and `inverse`;
+depth, keys, projections, the oracle and the family views are per facade.
 Payload matrices (tuples of ring payloads, see rings.Ring) are the input
 format only: they enter through `element` (payloads in general through
-`_entries`), and `FilteredElement.mat` derives one back.  K_n is the
-kernel of reduction to level n; depth(g) is the largest n with g in K_n,
-capped at N.
+`_entries`), and `MatrixOps.mat` derives one back.  K_n is the kernel of
+reduction to level n; depth(g) is the largest n with g in K_n, capped at N.
 """
 
 from __future__ import annotations
@@ -104,52 +106,26 @@ class GroupDescriptor:
 
 
 class FilteredElement:
-    """A group element, held as one owned, read-only array: its facade's
-    stack of one (`MatrixOps`), (1, d, d) residues over Z/p^N (int64 inside
-    the facade's guard, Python ints past it) or (1, d, d, k, N) coefficient
-    planes over F_q[[t]].  Payload matrices are the input format: they enter
-    through `element`, and `mat` derives one back."""
+    """An element of a group facade (`MatrixOps`, `NottinghamOps`), held as
+    one owned, read-only array: its facade's stack of one, checked against
+    the facade's `eye` for shape and dtype.  A matrix is (1, d, d) residues
+    over Z/p^N (int64 inside the facade's guard, Python ints past it) or
+    (1, d, d, k, N) coefficient planes over F_q[[t]]; a Nottingham series
+    is (1, k, N + 1) coefficient planes.  Elements are built from stacks by
+    the facades (`BatchOps._element`, behind `unstack` and the element
+    ops)."""
 
     __slots__ = ("descriptor", "stack")
 
     def __init__(self, descriptor, stack):
-        ops = _matrix_ops(descriptor)
+        eye = ops_for(descriptor).eye
         self.descriptor = descriptor
         self.stack = np.array(stack)
         self.stack.setflags(write=False)
-        if self.stack.shape != ops.eye.shape or self.stack.dtype != ops.eye.dtype:
+        if self.stack.shape != eye.shape or self.stack.dtype != eye.dtype:
             raise InvariantViolated(
                 f"{self.stack.dtype} stack {self.stack.shape} for "
                 f"{descriptor.describe()}")
-
-    @property
-    def mat(self):
-        """The payload matrix: tuples of residues, or of coefficient codes."""
-        return _payload_matrix(self.descriptor, self.stack[0])
-
-    def depth(self):
-        """min valuation of g - I, capped at N; N means trivial at this
-        truncation.  Over Z/p^N one gcd: p^depth = gcd(p^N, entries)."""
-        ring, d = self.descriptor.ring, self.descriptor.d
-        if ring.kind == "FqT":  # the first t-slot with a nonzero digit
-            D = (self.stack - _matrix_ops(self.descriptor).eye) % ring.p
-            slots = D.reshape(-1, ring.N).any(axis=0).nonzero()[0]
-            return int(slots[0]) if len(slots) else ring.N
-        flat = self.stack.ravel().tolist()
-        for k in range(0, d * d, d + 1):  # the diagonal of g - I
-            flat[k] -= 1
-        g, v = math.gcd(ring.modulus, *flat), 0
-        while g > 1:
-            g //= ring.p
-            v += 1
-        return v
-
-    def to_rows(self):
-        """The payload matrix as nested lists, its serialized form."""
-        X = self.stack[0]
-        if self.descriptor.ring.kind == "FqT":
-            X = _matrix_ops(self.descriptor).ctx.codes_from_planes(X)
-        return X.tolist()
 
     def __eq__(self, other):
         return (
@@ -159,10 +135,11 @@ class FilteredElement:
         )
 
     def __hash__(self):
-        return hash((self.descriptor, _matrix_ops(self.descriptor).key(self)))
+        return hash((self.descriptor, ops_for(self.descriptor).key(self)))
 
     def __repr__(self):
-        return f"<{self.descriptor.describe()} element depth {self.depth()}>"
+        depth = ops_for(self.descriptor).depth(self)
+        return f"<{self.descriptor.describe()} element depth {depth}>"
 
 
 def _entries(ops, payloads):
@@ -177,7 +154,7 @@ def _entries(ops, payloads):
 def _payload_stack(desc, mats):
     """The stack (`MatrixOps`' layout) of the payload matrices `mats`."""
     tail = (desc.ring.N,) if desc.ring.kind == "FqT" else ()
-    return _entries(_matrix_ops(desc),
+    return _entries(ops_for(desc),
                     np.reshape(mats, (-1, desc.d, desc.d) + tail))
 
 
@@ -185,7 +162,7 @@ def _payload_matrix(desc, X):
     """The payload matrix of one (d, d[, k, N]) entry X of a stack."""
     if desc.ring.kind == "Zp":
         return tuple(map(tuple, X.tolist()))
-    rows = _matrix_ops(desc).ctx.codes_from_planes(X).tolist()
+    rows = ops_for(desc).ctx.codes_from_planes(X).tolist()
     return tuple(tuple(map(tuple, row)) for row in rows)
 
 
@@ -196,11 +173,12 @@ def element(desc, rows):
         raise UsageError(f"need a {d}x{d} matrix")
     X = _payload_stack(desc, [[ring.elem(entry).payload for entry in row]
                               for row in rows])
-    if not _matrix_ops(desc).is_member(X)[0]:
+    ops = ops_for(desc)
+    if not ops.is_member(X)[0]:
         raise DescriptorMismatch(
             f"matrix fails the defining equations of {desc.describe()}"
         )
-    return FilteredElement(desc, X)
+    return ops._element(X)
 
 
 def project(a, m):
@@ -213,7 +191,7 @@ def project(a, m):
     if desc.ring.kind == "FqT":
         return FilteredElement(newdesc, a.stack[..., :m])
     X = a.stack % desc.ring.p**m
-    return FilteredElement(newdesc, X.astype(_matrix_ops(newdesc).eye.dtype))
+    return FilteredElement(newdesc, X.astype(ops_for(newdesc).eye.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +260,7 @@ def _first_diag(ops, u):
 def section_lift(desc, X1):
     """Exact group elements over the full ring reducing to the stack X1 of
     residue-level matrices (`desc.truncated(1)`'s layout), as a stack."""
-    ring, ops = desc.ring, _matrix_ops(desc)
+    ring, ops = desc.ring, ops_for(desc)
     if ring.kind == "Zp":
         M = X1.astype(ops.eye.dtype)
     else:  # the residue planes in slot 0 of each series
@@ -327,7 +305,7 @@ def enumerate_kernel(desc, n):
     coordinate vectors."""
     from . import liealg
 
-    ring, ops, dim = desc.ring, _matrix_ops(desc), desc.algebra_dim()
+    ring, ops, dim = desc.ring, ops_for(desc), desc.algebra_dim()
     q = ring.field.q
     # the codes in itertools.product order
     codes = np.arange(q**dim)[:, None] // q ** np.arange(dim - 1, -1, -1) % q
@@ -349,7 +327,7 @@ def enumerate_quotient(desc):
     from . import _bfs  # local: _bfs imports this module
 
     total = group_order(desc)
-    ops = _matrix_ops(desc)
+    ops = ops_for(desc)
     _bfs.check_elements(ops, total)
     d, q = desc.d, desc.ring.field.q
     count = q ** (d * d)
@@ -358,7 +336,7 @@ def enumerate_quotient(desc):
             f"residue-level enumeration needs {count} candidates")
     # the residue matrices in itertools.product order, a chunk at a time
     desc1 = desc.truncated(1)
-    ops1 = _matrix_ops(desc1)
+    ops1 = ops_for(desc1)
     powers = q ** np.arange(d * d - 1, -1, -1)
     reps = [ops1.eye[:0]]
     for start in range(0, count, _bfs._CHUNK):
@@ -385,7 +363,7 @@ def sample_kernel(desc, n, rng):
     level per layer, and multiplied in layer order."""
     from . import liealg
 
-    ring, ops, dim = desc.ring, _matrix_ops(desc), desc.algebra_dim()
+    ring, ops, dim = desc.ring, ops_for(desc), desc.algebra_dim()
     if not 1 <= n <= ring.N:
         raise LevelTooLarge(f"kernel level {n} out of range")
     if n == ring.N:
@@ -394,7 +372,7 @@ def sample_kernel(desc, n, rng):
                       for _ in range(n, ring.N)])
     X = liealg._lift_stack(ops, _residue_coords(ops, codes),
                            np.arange(n, ring.N))
-    return FilteredElement(desc, ops.tree_product(X))
+    return ops._element(ops.tree_product(X))
 
 
 def sample_uniform(desc, rng):
@@ -403,10 +381,10 @@ def sample_uniform(desc, rng):
     SO3(F_3), 12,000 draws at seed 0 give chi^2 = 278 on 23 df (ROADMAP,
     "Uniform sampling for SO/Sp").  The kernel part is an exact uniform
     draw from K_1 for every family."""
-    ring, d, ops = desc.ring, desc.d, _matrix_ops(desc)
+    ring, d, ops = desc.ring, desc.d, ops_for(desc)
     if desc.family == "SL":
         desc1 = desc.truncated(1)
-        ops1 = _matrix_ops(desc1)
+        ops1 = ops_for(desc1)
         while True:
             X1 = _payload_stack(desc1, rng.integers(0, ring.field.q, size=d * d))
             dt = ops1.det(X1)
@@ -417,7 +395,7 @@ def sample_uniform(desc, rng):
         codes = dt if ring.kind == "Zp" else ops1.ctx.codes_from_planes(dt)
         dt = _entries(ops1, ring.field.inv_table[codes])
         X1 = ops1.product(_first_diag(ops1, dt), X1)
-        g = FilteredElement(desc, section_lift(desc, X1))
+        g = ops._element(section_lift(desc, X1))
     elif desc.family in ("SO", "Sp"):
         # product of two Cayley transforms: each covers the no-(-1)-eigenvalue
         # part of the group, products of two reach everything
@@ -436,7 +414,7 @@ def _cayley_sample(desc, rng):
 
     fam = {"SO": "so", "Sp": "sp"}[desc.family]
     alg = liealg.LieAlgebra(fam, desc.d, desc.ring)
-    ops = _matrix_ops(desc)
+    ops = ops_for(desc)
     for _ in range(256):
         S = _payload_stack(desc, [alg.random(rng).to_matrix()])
         X = np.concatenate([ops.eye - S, ops.eye + S]) % ops.mod
@@ -446,16 +424,20 @@ def _cayley_sample(desc, rng):
             continue
         if not ops.is_member(Y)[0]:
             raise InvariantViolated("Cayley transform left the group")
-        return FilteredElement(desc, Y)
+        return ops._element(Y)
     raise UsageError("could not draw an invertible I + S (degenerate ring?)")
 
 
+@functools.cache
 def ops_for(desc):
+    """The one group facade per descriptor: its layout and arithmetic never
+    change, and keys it interns (`BatchOps._keys`) stay equal exactly for
+    equal elements."""
     if desc.family == "Nottingham":
-        from . import nottingham
+        from .nottingham import NottinghamOps
 
-        return nottingham.NottinghamOps(desc)
-    return _matrix_ops(desc)
+        return NottinghamOps(desc)
+    return MatrixOps(desc)
 
 
 @functools.cache
@@ -474,19 +456,13 @@ def _all_equal(A, B):
     return E.all(axis=tuple(range(1, E.ndim)))
 
 
-@functools.cache
-def _matrix_ops(desc):
-    """The one `MatrixOps` per descriptor, shared by `ops_for` and the
-    element functions: its layout and arithmetic never change, and keys it
-    interns (`BatchOps._keys`) stay equal exactly for equal elements."""
-    return MatrixOps(desc)
-
-
 class BatchOps:
-    """The batch surface of a group facade, on which `_bfs` and
+    """A group facade's element ops and batch surface, on which `_bfs` and
     `skcompiler.evaluate` run.  A stack holds elements along a leading batch
-    axis in a layout the facade picks; a subclass supplies `stack`,
-    `unstack`, `product`, `inverse` and `keys`."""
+    axis in a layout the facade picks, and an element (`FilteredElement`)
+    holds its stack of one; a subclass supplies `eye` (the identity's stack
+    of one), `product`, `inverse`, `keys`, `depth` and `key`, and the
+    element ops, the orders and the enumeration are written here once."""
 
     def _own(self, x):
         """x, checked to be an element of this facade's group: the same
@@ -497,9 +473,50 @@ class BatchOps:
                                      f" given to {desc.describe()}")
         return x
 
+    def _element(self, X):
+        """The element whose stack of one is X: the one path from stacks to
+        elements, where a facade whose arithmetic could leave the group
+        checks membership."""
+        return FilteredElement(self.descriptor, X)
+
+    def identity(self):
+        return self._element(self.eye)
+
     def identity_stack(self):
-        """A stack of one element, the identity."""
-        return self.stack([self.identity()])
+        """A stack of one element, the identity (read-only)."""
+        return self.eye
+
+    def mul(self, a, b):
+        return self._element(self.product(self._own(a).stack,
+                                          self._own(b).stack))
+
+    def inv(self, a):
+        return self._element(self.inverse(self._own(a).stack))
+
+    def commutator(self, a, b):
+        """a^-1 b^-1 a b: one stacked inverse and one product tree."""
+        X = self.stack([a, b])
+        return self._element(self.tree_product(
+            np.concatenate([self.inverse(X), X])))
+
+    def stack(self, elems):
+        """The elements' stacks of one, concatenated."""
+        return np.concatenate([self.eye[:0],
+                               *(self._own(x).stack for x in elems)])
+
+    def unstack(self, X):
+        """The elements of the stack X, in order."""
+        return [self._element(X[i : i + 1]) for i in range(len(X))]
+
+    def group_order(self):
+        return group_order(self.descriptor)
+
+    def quotient_order(self, n):
+        return quotient_order(self.descriptor, n)
+
+    def elements(self):
+        """Every element of the group at its truncation."""
+        return enumerate_quotient(self.descriptor)
 
     def product_copies(self):
         """The most stacks the size of its result that `product` holds at
@@ -566,25 +583,22 @@ class MatrixOps(BatchOps):
                 object if wide else np.int64)
         self.eye.setflags(write=False)
 
-    def identity(self):
-        return FilteredElement(self.descriptor, self.eye)
-
-    def mul(self, a, b):
-        return FilteredElement(self.descriptor, self.product(
-            self._own(a).stack, self._own(b).stack))
-
-    def inv(self, a):
-        return FilteredElement(self.descriptor,
-                               self.inverse(self._own(a).stack))
-
-    def commutator(self, a, b):
-        """a^-1 b^-1 a b: one stacked inverse and one product tree."""
-        X = self.stack([a, b])
-        return FilteredElement(self.descriptor, self.tree_product(
-            np.concatenate([self.inverse(X), X])))
-
     def depth(self, a):
-        return a.depth()
+        """min valuation of a - I, capped at N; N means trivial at this
+        truncation.  Over Z/p^N one gcd: p^depth = gcd(p^N, entries)."""
+        ring, d = self.descriptor.ring, self.descriptor.d
+        if ring.kind == "FqT":  # the first t-slot with a nonzero digit
+            D = (a.stack - self.eye) % ring.p
+            slots = D.reshape(-1, ring.N).any(axis=0).nonzero()[0]
+            return int(slots[0]) if len(slots) else ring.N
+        flat = a.stack.ravel().tolist()
+        for k in range(0, d * d, d + 1):  # the diagonal of a - I
+            flat[k] -= 1
+        g, v = math.gcd(ring.modulus, *flat), 0
+        while g > 1:
+            g //= ring.p
+            v += 1
+        return v
 
     def key(self, a, level=None):
         """Hashable, equal exactly when the entries agree mod the
@@ -618,30 +632,22 @@ class MatrixOps(BatchOps):
     def sample_uniform(self, rng):
         return sample_uniform(self.descriptor, rng)
 
-    def group_order(self):
-        return group_order(self.descriptor)
-
-    def quotient_order(self, n):
-        return quotient_order(self.descriptor, n)
+    def mat(self, a):
+        """The payload matrix: tuples of residues, or of coefficient codes."""
+        return _payload_matrix(self.descriptor, a.stack[0])
 
     def serialize(self, a):
-        return a.to_rows()
+        """The payload matrix as nested lists."""
+        X = a.stack[0]
+        if self.descriptor.ring.kind == "FqT":
+            X = self.ctx.codes_from_planes(X)
+        return X.tolist()
 
     def deserialize(self, raw):
         return element(self.descriptor, raw)
 
-    # stacks
-
-    def stack(self, elems):
-        """The elements' stacks of one, concatenated: (B, d, d) residues
-        over Z/p^N, (B, d, d, k, N) planes over F_q[[t]]."""
-        return np.concatenate([self.eye[:0],
-                               *(self._own(x).stack for x in elems)])
-
-    def unstack(self, X):
-        """The elements of the stack X, in order."""
-        return [FilteredElement(self.descriptor, X[i : i + 1])
-                for i in range(len(X))]
+    # stacks: (B, d, d) residues over Z/p^N, (B, d, d, k, N) planes over
+    # F_q[[t]]
 
     def product(self, A, B):
         """Entrywise group products A[i] * B[i] of two stacks, broadcast

@@ -8,13 +8,17 @@ or N for the identity.
 Elements, stacks and kernels hold series as coefficient "planes": int64
 arrays (..., k, L) of base-p digits, k the field degree, L = N + 1
 coefficients t^0..t^N (a_j has field code sum_r planes[r, j] p^r).  Kernels
-broadcast over leading batch axes.  Field codes enter through `from_codes`
-and leave through `NottElement.coeffs` or `NottinghamOps.entry_codes`.
+broadcast over leading batch axes.  An element is a `matgroups.FilteredElement`
+holding a (1, k, L) stack of one, whose identity `NottinghamOps.eye` is the
+series t.  Field codes enter through `from_codes` and leave through
+`NottinghamOps.coeffs` or `NottinghamOps.entry_codes`.
 
-The element ops (identity, mul, inv, commutator) are `NottinghamOps`
-methods, as are the oracle's level rules (`oracle_admissible`: n <= m <= 2n
-and p not dividing m - n).  The oracle, `commutator_pairs`, agrees with its
-target mod K_min(2n+m, N): its window clips at the truncation.
+The element ops (identity, mul, inv) are the shared `matgroups.BatchOps`
+methods over `NottinghamOps.product` and `inverse`, and the path from
+stacks to elements checks that each series is t + O(t^2).
+The oracle's level rules are `oracle_admissible` (n <= m <= 2n and p not
+dividing m - n).  The oracle, `commutator_pairs`, agrees with its target
+mod K_min(2n+m, N): its window clips at the truncation.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
     OracleLevelRejected,
     UsageError,
 )
-from .matgroups import BatchOps
+from .matgroups import BatchOps, FilteredElement, ops_for
 from .rings import get_field
 
 _CTX_CACHE: dict = {}
@@ -92,8 +96,9 @@ class SeriesContext:
     def _tconv(self, A, B):
         """Truncated convolution along the last axis, no reduction."""
         L = self.L
-        if A.ndim == 1 and B.ndim == 1:
-            return np.convolve(A, B)[:L]
+        if A.size == B.size == L:  # one series each, as an element holds
+            out = np.convolve(A.ravel(), B.ravel())[:L]
+            return out.reshape(A.shape if A.ndim >= B.ndim else B.shape)
         shape = np.broadcast_shapes(A.shape[:-1], B.shape[:-1]) + (L,)
         out = np.zeros(shape, dtype=np.int64)
         # iterate over the sparser operand
@@ -257,69 +262,17 @@ def series_context(q, L):
 # elements
 
 
-class NottElement:
-    """Series t + a_2 t^2 + ... + a_N t^N, held as its own read-only int64
-    coefficient planes (k, N + 1).  Build one from field codes with
-    `from_codes`."""
-
-    __slots__ = ("descriptor", "planes")
-
-    def __init__(self, descriptor, planes):
-        self.descriptor = descriptor
-        self.planes = np.array(planes, dtype=np.int64)
-        self.planes.setflags(write=False)
-        ring = descriptor.ring
-        if self.planes.shape != (ring.field.k, ring.N + 1):
-            raise InvariantViolated(
-                f"planes {self.planes.shape} for {descriptor.describe()}")
-
-    @property
-    def coeffs(self):
-        """The field codes of a_2 .. a_N."""
-        codes = _ctx_of(self.descriptor).codes_from_planes(self.planes)
-        return tuple(codes[2:].tolist())
-
-    def depth(self):
-        # the rows of planes.T are slots; slot j + 2 nonzero -> depth j + 1
-        slots = self.planes.T[2:].nonzero()[0]
-        return int(slots[0]) + 1 if len(slots) else self.descriptor.ring.N
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NottElement)
-            and other.descriptor == self.descriptor
-            and np.array_equal(other.planes, self.planes)
-        )
-
-    def __hash__(self):
-        return hash((self.descriptor, self.planes.tobytes()))
-
-    def __repr__(self):
-        return f"NottElement({format_series(self)})"
-
-
-def _ctx_of(desc):
-    return series_context(desc.ring.field.q, desc.ring.N + 1)
-
-
-def _from_planes(desc, planes):
-    # t + O(t^2): t's own digit is the only nonzero one at t^0 and t^1
-    if planes[0, 1] != 1 or np.count_nonzero(planes[:, :2]) != 1:
-        raise InvariantViolated("series is not in the group")
-    return NottElement(desc, planes)
-
-
 def from_codes(desc, codes):
     """The element t + sum_j codes[j - 2] t^j: codes are the field codes of
-    a_2 .. a_N, the layout of `NottElement.coeffs`."""
+    a_2 .. a_N, the layout of `NottinghamOps.coeffs`."""
     N = desc.ring.N
     if len(codes) != N - 1:
         raise InvariantViolated(
             f"{len(codes)} coefficients for truncation N={N}")
-    ctx = _ctx_of(desc)
-    planes = ctx.t()
-    planes[:, 2:] = ctx.digits(codes).T
-    return NottElement(desc, planes)
+    ops = ops_for(desc)
+    P = ops.ctx.t((1,))
+    P[0, :, 2:] = ops.ctx.digits(codes).T
+    return ops._element(P)
 
 
 def generator(desc, n, lam):
@@ -341,7 +294,7 @@ def project(a, m):
         raise UsageError("projection level must be >= 1")
     if m > desc.ring.N:
         raise LevelTooLarge(f"level {m} exceeds truncation N={desc.ring.N}")
-    return NottElement(desc.truncated(m), a.planes[:, : m + 1])
+    return FilteredElement(desc.truncated(m), a.stack[..., : m + 1])
 
 
 def canonical_coordinates(f):
@@ -349,20 +302,20 @@ def canonical_coordinates(f):
     product in the group convention)."""
     desc = f.descriptor
     N = desc.ring.N
-    ctx = _ctx_of(desc)
-    r = f.planes
+    ctx = ops_for(desc).ctx
+    r = f.stack[0]
     out = []
     for n in range(1, N):
         code = int(ctx.codes(r[:, n + 1]))
         out.append(code)
         if code:
             # peel: r <- r o e^-1, i.e. solve s with s(e) = r
-            r = ctx.solve_right(r, generator(desc, n, code).planes)
+            r = ctx.solve_right(r, generator(desc, n, code).stack[0])
     return out
 
 
 def from_canonical(desc, gammas):
-    ops = NottinghamOps(desc)
+    ops = ops_for(desc)
     g = ops.identity()
     for n, c in enumerate(gammas, start=1):
         if c:
@@ -377,13 +330,13 @@ def enumerate_quotient(desc):
 
     q = desc.ring.field.q
     N = desc.ring.N
-    _bfs.check_elements(NottinghamOps(desc), q ** (N - 1))
+    ops = ops_for(desc)
+    _bfs.check_elements(ops, q ** (N - 1))
     codes = np.zeros((q ** (N - 1), N + 1), dtype=np.int64)
     codes[:, 1] = 1
     codes[:, 2:] = (np.arange(len(codes))[:, None]
                     // q ** np.arange(N - 2, -1, -1) % q)
-    return [NottElement(desc, x)
-            for x in _ctx_of(desc).planes_from_codes(codes)]
+    return ops.unstack(ops.ctx.planes_from_codes(codes))
 
 
 def sample_uniform(desc, rng):
@@ -417,34 +370,36 @@ def commutator_pairs(r, n, m):
     desc = r.descriptor
     N = desc.ring.N
     p = desc.ring.p
+    ops = ops_for(desc)
     if not 1 <= n <= m <= 2 * n:
         raise BadLevelPair(f"need 1 <= n <= m <= 2n, got ({n}, {m})")
     if (m - n) % p == 0:
         raise OracleLevelRejected(f"p = {p} divides m - n = {m - n}")
-    if r.depth() < min(n + m, N):
-        raise NotDeepEnough(f"oracle input depth {r.depth()} < {n + m}")
+    depth = ops.depth(r)
+    if depth < min(n + m, N):
+        raise NotDeepEnough(f"oracle input depth {depth} < {n + m}")
     if n + m >= N:
         return []
-    lam, mu = _oracle_solve(desc, r.planes[None], n, m)
-    g1 = _generator_product(desc, range(n, 2 * n), lam[0])
-    g2 = _generator_product(desc, range(n, 2 * n - 1), mu[0, 1:])
+    lam, mu = _oracle_solve(desc, r.stack, n, m)
+    g1 = _generator_product(ops, range(n, 2 * n), lam[0])
+    g2 = _generator_product(ops, range(n, 2 * n - 1), mu[0, 1:])
     out = []
-    if g1.depth() < N:
+    if ops.depth(g1) < N:
         out.append((g1, generator(desc, m, 1)))
-    if g2.depth() < N:
+    if ops.depth(g2) < N:
         out.append((g2, generator(desc, m + 1, 1)))
     return out
 
 
-def _generator_product(desc, slots, codes):
+def _generator_product(ops, slots, codes):
     """e_{a_1,c_1} * e_{a_2,c_2} * ... over zip(slots, codes), each factor
     appended as acc + c acc^(a+1)."""
-    ctx = _ctx_of(desc)
+    ctx = ops.ctx
     acc = ctx.t()
     for a, c, lam in zip(slots, codes.tolist(), ctx.digits(codes)):
         if c:
             acc = ctx.append_generator(acc, a, lam)
-    return _from_planes(desc, acc)
+    return ops._element(acc[None])
 
 
 def _oracle_solve(desc, R, n, m):
@@ -527,7 +482,7 @@ def _window_add(ctx, accum, contrib):
 
 
 # ---------------------------------------------------------------------------
-# parsing / formatting
+# parsing
 
 
 def parse_series(desc, text):
@@ -558,57 +513,48 @@ def parse_series(desc, text):
     return from_codes(desc, coeffs)
 
 
-def format_series(elem):
-    terms = ["t"]
-    for idx, c in enumerate(elem.coeffs):
-        if c:
-            e = idx + 2
-            terms.append(f"t^{e}" if c == 1 else f"{c}t^{e}")
-    return "+".join(terms)
-
-
 # ---------------------------------------------------------------------------
 # the uniform ops facade
 
 
 class NottinghamOps(BatchOps):
     """Uniform handle used by the compiler and the verifier.  Stacks are
-    (B, k, L) coefficient planes."""
+    (B, k, L) coefficient planes, and `eye` is the series t."""
 
     n0 = 3  # a compile plan's default base depth: tables of G/K_(D n0)
 
     def __init__(self, desc):
         self.descriptor = desc
+        self.ctx = series_context(desc.ring.field.q, desc.ring.N + 1)
+        self.eye = self.ctx.t((1,))
+        self.eye.setflags(write=False)
 
-    def identity(self):
-        return NottElement(self.descriptor, _ctx_of(self.descriptor).t())
-
-    def mul(self, a, b):
-        """(a*b)(t) = b(a(t))."""
-        ctx = _ctx_of(self.descriptor)
-        return _from_planes(self.descriptor, ctx.compose(
-            self._own(b).planes, self._own(a).planes))
-
-    def inv(self, a):
-        return _from_planes(self.descriptor, _ctx_of(self.descriptor).inverse(
-            self._own(a).planes))
+    def _element(self, P):
+        x = super()._element(P)
+        # t + O(t^2): t's own digit is the only nonzero one at t^0 and t^1
+        if P[0, 0, 1] != 1 or np.count_nonzero(P[0, :, :2]) != 1:
+            raise InvariantViolated("series is not in the group")
+        return x
 
     def commutator(self, a, b):
-        """[a, b] = a^-1 b^-1 a b, computed as the C with C(b·a) = a·b."""
-        ctx = _ctx_of(self.descriptor)
-        A, B = self._own(a).planes, self._own(b).planes
-        return _from_planes(self.descriptor, ctx.solve_right(
-            ctx.compose(B, A), ctx.compose(A, B)))
+        """[a, b] = a^-1 b^-1 a b, computed as the C with C(b·a) = a·b: one
+        solve where the shared commutator pays a stacked inverse."""
+        ctx = self.ctx
+        A, B = self._own(a).stack, self._own(b).stack
+        return self._element(ctx.solve_right(ctx.compose(B, A),
+                                             ctx.compose(A, B)))
 
     def depth(self, a):
-        return a.depth()
+        # the rows of planes.T are slots; slot j + 2 nonzero -> depth j + 1
+        slots = a.stack[0].T[2:].nonzero()[0]
+        return int(slots[0]) + 1 if len(slots) else self.descriptor.ring.N
 
     def key(self, a, level=None):
         """Bytes equal exactly when the coefficients a_2 .. a_level agree
         (all of them when level is None)."""
         if level is None:
-            return a.planes.tobytes()
-        return a.planes[:, 2 : level + 1].tobytes()
+            return a.stack.tobytes()
+        return a.stack[..., 2 : level + 1].tobytes()
 
     def project(self, a, m):
         return project(a, m)
@@ -630,16 +576,12 @@ class NottinghamOps(BatchOps):
     def sample_uniform(self, rng):
         return sample_uniform(self.descriptor, rng)
 
-    def group_order(self):
-        q = self.descriptor.ring.field.q
-        return q ** (self.descriptor.ring.N - 1)
-
-    def quotient_order(self, n):
-        q = self.descriptor.ring.field.q
-        return q ** (n - 1)
+    def coeffs(self, a):
+        """The field codes of a_2 .. a_N."""
+        return tuple(self.entry_codes(a.stack)[0].tolist())
 
     def serialize(self, a):
-        return list(a.coeffs)
+        return list(self.coeffs(a))
 
     def deserialize(self, raw):
         N = self.descriptor.ring.N
@@ -652,33 +594,23 @@ class NottinghamOps(BatchOps):
 
     # stacks
 
-    def stack(self, elems):
-        """The elements as (B, k, L) planes."""
-        ctx = _ctx_of(self.descriptor)
-        return np.array([self._own(x).planes for x in elems],
-                        dtype=np.int64).reshape(-1, ctx.k, ctx.L)
-
-    def unstack(self, P):
-        """The elements of the planes P, in order."""
-        return [_from_planes(self.descriptor, x) for x in P]
-
     def product(self, A, B):
         """Entrywise products A[i] * B[i] = B[i](A[i](t)), broadcast over
         the batch axes."""
-        return _ctx_of(self.descriptor).compose(B, A)
+        return self.ctx.compose(B, A)
 
     def inverse(self, P):
         """Entrywise (compositional) inverses of the stack P."""
-        return _ctx_of(self.descriptor).inverse(P)
+        return self.ctx.inverse(P)
 
     def product_copies(self):
         """The compose's running product and its plane convolutions: 3 to
         3.5 copies measured under tracemalloc at q = 5, 9, charged 3 + k."""
-        return 3 + _ctx_of(self.descriptor).k
+        return 3 + self.ctx.k
 
     def entry_codes(self, P):
         """(B, N - 1) field codes of a_2 .. a_N for the stack P."""
-        return _ctx_of(self.descriptor).codes_from_planes(P)[:, 2:]
+        return self.ctx.codes_from_planes(P)[:, 2:]
 
     def keys(self, P):
         """One int64 key per element: the base-p digits of the planes of
@@ -693,11 +625,11 @@ class NottinghamOps(BatchOps):
         """The (kL, kL) int64 matrix of f -> f o elem on flattened planes:
         row (i, e) holds the planes of x^i * elem^e, x^i the i-th basis
         element of F_q over F_p."""
-        ctx = _ctx_of(self.descriptor)
+        ctx = self.ctx
         k, L = ctx.k, ctx.L
         PM = np.zeros((L, k, L), dtype=np.int64)  # PM[e] = planes of elem^e
         PM[0, 0, 0] = 1
-        pw = F = elem.planes
+        pw = F = elem.stack[0]
         for e in range(1, L):
             PM[e] = pw
             if e + 1 < L:

@@ -6,11 +6,12 @@ Everything here works against an enumerated graph from the one BFS engine in
 `_bfs`: elements in discovery order from the identity, and from the same
 products one left-multiplication permutation per walk direction.  The engine
 runs on the group facade's stacks (`matgroups.BatchOps`), whose layout the
-facade picks.  The group itself only has to quack like the quotient facades
-(identity / mul / inv / key / group_order / sample_uniform / serialize, and
-the stack methods), so the tiny cyclic adapter below is a first-class
-citizen — it is both the non-FAb contrast family and the corpus for the
-exhaustive generating-set sweeps.  Those sweeps share one multi-source BFS
+facade picks.  The group itself only has to be a `BatchOps` like the
+quotient facades (identity / mul / inv / key / group_order / elements /
+sample_uniform / serialize, and the stack methods), so the tiny cyclic
+adapter below, whose elements are Python ints, is a first-class citizen —
+it is both the non-FAb contrast family and the corpus for the exhaustive
+generating-set sweeps.  Those sweeps share one multi-source BFS
 (`_union_eccentricities`) over left-multiplication tables that the same
 engine fills once per group: each vertex holds one bit per union of
 inverse-pair classes, 64 unions to a uint64 word, and a level ANDs every
@@ -77,10 +78,14 @@ CONTRAST_ORDER_CAP = 200_000  # cyclic contrast levels stop past this order
 
 
 class CyclicOps(BatchOps):
-    """Additive Z/nZ behind the same duck-typed surface as the quotient
-    facades.  `p` marks a Z/p^e instance so digit coordinates make sense.
-    Stacks are int64 vectors of residues.  A residue is its own key on both
-    surfaces, as given: every op returns reduced residues."""
+    """Additive Z/nZ behind the same surface as the quotient facades, with
+    Python ints for elements.  `p` marks a Z/p^e instance so digit
+    coordinates make sense.  Stacks are int64 vectors of residues, `eye`
+    the identity's.  A residue is its own key on both surfaces, as given:
+    every op returns reduced residues."""
+
+    eye = np.zeros(1, dtype=np.int64)
+    eye.setflags(write=False)
 
     def __init__(self, n, p=None):
         if n < 1:
@@ -89,8 +94,11 @@ class CyclicOps(BatchOps):
         self.p = p
         self.descriptor = None
 
-    def identity(self):
-        return 0
+    def _element(self, X):
+        """The residue of the stack of one X, as a Python int."""
+        if X.shape != (1,):
+            raise InvariantViolated(f"stack {X.shape} for Z/{self.n}")
+        return int(X[0])
 
     def mul(self, a, b):
         return (a + b) % self.n
@@ -119,10 +127,6 @@ class CyclicOps(BatchOps):
     def stack(self, elems):
         """The residues as one int64 vector."""
         return np.array(elems, dtype=np.int64).reshape(-1)
-
-    def unstack(self, X):
-        """The residues of the stack X, as Python ints."""
-        return X.tolist()
 
     def product(self, A, B):
         """Entrywise sums mod n, broadcast over the batch axes."""
@@ -158,11 +162,7 @@ def congruence_pair(ops, m):
 
 
 def all_elements(ops):
-    if hasattr(ops, "elements"):
-        return ops.elements()
-    from . import matgroups
-
-    return matgroups.enumerate_quotient(ops.descriptor)
+    return ops.elements()
 
 
 # ---------------------------------------------------------------------------

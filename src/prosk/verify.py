@@ -311,7 +311,7 @@ def _suite_nottingham(seed, scale, ring=None):
                         field.mul_codes(np.array([lam]), np.array([mu])),
                         np.array([((m - n) % p + p) % p]),
                     )[0]
-                    got = c.coeffs[n + m - 1]  # slot for degree n+m+1
+                    got = ops.coeffs(c)[n + m - 1]  # slot for degree n+m+1
                     if got == want:
                         lead.ok()
                     else:

@@ -118,7 +118,7 @@ def test_forms_preserved():
     ops = ops_for(SO3_5)
     ring = SO3_5.ring
     for _ in range(30):
-        g = ops.sample_uniform(rng).mat
+        g = ops.mat(ops.sample_uniform(rng))
         gtg = [[ring.zero] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(3):
@@ -325,8 +325,8 @@ def test_depth_by_gcd_matches_the_valuation_formula(text):
         elems += [ops.sample_kernel(n, rng) for _ in range(4)]
     depths = set()
     for g in elems:
-        depths.add(g.depth())
-        assert g.depth() == _depth_by_valuation(ring, g.mat)
+        depths.add(ops.depth(g))
+        assert ops.depth(g) == _depth_by_valuation(ring, ops.mat(g))
     assert {0, N} <= depths and len(depths) > 3
 
 
@@ -451,7 +451,7 @@ def test_equal_elements_past_the_guard_share_keys(text):
     rng = np.random.default_rng(47)
     for _ in range(5):
         a = ops.sample_uniform(rng)
-        b = element(desc, a.to_rows())
+        b = element(desc, ops.serialize(a))
         assert a.stack.dtype == object
         assert a is not b and a == b and hash(a) == hash(b)
         for level in (None, 1, 2, desc.ring.N - 1, desc.ring.N):

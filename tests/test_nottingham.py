@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from prosk import nottingham
 from prosk.errors import InvariantViolated, UsageError
-from prosk.matgroups import GroupDescriptor, ops_for
+from prosk.matgroups import FilteredElement, GroupDescriptor, ops_for
 from prosk.nottingham import (
     canonical_coordinates,
     from_canonical,
@@ -36,12 +36,12 @@ def test_composition_frozen():
     f = series5([1])
     g = series5([0, 1])
     prod = OPS5.mul(f, g)
-    assert prod.coeffs == (1, 1, 3, 3, 1, 0, 0)
+    assert OPS5.coeffs(prod) == (1, 1, 3, 3, 1, 0, 0)
 
 
 def test_identity_and_inverse():
     e = OPS5.identity()
-    assert e.coeffs == (0,) * 7
+    assert OPS5.coeffs(e) == (0,) * 7
     f = series5([2, 0, 1, 4])
     assert OPS5.mul(f, OPS5.inv(f)) == e
     assert OPS5.mul(OPS5.inv(f), f) == e
@@ -79,8 +79,8 @@ def test_commutator_leading_coefficient_orientation():
     e1 = generator(D5, 1, 1)
     e2 = generator(D5, 2, 1)
     c = OPS5.commutator(e1, e2)
-    assert c.coeffs[2] == 1  # slot for t^4
-    assert OPS5.commutator(e2, e1).coeffs[2] == 4
+    assert OPS5.coeffs(c)[2] == 1  # slot for t^4
+    assert OPS5.coeffs(OPS5.commutator(e2, e1))[2] == 4
     assert OPS5.depth(c) == 3
 
 
@@ -101,7 +101,7 @@ def test_commutator_coefficient_sweep():
                         field.mul_codes(np.array([lam]), np.array([mu])),
                         np.array([(m - n) % p]),
                     )[0]
-                    assert c.coeffs[n + m - 1] == want
+                    assert ops.coeffs(c)[n + m - 1] == want
 
 
 def test_depth_pairing_on_kernels():
@@ -159,7 +159,7 @@ def test_canonical_roundtrip(a):
 
 def test_parse_series():
     f = parse_series(D5, "t+2t^3+t^7")
-    assert f.coeffs == (0, 2, 0, 0, 0, 1, 0)
+    assert OPS5.coeffs(f) == (0, 2, 0, 0, 0, 1, 0)
     assert parse_series(D5, "t") == OPS5.identity()
     with pytest.raises(UsageError):
         parse_series(D5, "1+t")
@@ -222,13 +222,18 @@ def test_short_coefficient_vector_raises_invariant():
     with pytest.raises(InvariantViolated):
         from_codes(D5, (0,) * 6)
     with pytest.raises(InvariantViolated):  # codes where planes belong
-        nottingham.NottElement(D5, (0,) * 7)
+        FilteredElement(D5, (0,) * 7)
+    for slot, digit in ((0, 1), (1, 2)):  # 1 + t and 2t: no t + O(t^2)
+        P = OPS5.identity_stack().copy()
+        P[0, 0, slot] = digit
+        with pytest.raises(InvariantViolated, match="not in the group"):
+            OPS5.unstack(P)
 
 
 def test_elements_agree_exactly_when_their_codes_agree():
-    # every way to build an element holds owned, read-only planes, and ==,
-    # hash and ops.key(., level) agree exactly when the codes do (up to
-    # a_level for the key)
+    # every way to build an element holds an owned, read-only stack of
+    # planes, and ==, hash and ops.key(., level) agree exactly when the
+    # codes do (up to a_level for the key)
     desc, wide = (GroupDescriptor.parse(f"Nottingham,Fq[[t]]:q=9,N={N}")
                   for N in (5, 7))
     ops = ops_for(desc)
@@ -252,10 +257,10 @@ def test_elements_agree_exactly_when_their_codes_agree():
             parse_series(desc, text),
         )]
     for c, x in built:
-        assert x.coeffs == c and x.descriptor == desc
-        assert x.planes.flags.owndata and not x.planes.flags.writeable
+        assert ops.coeffs(x) == c and x.descriptor == desc
+        assert x.stack.flags.owndata and not x.stack.flags.writeable
         with pytest.raises(ValueError):
-            x.planes[0, 2] = 1
+            x.stack[0, 0, 2] = 1
         for d, y in built:
             assert (x == y) == (c == d)
             assert hash(x) == hash(y) or c != d
@@ -276,14 +281,13 @@ def test_batched_compose_and_difference_depth_match_scalar(q):
     gs = [ops.sample_kernel(int(n), rng) for n in rng.integers(1, 6, 50)]
     hs = [ops.sample_kernel(int(n), rng) for n in rng.integers(1, 6, 50)]
     hs[-1] = gs[-1]  # a commuting pair: depth N
-    G = np.array([g.planes for g in gs])
-    H = np.array([h.planes for h in hs])
+    G, H = ops.stack(gs), ops.stack(hs)
     GH = ctx.compose(H, G)
     HG = ctx.compose(G, H)
     dep = ctx.first_difference_depth(GH, HG)
     for i, (g, h) in enumerate(zip(gs, hs)):
-        assert (GH[i] == ops.mul(g, h).planes).all()
-        assert dep[i] == ops.commutator(g, h).depth()
+        assert (GH[i] == ops.mul(g, h).stack[0]).all()
+        assert dep[i] == ops.depth(ops.commutator(g, h))
     assert dep[-1] == N and len(set(dep.tolist())) > 3
 
 

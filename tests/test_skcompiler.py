@@ -258,18 +258,18 @@ def test_matrix_compile_makes_no_scalar_products(monkeypatch, text):
     target = ops.sample_uniform(np.random.default_rng(16))
     calls = []
     real_mul = matgroups.MatrixOps.mul
-    real_mat = matgroups.FilteredElement.mat
+    real_mat = matgroups.MatrixOps.mat
 
     def counted_mul(self, a, b):
         calls.append("mul")
         return real_mul(self, a, b)
 
-    def counted_mat(self):
+    def counted_mat(self, a):
         calls.append("mat")
-        return real_mat.__get__(self)
+        return real_mat(self, a)
 
     monkeypatch.setattr(matgroups.MatrixOps, "mul", counted_mul)
-    monkeypatch.setattr(matgroups.FilteredElement, "mat", property(counted_mat))
+    monkeypatch.setattr(matgroups.MatrixOps, "mat", counted_mat)
     N = desc.ring.N
     word, cert = sess.compile(target, N)
     assert cert.residual_depth >= N and len(word) > 100

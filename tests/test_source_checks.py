@@ -70,44 +70,49 @@ def test_bfs_engine_leaves_the_layout_to_the_ops():
     assert not [c for c in classes if "Backend" in c], classes
 
 
-def test_nottingham_module_owns_the_element_format():
-    # a Nottingham element's planes are built in nottingham.py alone (other
-    # modules go through from_codes, the ops and the stacks), and the
-    # compiler's word fold runs on the facade's stack surface
+def test_facade_modules_own_the_element_format():
+    # one element class serves both group facades: FilteredElement is built
+    # in matgroups.py and nottingham.py alone, by `BatchOps._element` (the
+    # facades' path from stacks to elements) or a projection to a truncated
+    # group; nottingham.py defines no element class of its own; the element
+    # ops and orders are written once on BatchOps, not per facade; the BFS
+    # engine names no element type, and the compiler's word fold runs on the
+    # facade's stack surface
     callers = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "nottingham.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        callers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Call)
-                    and _callee(node) == "NottElement"]
-    assert not callers, f"NottElement built outside nottingham.py: {callers}"
-    tree = ast.parse((SRC / "skcompiler.py").read_text())
-    names = {node.attr if isinstance(node, ast.Attribute) else node.id
-             for node in ast.walk(tree)
-             if isinstance(node, (ast.Attribute, ast.Name))}
-    assert not names & {"eval_begin", "eval_finish"}
-
-
-def test_matgroups_module_owns_the_element_format():
-    # a matrix element's array is built in matgroups.py alone, and the BFS
-    # engine names no element type
-    callers = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "matgroups.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        callers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Call)
-                    and _callee(node) == "FilteredElement"]
-    assert not callers, f"FilteredElement built outside matgroups.py: {callers}"
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            callers += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and _callee(node) == "FilteredElement"]
+    assert set(callers) == {"matgroups.py:_element", "matgroups.py:project",
+                            "nottingham.py:project"}, callers
+    tree = ast.parse((SRC / "nottingham.py").read_text())
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    assert set(classes) == {"SeriesContext", "NottinghamOps"}, set(classes)
+    facades = dict(classes)
+    tree = ast.parse((SRC / "matgroups.py").read_text())
+    facades.update((node.name, node) for node in tree.body
+                   if isinstance(node, ast.ClassDef))
+    for name in ("MatrixOps", "NottinghamOps"):
+        defined = {node.name for node in facades[name].body
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"identity", "mul", "inv", "stack", "unstack",
+                              "group_order", "quotient_order"}, name
     tree = ast.parse((SRC / "_bfs.py").read_text())
     names = {node.attr if isinstance(node, ast.Attribute) else
              node.id if isinstance(node, ast.Name) else node.name
              for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name, ast.alias))}
     assert "FilteredElement" not in names
+    tree = ast.parse((SRC / "skcompiler.py").read_text())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"eval_begin", "eval_finish"}
 
 
 def test_payload_matrices_serve_only_the_lie_reference_code():

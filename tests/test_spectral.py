@@ -11,6 +11,7 @@ from prosk.errors import (
     BudgetExceeded,
     DescriptorMismatch,
     InvariantViolated,
+    LevelTooLarge,
     NotGenerating,
     UsageError,
 )
@@ -62,6 +63,53 @@ def test_facades_refuse_foreign_elements(own, other):
         with pytest.raises(DescriptorMismatch):
             call()
     assert ops.mul(mine, ops.inv(mine)) == ops.identity()
+
+
+@pytest.mark.parametrize("group", [
+    "SL:d=2,Zp:p=3,N=3",
+    "SL:d=2,Zp:p=3,N=20",  # object stacks: d (p^N - 1)^2 >= 2^63
+    "SO:d=3,Fq[[t]]:q=5,N=2",
+    "Nottingham,Fq[[t]]:q=5,N=6",
+    "Nottingham,Fq[[t]]:q=9,N=5",
+    "Z/12",
+])
+def test_facades_keep_one_element_contract(group):
+    # every facade's element ops agree with its stack ops, elements round
+    # trip through stacks, equal elements built apart compare and hash
+    # equal, a stack of the wrong shape is no element, and a group facade's
+    # quotient orders exist exactly at the levels 1..N
+    ops = (CyclicOps(12) if group == "Z/12"
+           else ops_for(GroupDescriptor.parse(group)))
+    if ops.descriptor is not None:
+        desc, N = ops.descriptor, ops.descriptor.ring.N
+        for n in (0, N + 1):
+            with pytest.raises(LevelTooLarge):
+                ops.quotient_order(n)
+        assert [ops.quotient_order(n) for n in range(1, N + 1)] == [
+            ops_for(desc.truncated(n)).group_order() for n in range(1, N + 1)]
+        assert ops.quotient_order(N) == ops.group_order()
+    rng = np.random.default_rng(53)
+    xs = [ops.sample_uniform(rng) for _ in range(4)]
+    X = ops.stack(xs)
+    assert ops.unstack(X) == xs
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        A, B = ops.stack([a]), ops.stack([b])
+        AB = np.concatenate([A, B])
+        assert ops.mul(a, b) == ops.unstack(ops.product(A, B))[0]
+        assert ops.inv(a) == ops.unstack(ops.inverse(A))[0]
+        assert ops.commutator(a, b) == ops.unstack(ops.tree_product(
+            np.concatenate([ops.inverse(AB), AB])))[0]
+    assert ops.unstack(ops.identity_stack()) == [ops.identity()]
+    g = xs[0]
+    for x in xs:
+        for y in (ops.deserialize(ops.serialize(x)),
+                  ops.mul(ops.mul(x, g), ops.inv(g)),
+                  ops.unstack(ops.stack([g, x]))[1]):
+            assert y == x and hash(y) == hash(x) and ops.key(y) == ops.key(x)
+    with pytest.raises(InvariantViolated):
+        ops.unstack(X[:, None])
+
+
 TRANSVECTIONS = [
     element(SL2_F3, [[1, 1], [0, 1]]),
     element(SL2_F3, [[1, 0], [1, 1]]),
@@ -751,7 +799,7 @@ def test_first_kind_codes_read_the_entries(text, depth, order):
     codes, supports, _ = spectral._coordinate_codes(g, "FirstKind")
     want = []
     for i in range(g.order):
-        mat = g.element(i).mat
+        mat = ops.mat(g.element(i))
         if ring.kind == "Zp":
             want.append([(e - (r == c)) % ring.modulus // ring.p
                          for r, row in enumerate(mat)
