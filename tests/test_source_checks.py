@@ -70,14 +70,17 @@ def test_bfs_engine_leaves_the_layout_to_the_ops():
     assert not [c for c in classes if "Backend" in c], classes
 
 
-def test_facade_modules_own_the_element_format():
+# written once on BatchOps; neither group facade redefines them
+_SHARED_ELEMENT_OPS = {"identity", "mul", "inv", "stack", "unstack",
+                       "group_order", "quotient_order"}
+
+
+def test_matgroups_module_owns_the_element_format():
     # one element class serves both group facades: FilteredElement is built
     # in matgroups.py and nottingham.py alone, by `BatchOps._element` (the
     # facades' path from stacks to elements) or a projection to a truncated
-    # group; nottingham.py defines no element class of its own; the element
-    # ops and orders are written once on BatchOps, not per facade; the BFS
-    # engine names no element type, and the compiler's word fold runs on the
-    # facade's stack surface
+    # group; the element ops and orders are written once on BatchOps, not on
+    # MatrixOps, and the BFS engine names no element type
     callers = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -89,25 +92,32 @@ def test_facade_modules_own_the_element_format():
                         and _callee(node) == "FilteredElement"]
     assert set(callers) == {"matgroups.py:_element", "matgroups.py:project",
                             "nottingham.py:project"}, callers
-    tree = ast.parse((SRC / "nottingham.py").read_text())
+    tree = ast.parse((SRC / "matgroups.py").read_text())
     classes = {node.name: node for node in tree.body
                if isinstance(node, ast.ClassDef)}
-    assert set(classes) == {"SeriesContext", "NottinghamOps"}, set(classes)
-    facades = dict(classes)
-    tree = ast.parse((SRC / "matgroups.py").read_text())
-    facades.update((node.name, node) for node in tree.body
-                   if isinstance(node, ast.ClassDef))
-    for name in ("MatrixOps", "NottinghamOps"):
-        defined = {node.name for node in facades[name].body
-                   if isinstance(node, ast.FunctionDef)}
-        assert not defined & {"identity", "mul", "inv", "stack", "unstack",
-                              "group_order", "quotient_order"}, name
+    defined = {node.name for node in classes["MatrixOps"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & _SHARED_ELEMENT_OPS, defined & _SHARED_ELEMENT_OPS
     tree = ast.parse((SRC / "_bfs.py").read_text())
     names = {node.attr if isinstance(node, ast.Attribute) else
              node.id if isinstance(node, ast.Name) else node.name
              for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name, ast.alias))}
     assert "FilteredElement" not in names
+
+
+def test_nottingham_module_owns_the_element_format():
+    # nottingham.py defines no element class of its own (its elements are
+    # FilteredElements holding a planes stack of one), NottinghamOps leaves
+    # the element ops and orders to BatchOps, and the compiler's word fold
+    # runs on the facade's stack surface
+    tree = ast.parse((SRC / "nottingham.py").read_text())
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    assert set(classes) == {"SeriesContext", "NottinghamOps"}, set(classes)
+    defined = {node.name for node in classes["NottinghamOps"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & _SHARED_ELEMENT_OPS, defined & _SHARED_ELEMENT_OPS
     tree = ast.parse((SRC / "skcompiler.py").read_text())
     names = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(tree)
