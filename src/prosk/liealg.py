@@ -10,12 +10,12 @@ Basis conventions (1-indexed names used in serialized coordinates):
   sp_2g: A_i_j = diag(E_ij, -E_ji); B_i_j (i<j) with Q-block E_ij+E_ji and
          B_i_i with Q-block 2E_ii; C_i_j mirrored in the S-block.
 
-The decomposition is linear over the ring, with coefficients +-1, 2, 1/2
-and 1/4, so each algebra gets one plan (`_Plan`, cached per family, d and
-ring), built once by running the reference decomposers `_decompose_sl`,
-`_decompose_so` and `_decompose_sp` on the basis vectors.  It holds the
-basis matrices, the map from (g - I) / pi^n to coordinates, the maps D_k to
-the left members P_k, the fixed right members W_k and their lifts.  Both
+The decomposition is linear over the ring, so each algebra gets one plan
+(`_Plan`, cached per family, d and ring): with K fixed right members W_k,
+the map (P_1..P_K) -> sum_k [P_k, W_k] is an integer matrix, and the plan
+holds a right inverse of it found by elimination mod p (the algebra is
+perfect, [L, L] = L, once p is not tiny), with the basis matrices, the map
+from (g - I) / pi^n to coordinates and the lifts of the W_k.  Both
 `bracket_decompose` and the oracle run from it, over Z/p^N on integer
 arrays (int64 inside d^2 (p^N - 1)^2 < 2^63, Python ints past it), over
 F_q[[t]] on the base-p digits of the coefficients.  Every decomposition is
@@ -29,7 +29,6 @@ elements.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .errors import (
 )
 from .rings import Ring
 
-_SL_SCHEME_CACHE: dict[int, dict] = {}
 _PLAN_CACHE: dict[tuple, "_Plan"] = {}
 
 
@@ -329,147 +327,12 @@ def bracket(X, Y):
 
 
 # ---------------------------------------------------------------------------
-# sl_d preimage tables
-
-
-def _sl_scheme(d):
-    """Preimage tables mapping each basis target to (P, Q) integer coords with
-    target = [P, F] + [Q, F^T], F the lower shift."""
-    if d in _SL_SCHEME_CACHE:
-        return _SL_SCHEME_CACHE[d]
-    if d < 3:
-        raise UsageError(f"the sl preimage scheme needs d >= 3, got {d}")
-    table = {}
-    for j in range(1, d):
-        table[_name("D", j, j + 1)] = ({_name("E", j, j + 1): 1}, {})
-    for k in range(2, d):
-        for i in range(1, d - k + 1):
-            P = {_name("E", j, j + k + 1): -1 for j in range(1, i)}
-            Q = {_name("E", 1, k): 1}
-            table[_name("E", i, i + k)] = (P, Q)
-            Pt = {_name("E", k, 1): -1}
-            Qt = {_name("E", j + k + 1, j): 1 for j in range(1, i)}
-            table[_name("E", i + k, i)] = (Pt, Qt)
-    for i in range(1, d):
-        P = {_name("E", 1, 3): -1}
-        for j in range(1, i):
-            P[_name("E", j, j + 2)] = P.get(_name("E", j, j + 2), 0) - 1
-        Q = {_name("D", 1, 2): 1}
-        table[_name("E", i, i + 1)] = (P, Q)
-        Pt = {_name("D", 1, 2): -1}
-        Qt = {_name("E", 3, 1): 1}
-        for j in range(1, i):
-            Qt[_name("E", j + 2, j)] = Qt.get(_name("E", j + 2, j), 0) + 1
-        table[_name("E", i + 1, i)] = (Pt, Qt)
-    _verify_sl_scheme(d, table)
-    _SL_SCHEME_CACHE[d] = table
-    return table
-
-
-def _frac_basis_matrix(family, d, name):
-    M = [[Fraction(0)] * d for _ in range(d)]
-    for i, j, coeff in dict(_make_basis(family, d))[name]:
-        M[i][j] += coeff
-    return M
-
-
-def _frac_combo(family, d, coords):
-    M = [[Fraction(0)] * d for _ in range(d)]
-    for name, c in coords.items():
-        B = _frac_basis_matrix(family, d, name)
-        for i in range(d):
-            for j in range(d):
-                M[i][j] += c * B[i][j]
-    return M
-
-
-def _frac_mul(A, B):
-    d = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(d)) for j in range(len(B[0]))]
-        for i in range(d)
-    ]
-
-
-def _frac_brk(A, B):
-    AB, BA = _frac_mul(A, B), _frac_mul(B, A)
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(AB, BA)]
-
-
-def _verify_sl_scheme(d, table):
-    F = [[Fraction(int(i == j + 1)) for j in range(d)] for i in range(d)]
-    Ft = [[Fraction(int(j == i + 1)) for j in range(d)] for i in range(d)]
-    for target, (P, Q) in table.items():
-        lhs = _frac_brk(_frac_combo("sl", d, P), F)
-        rhs = _frac_brk(_frac_combo("sl", d, Q), Ft)
-        want = _frac_basis_matrix("sl", d, target)
-        got = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(lhs, rhs)]
-        if got != want:
-            raise InvariantViolated(f"sl_{d} preimage table broken at {target}")
-
-
-# ---------------------------------------------------------------------------
-# so helpers (shared with the sp sub-solve)
-
-
-def _so_canon(a, b, sign):
-    if a == b:
-        return None
-    if a > b:
-        return (b, a), -sign
-    return (a, b), sign
-
-
-def _so_T1_image(i, j, d):
-    """[X_ij, sum_k X_k,k+1] as a list of ((a,b), sign) with a<b."""
-    out = []
-    for a, b, s in (
-        (i, j + 1, 1),
-        (i, j - 1, -1),
-        (i + 1, j, 1),
-        (i - 1, j, -1),
-    ):
-        if 1 <= a and b <= d and a <= d and 1 <= b:
-            canon = _so_canon(a, b, s)
-            if canon:
-                out.append(canon)
-    return out
-
-
-def _so_sweep(ring, coords, d):
-    """Clear every X_ab with a >= 2 using T1 preimages.
-
-    coords: dict (a,b)->payload with a<b, consumed destructively.
-    Returns P1 as dict (a,b)->payload; on exit coords holds only first-row
-    entries.  Junk flows to lower anti-diagonals or the first row only.
-    """
-    P1 = {}
-    zero = ring.zero
-    for s in range(2 * d - 1, 4, -1):
-        for i in range((s - 2) // 2, max(1, s - d - 1) - 1, -1):
-            u = (i, s - i - 1)
-            tgt = (i + 1, s - i - 1) if i + 1 < s - i - 1 else (i, s - i)
-            x = coords.get(tgt, zero)
-            if x == zero:
-                continue
-            P1[u] = ring.add(P1.get(u, zero), x)
-            for (a, b), sign in _so_T1_image(u[0], u[1], d):
-                delta = x if sign == 1 else ring.neg(x)
-                coords[(a, b)] = ring.sub(coords.get((a, b), zero), delta)
-                if coords[(a, b)] == zero:
-                    del coords[(a, b)]
-    for (a, b), v in coords.items():
-        if a != 1 and v != zero:
-            raise InvariantViolated(f"sweep left residue at X_{a}_{b}")
-    return P1
-
-
-# ---------------------------------------------------------------------------
 # bracket_decompose
 
 
 def bracket_decompose(X):
-    """Write X as a sum of at most 2 (sl) or 3 (so, sp) brackets.
+    """Write X as a sum of at most 2 (sl, so_3) or 3 (so_d for d >= 4, sp)
+    brackets.
 
     Returns [(P_k, W_k), ...] with sum_k [P_k, W_k] == X exactly; the right
     members W_k are fixed per algebra (independent of X).  The pairs come
@@ -483,202 +346,79 @@ def bracket_decompose(X):
     return [(plan.vector(Pk), W) for Pk, W in zip(P, plan.W) if Pk.any()]
 
 
-def _decompose(X):
-    """Every slot (P_k, W_k) of the reference decomposition of X, zero P_k
-    included; `bracket_decompose` drops those."""
-    family = X.algebra.family
-    if family == "sl":
-        return _decompose_sl(X)
-    if family == "so":
-        return _decompose_so(X)
-    return _decompose_sp(X)
-
-
-def _decompose_sl(X):
-    alg = X.algebra
-    ring = alg.ring
-    d = alg.d
-    if d == 2:
-        if ring.p == 2:
-            raise UnsupportedCharacteristic("sl_2 decomposition needs odd p")
-        a = X.coords.get("D_1_2", ring.zero)
-        b = X.coords.get("E_1_2", ring.zero)
-        c = X.coords.get("E_2_1", ring.zero)
-        half = ring.inv(ring.from_int(2))
-        P1 = alg.from_coords({"E_1_2": ring.neg(b), "E_2_1": c})
-        H = alg.from_coords({"D_1_2": half})
-        P2 = alg.from_coords({"E_1_2": a})
-        return [(P1, H), (P2, alg.from_coords({"E_2_1": ring.one}))]
-    table = _sl_scheme(d)
-    P: dict = {}
-    Q: dict = {}
-    for name, x in X.coords.items():
-        tp, tq = table[name]
-        for bname, coeff in tp.items():
-            term = x if coeff == 1 else ring.mul(x, ring.from_int(coeff))
-            P[bname] = ring.add(P.get(bname, ring.zero), term)
-        for bname, coeff in tq.items():
-            term = x if coeff == 1 else ring.mul(x, ring.from_int(coeff))
-            Q[bname] = ring.add(Q.get(bname, ring.zero), term)
-    F = alg.from_coords({_name("E", i + 1, i): ring.one for i in range(1, d)})
-    Ft = alg.from_coords({_name("E", i, i + 1): ring.one for i in range(1, d)})
-    return [(alg.from_coords(P), F), (alg.from_coords(Q), Ft)]
-
-
-def _decompose_so(X):
-    alg = X.algebra
-    ring = alg.ring
-    d = alg.d
-    if d < 3:
-        raise UnsupportedCharacteristic("so decomposition needs d >= 3")
-    zero = ring.zero
-    W1 = alg.from_coords(
-        {_name("X", i, i + 1): ring.one for i in range(1, d)}
-    )
-    W2 = alg.from_coords(
-        {
-            _name("X", 1, d - 1): ring.one,
-            _name("X", 1, d): ring.one,
-            _name("X", 2, d): ring.one,
-        }
-    )
-    W3 = alg.from_coords({_name("X", 1, 2): ring.one})
-    if d == 3:
-        x12 = X.coords.get("X_1_2", zero)
-        x13 = X.coords.get("X_1_3", zero)
-        x23 = X.coords.get("X_2_3", zero)
-        P2 = alg.from_coords({"X_2_3": x12})
-        P3 = alg.from_coords(
-            {"X_2_3": ring.neg(ring.add(x12, x13)), "X_1_3": x23}
-        )
-        return [(P2, W2), (P3, W3)]
-    work = {}
-    for name, v in X.coords.items():
-        _, a, b = name.split("_")
-        work[(int(a), int(b))] = v
-    P1 = _so_sweep(ring, work, d)
-    P2: dict = {}
-    P3: dict = {}
-    for j in range(3, d - 1):
-        r = work.pop((1, j), zero)
-        if r != zero:
-            P2[_name("X", j, d - 1)] = ring.add(
-                P2.get(_name("X", j, d - 1), zero), r
-            )
-    r = work.pop((1, 2), zero)
-    if r != zero:
-        P2[_name("X", 2, d)] = ring.add(P2.get(_name("X", 2, d), zero), r)
-    r = work.pop((1, d - 1), zero)
-    if r != zero:
-        P3[_name("X", 2, d - 1)] = ring.sub(
-            P3.get(_name("X", 2, d - 1), zero), r
-        )
-    r = work.pop((1, d), zero)
-    if r != zero:
-        P3[_name("X", 2, d)] = ring.sub(P3.get(_name("X", 2, d), zero), r)
-    if any(v != zero for v in work.values()):
-        raise InvariantViolated("so decomposition left first-row residue")
-    P1v = alg.from_coords({_name("X", a, b): v for (a, b), v in P1.items()})
-    return [(P1v, W1), (alg.from_coords(P2), W2), (alg.from_coords(P3), W3)]
-
-
-def _decompose_sp(X):
-    alg = X.algebra
-    ring = alg.ring
-    g = alg.g
-    zero = ring.zero
-    inv2 = ring.inv(ring.from_int(2))
-    inv8 = ring.mul(inv2, ring.mul(inv2, inv2))
-    M = X.to_matrix()
-    P = [[M[i][j] for j in range(g)] for i in range(g)]
-    Q = [[M[i][g + j] for j in range(g)] for i in range(g)]
-    S = [[M[g + i][j] for j in range(g)] for i in range(g)]
-
-    # gl_g sub-solve: find Y1 with skew([Y1, G]) = skew(P),
-    # G = E_11 + sum_i (E_i,i+1 - E_i+1,i)
-    skewP = {}
-    for a in range(1, g + 1):
-        for b in range(a + 1, g + 1):
-            v = ring.mul(ring.sub(P[a - 1][b - 1], P[b - 1][a - 1]), inv2)
-            if v != zero:
-                skewP[(a, b)] = v
-    P1_so = _so_sweep(ring, skewP, g) if g >= 2 else {}
-    Y1 = [[zero] * g for _ in range(g)]
-    for (a, b), v in P1_so.items():
-        Y1[a - 1][b - 1] = ring.add(Y1[a - 1][b - 1], v)
-        Y1[b - 1][a - 1] = ring.sub(Y1[b - 1][a - 1], v)
-    for (a, b), r in skewP.items():
-        if r == zero:
-            continue
-        if a != 1:
-            raise InvariantViolated(f"sp sweep left residue at X_{a}_{b}")
-        # S1(-(E_1b + E_b1)) = X_1b for the E_11 part of G
-        Y1[0][b - 1] = ring.sub(Y1[0][b - 1], r)
-        Y1[b - 1][0] = ring.sub(Y1[b - 1][0], r)
-    G = [[zero] * g for _ in range(g)]
-    G[0][0] = ring.one
-    for i in range(g - 1):
-        G[i][i + 1] = ring.one
-        G[i + 1][i] = ring.neg(ring.one)
-
-    def scaled(A, c, transpose=False):
-        """c A, or c A^T, for a ring constant c."""
-        return [[ring.mul(A[j][i] if transpose else A[i][j], c)
-                 for j in range(g)] for i in range(g)]
-
-    def emb(TL, TR, BL, BRm):
-        out = [[zero] * (2 * g) for _ in range(2 * g)]
-        for i in range(g):
-            for j in range(g):
-                out[i][j] = TL[i][j]
-                out[i][g + j] = TR[i][j]
-                out[g + i][j] = BL[i][j]
-                out[g + i][g + j] = BRm[i][j]
-        return tuple(tuple(row) for row in out)
-
-    zg = [[zero] * g for _ in range(g)]
-    eye = [[ring.one if i == j else zero for j in range(g)] for i in range(g)]
-    minus, two = ring.from_int(-1), ring.from_int(2)
-    pair1 = (
-        from_matrix(alg, emb(Y1, zg, zg, scaled(Y1, minus, True))),
-        from_matrix(alg, emb(G, zg, zg, scaled(G, minus, True))),
-    )
-    # [Y1, G] is the top-left block of the pair's bracket, and its skew
-    # part equals skew(P) by construction: DA = sym(P) - sym([Y1, G])
-    BrY = bracket(*pair1).to_matrix()
-    DA4 = [[ring.mul(ring.sub(ring.add(P[i][j], P[j][i]),
-                              ring.add(BrY[i][j], BrY[j][i])), inv8)
-            for j in range(g)] for i in range(g)]
-    pair2 = (
-        from_matrix(alg, emb(zg, DA4, scaled(DA4, minus), zg)),
-        from_matrix(alg, emb(zg, scaled(eye, two), scaled(eye, two), zg)),
-    )
-    pair3 = (
-        from_matrix(alg, emb(zg, scaled(Q, ring.neg(inv2)), scaled(S, inv2),
-                             zg)),
-        from_matrix(alg, emb(eye, zg, zg, scaled(eye, minus))),
-    )
-    return [pair1, pair2, pair3]
-
-
 # ---------------------------------------------------------------------------
 # the per-algebra plan
 
 
-def _coefficient(ring, pay):
-    """The integer a plan stores for a ring constant: the residue over
-    Z/p^N; over F_q[[t]] the constant's code, which must lie in F_p."""
-    if ring.kind == "Zp":
-        return pay
-    if any(pay[1:]) or pay[0] >= ring.p:
-        raise InvariantViolated(f"plan coefficient {pay!r} is not in F_p")
-    return pay[0]
+def _right_members(family, d, half):
+    """The fixed right members W_k of a plan, as (K, d, d) integer
+    matrices, `half` standing for 1/2 (1-indexed names as in the basis):
+
+    - sl_2: half D_1_2 and E_2_1; sl_d, d >= 3: F = sum_i E_i+1_i and F^T;
+    - so_d: sum_i X_i_i+1 (d >= 4 only), then X_1_d-1 + X_1_d + X_2_d and
+      X_1_2 (X_i_i = 0, so so_2 gets X_1_2 twice);
+    - sp_2g: diag(G, -G^T) for G = E_11 + sum_i (E_i_i+1 - E_i+1_i), then
+      [[0, 2I], [2I, 0]] and diag(I, -I)."""
+    eye, F = np.eye(d, dtype=object), np.eye(d, k=-1, dtype=object)
+    if family == "sl":
+        if d == 2:
+            return np.array([[[half, 0], [0, -half]], [[0, 0], [1, 0]]],
+                            dtype=object)
+        return np.stack([F, F.T])
+    if family == "so":
+        def X(i, j):  # E_ij - E_ji
+            E = np.outer(eye[i - 1], eye[j - 1])
+            return E - E.T
+        first = [F.T - F] if d >= 4 else []
+        return np.stack(first + [X(1, d - 1) + X(1, d) + X(2, d), X(1, 2)])
+    g = d // 2
+    I, Z = eye[:g, :g], 0 * eye[:g, :g]
+    G = F[:g, :g].T - F[:g, :g]
+    G[0, 0] = 1
+    return np.stack([np.block([[G, Z], [Z, -G.T]]),
+                     np.block([[Z, 2 * I], [2 * I, Z]]),
+                     np.block([[I, Z], [Z, -I]])])
+
+
+def _right_inverse(A, order, p, mod):
+    """A right inverse of the (n, m) integer matrix A mod `mod` = p^e,
+    supported on n of its columns: Gauss-Jordan over the columns in
+    `order`, each kept when it is independent mod p of the columns kept
+    before.  Returns (m, n) R with A @ R = I mod `mod`; raises
+    UnsupportedCharacteristic when A has no unit n x n minor."""
+    n, m = A.shape
+    dtype = object if (mod - 1) ** 2 >= 2**63 else np.int64
+    T = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1).astype(dtype)
+    free, kept = list(range(n)), []
+    for c in order:
+        r = next((r for r in free if T[r, c] % p), None)
+        if r is None:
+            continue
+        T[r] = T[r] * pow(int(T[r, c]), -1, mod) % mod
+        f = T[:, c].copy()
+        f[r] = 0
+        T = (T - f[:, None] * T[r]) % mod
+        free.remove(r)
+        kept.append((c, r))
+        if not free:
+            break
+    if free:
+        raise UnsupportedCharacteristic(f"the bracket map has no unit minor: "
+                                        f"rank {len(kept)} < {n} mod {p}")
+    R = np.zeros((m, n), dtype=dtype)
+    for c, r in kept:  # T = T[:, m:] @ [A | I], and T[:, c] is the unit e_r
+        R[c] = T[r, m:]
+    return R
 
 
 class _Plan:
-    """One algebra's bracket decomposition as linear maps over its ring,
-    built once from the reference decomposers (`_decompose`) run on the
-    basis vectors; every coefficient is +-1, 2, 1/2 or 1/4.
+    """One algebra's bracket decomposition as linear maps over its ring.
+    With K fixed right members W_k (`_right_members`), the map (P_1..P_K)
+    -> sum_k [P_k, W_k] is a dim x K dim integer matrix; `D` is its right
+    inverse (`_right_inverse`) on the columns (k, j) met first in the scan
+    j = dim - 1..0, and within each j, k = K - 1..0.  That order keeps the
+    sl_2 and so_3 maps recorded in tests/test_liealg.py, on which the SL2
+    and SO3 oracle pairs and compiled words depend.
 
     The maps act on planes, (z, n) integer arrays of n coordinates or
     matrix entries: over Z/p^N one plane of residues (z = 1), int64 when a
@@ -697,10 +437,9 @@ class _Plan:
     """
 
     def __init__(self, alg):
-        ring, d = alg.ring, alg.d
+        ring, d, dim = alg.ring, alg.d, alg.dim
         self.alg = alg
         self.names = alg.basis_names()
-        zero = ring.zero
         if ring.kind == "Zp":
             self.mod = ring.modulus
             wide = d * d * (self.mod - 1) ** 2 >= 2**63
@@ -708,27 +447,35 @@ class _Plan:
             self._ctx = None
         else:
             self.mod, self.dtype, self._ctx = ring.p, np.int64, ring.ctx
-
-        def ints(values):
-            return np.array([_coefficient(ring, x) for x in values],
-                            dtype=self.dtype)
-
-        def coords(X):
-            return ints(X.coords.get(name, zero) for name in self.names)
-
-        units = [alg.from_coords({name: ring.one}) for name in self.names]
-        slots = [_decompose(X) for X in units]
-        self.W = [W for _, W in slots[0]]
-        if any([W for _, W in s] != self.W for s in slots):
-            raise InvariantViolated("decomposition slots differ between inputs")
-        self.D = np.stack([np.stack([coords(s[k][0]) for s in slots])
-                           for k in range(len(self.W))])
-        self.Wm = np.stack([ints(x for row in W.to_matrix() for x in row)
-                            for W in self.W]).reshape(-1, d, d)
-        self.basis = np.stack([ints(x for row in X.to_matrix() for x in row)
-                               for X in units])
-        self.lin = np.stack([coords(_project(alg, _unit_matrix(ring, d, a, b)))
-                             for a in range(d) for b in range(d)])
+        mod = self.mod
+        self.basis = np.zeros((dim, d * d), dtype=self.dtype)
+        for j, (_, entries) in enumerate(alg._basis):
+            for a, b, coeff in entries:
+                self.basis[j, a * d + b] = coeff % mod
+        # over F_q[[t]] every coefficient lies in F_p: lin is that of Z/p
+        zp = ring if ring.kind == "Zp" else Ring("Zp", ring.p, ring.p, 1)
+        zalg = LieAlgebra(alg.family, d, zp)
+        projections = [_project(zalg, _unit_matrix(zp, d, a, b)).coords
+                       for a in range(d) for b in range(d)]
+        self.lin = np.array([[x.get(name, 0) for name in self.names]
+                             for x in projections], dtype=self.dtype)
+        # (mod + 1) // 2 is 1/2 for odd p; at p = 2, [sl_2, sl_2] is one
+        # line mod 2 whatever the W_k are, and the elimination raises
+        W = _right_members(alg.family, d, (mod + 1) // 2) % mod
+        self.Wm = W.astype(self.dtype)
+        K = len(self.Wm)
+        B = self.basis.reshape(dim, d, d)
+        brackets = (B @ self.Wm[:, None] - self.Wm[:, None] @ B) % mod
+        A = brackets.reshape(K * dim, d * d) @ self.lin % mod  # row k dim + j
+        order = [k * dim + j for j in range(dim - 1, -1, -1)
+                 for k in range(K - 1, -1, -1)]
+        R = _right_inverse(A.T, order, ring.p, mod)
+        self.D = R.reshape(K, dim, dim).transpose(0, 2, 1).astype(self.dtype)
+        z = 1 if self._ctx is None else ring.N * self._ctx.k
+        w = np.zeros((K, z, dim), dtype=self.dtype)
+        w[:, 0] = self.Wm.reshape(K, d * d) @ self.lin % mod
+        self._wplanes = w  # a constant's code in F_p is its digit 0
+        self.W = [self.vector(c) for c in w]
         self._wlifts = {}
 
     def planes(self, X):
@@ -793,7 +540,7 @@ class _Plan:
         are lifted in one call, once."""
         if m not in self._wlifts:
             ops = matgroups.ops_for(desc)
-            C = self.coord_stack(np.stack([self.planes(W) for W in self.W]), ops)
+            C = self.coord_stack(self._wplanes, ops)
             self._wlifts[m] = ops.unstack(_lift_stack(ops, C, m))
         return self._wlifts[m][k]
 
@@ -805,8 +552,8 @@ def _unit_matrix(ring, d, a, b):
 
 def _plan(family, d, ring):
     """The cached `_Plan` of the algebra (family, d, ring); the first call
-    raises what the reference decomposer raises (d = 2 for so, p = 2 for
-    sl_2)."""
+    raises UnsupportedCharacteristic when the algebra's bracket map has no
+    unit minor (so_2, and sl_2 at p = 2)."""
     key = (family, d, ring)
     plan = _PLAN_CACHE.get(key)
     if plan is None:

@@ -152,10 +152,13 @@ def _entries(ops, payloads):
 
 
 def _payload_stack(desc, mats):
-    """The stack (`MatrixOps`' layout) of the payload matrices `mats`."""
-    tail = (desc.ring.N,) if desc.ring.kind == "FqT" else ()
-    return _entries(ops_for(desc),
-                    np.reshape(mats, (-1, desc.d, desc.d) + tail))
+    """The stack (`MatrixOps`' layout) of the payload matrices `mats`,
+    built in the stacks' dtype: numpy's own guess for residues in (2^63,
+    2^64] is float64, which loses digits."""
+    ops = ops_for(desc)
+    if desc.ring.kind == "Zp":
+        return np.array(mats, dtype=ops.eye.dtype).reshape(-1, desc.d, desc.d)
+    return _entries(ops, np.reshape(mats, (-1, desc.d, desc.d, desc.ring.N)))
 
 
 def _payload_matrix(desc, X):

@@ -107,18 +107,23 @@ def test_bracket_matches_matrix_commutator():
 # --- the pair decomposition --------------------------------------------------
 
 
-@pytest.mark.parametrize("alg", ALL)
-def test_bracket_decompose_resums(alg):
-    rng = np.random.default_rng(25)
-    cap = 2 if alg.family == "sl" else 3
-    for _ in range(80):
+def _check_resums(alg, rng, draws):
+    """bracket_decompose of random X gives at most `pairs_bound()` pairs,
+    whose brackets sum to X."""
+    bound = liealg._ops(alg).pairs_bound()
+    for _ in range(draws):
         X = alg.random(rng)
         pairs = bracket_decompose(X)
-        assert len(pairs) <= cap
+        assert len(pairs) <= bound
         acc = alg.zero()
         for a, b in pairs:
             acc = acc + bracket(a, b)
         assert acc == X
+
+
+@pytest.mark.parametrize("alg", ALL)
+def test_bracket_decompose_resums(alg):
+    _check_resums(alg, np.random.default_rng(25), 80)
 
 
 def test_bracket_decompose_zero():
@@ -232,15 +237,8 @@ def test_lift_linearize_roundtrip(alg):
 
 
 def test_decomposition_checks_raise(monkeypatch):
-    from prosk.errors import InvariantViolated, UsageError
+    from prosk.errors import InvariantViolated
 
-    with pytest.raises(UsageError):
-        liealg._sl_scheme(2)
-    table = dict(liealg._sl_scheme(3))
-    a, b = list(table)[:2]
-    table[a], table[b] = table[b], table[a]
-    with pytest.raises(InvariantViolated, match="preimage table"):
-        liealg._verify_sl_scheme(3, table)
     X = SL3.random(np.random.default_rng(32))
     assert not X.is_zero()
     # the decomposition runs from the plan, not through `bracket`: a plan
@@ -267,27 +265,68 @@ def test_residue_draws_reach_every_field_element():
 # --- the per-algebra plan ----------------------------------------------------
 
 
+# The sl_2 and so_3 maps D (slot, coordinate, basis) of the hand-written
+# decompositions the plans were once built from, read off those plans over
+# every ring below and written mod the plan's modulus (-1 for p^N - 1).  The
+# elimination must keep them: they fix every SL2 and SO3 oracle pair.
+RECORDED_D = {
+    ("sl", 2): [[[0, 0, 0], [0, -1, 0], [0, 0, 1]],
+                [[0, 1, 0], [0, 0, 0], [0, 0, 0]]],
+    ("so", 3): [[[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+                [[0, 0, -1], [0, 0, -1], [0, 1, 0]]],
+}
+
+
+@pytest.mark.parametrize("ring", [
+    Ring("Zp", 3, 3, 6), Ring("Zp", 3, 3, 8), Ring("Zp", 3, 3, 9),
+    Ring("Zp", 5, 5, 12),
+    Ring("Zp", 3, 3, 20),  # past the int64 guard
+    Ring("FqT", 0, 9, 4), Ring("FqT", 0, 25, 4)], ids=Ring.describe)
+@pytest.mark.parametrize("family,d", list(RECORDED_D))
+def test_sl2_and_so3_plans_keep_the_recorded_maps(family, d, ring):
+    plan = liealg._plan(family, d, ring)
+    want = [[[x % plan.mod for x in row] for row in Dk]
+            for Dk in RECORDED_D[family, d]]
+    assert plan.D.tolist() == want
+
+
 PLAN_ALGEBRAS = [
     LieAlgebra("sl", 2, Ring("Zp", 3, 3, 6)),
     LieAlgebra("sl", 3, Ring("Zp", 5, 5, 4)),
     LieAlgebra("sl", 4, Ring("Zp", 3, 3, 5)),
+    LieAlgebra("sl", 5, Ring("Zp", 5, 5, 3)),
+    LieAlgebra("sl", 3, Ring("Zp", 2, 2, 6)),
+    LieAlgebra("sl", 4, Ring("Zp", 2, 2, 5)),
     LieAlgebra("so", 3, Ring("Zp", 3, 3, 9)),
     LieAlgebra("so", 4, Ring("Zp", 5, 5, 4)),
     LieAlgebra("so", 5, Ring("Zp", 3, 3, 6)),
+    LieAlgebra("so", 6, Ring("Zp", 3, 3, 4)),
     LieAlgebra("sp", 4, Ring("Zp", 3, 3, 6)),
     LieAlgebra("sp", 6, Ring("Zp", 5, 5, 3)),
+    LieAlgebra("sp", 8, Ring("Zp", 3, 3, 3)),
     LieAlgebra("sl", 3, Ring("FqT", 0, 5, 4)),
+    LieAlgebra("sl", 3, Ring("FqT", 0, 9, 3)),
+    LieAlgebra("sl", 3, Ring("FqT", 0, 25, 3)),
     LieAlgebra("sl", 2, Ring("Zp", 3, 3, 20)),  # past the int64 guard
 ]
 
 
 @pytest.mark.parametrize("alg", PLAN_ALGEBRAS, ids=LieAlgebra.describe)
-def test_plan_pairs_match_the_reference_decomposers(alg):
-    rng = np.random.default_rng(41)
-    for _ in range(200):
-        X = alg.random(rng)
-        want = [(P, W) for P, W in liealg._decompose(X) if not P.is_zero()]
-        assert bracket_decompose(X) == want
+def test_plan_pairs_resum_exactly(alg):
+    _check_resums(alg, np.random.default_rng(41), 20)
+
+
+@pytest.mark.parametrize("alg", [
+    LieAlgebra("sl", 2, Ring("Zp", 2, 2, 5)),
+    LieAlgebra("sl", 2, Ring("FqT", 0, 4, 3)),
+    LieAlgebra("so", 2, Ring("Zp", 3, 3, 4)),
+], ids=LieAlgebra.describe)
+def test_a_bracket_map_with_no_unit_minor_raises(alg):
+    from prosk.errors import UnsupportedCharacteristic
+
+    X = alg.from_coords({alg.basis_names()[0]: 1})
+    with pytest.raises(UnsupportedCharacteristic, match="no unit minor"):
+        bracket_decompose(X)
 
 
 def _times_factor_ring(ring, mat, delta):

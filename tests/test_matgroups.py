@@ -206,6 +206,35 @@ def test_serialize_roundtrip(desc):
         assert ops.deserialize(ops.serialize(g)) == g
 
 
+@pytest.mark.parametrize("text", ["SL:d=2,Zp:p=3,N=40", "SO:d=3,Zp:p=3,N=40",
+                                  "Sp:d=4,Zp:p=3,N=40", "SL:d=2,Zp:p=19,N=15",
+                                  "SL:d=2,Zp:p=2,N=64"])
+def test_residues_between_2_63_and_2_64_keep_every_digit(text):
+    # p^N in (2^63, 2^64]: a payload matrix read without the stacks' dtype
+    # would pass through uint64 to float64 and lose its low digits
+    from prosk import liealg
+
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    mod = desc.ring.modulus
+    assert 2**63 < mod <= 2**64
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        g = ops.sample_uniform(rng)
+        assert ops.is_member(g.stack).all()
+        assert ops.deserialize(ops.serialize(g)) == g
+    alg = liealg.LieAlgebra(desc.family.lower(), desc.d, desc.ring)
+    for _ in range(5):
+        X, Y = alg.random(rng).to_matrix(), alg.random(rng).to_matrix()
+        XY, YX = ([[sum(A[i][k] * B[k][j] for k in range(desc.d)) % mod
+                    for j in range(desc.d)] for i in range(desc.d)]
+                  for A, B in ((X, Y), (Y, X)))
+        want = liealg.from_matrix(alg, [[(a - b) % mod for a, b in zip(r, s)]
+                                        for r, s in zip(XY, YX)])
+        assert liealg.bracket(liealg.from_matrix(alg, X),
+                              liealg.from_matrix(alg, Y)) == want
+
+
 def test_descriptor_parse_errors():
     for text in ("SL:d=1,Zp:p=3,N=2", "Sp:d=3,Zp:p=3,N=2", "XX:d=2,Zp:p=3,N=2"):
         with pytest.raises(UsageError):

@@ -214,3 +214,21 @@ def test_series_payloads_run_on_the_series_engine():
                if isinstance(node, ast.FunctionDef)}
     assert methods <= {"__init__", "__setattr__", "__eq__", "__hash__",
                        "__repr__"}, methods
+
+
+def test_lie_plans_come_from_elimination_alone():
+    # each algebra's plan is the right inverse of its bracket map, found by
+    # elimination mod p: no hand-written decomposer, preimage table, so
+    # sweep or exact-fraction check is kept beside it
+    tree = ast.parse((SRC / "liealg.py").read_text())
+    modules = {a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
+    modules |= {node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in modules
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "Fraction"]
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    left = {name for name in defined if name.startswith("_decompose")}
+    assert not left | (defined & {"_sl_scheme", "_so_sweep"}), left
