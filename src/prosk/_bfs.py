@@ -67,6 +67,15 @@ def check_budget(states, dirs, vectors=0):
             f"{f' + {vectors} vectors' if vectors else ''}")
 
 
+def check_walk_budget(states, dirs, vectors, trials, per_trial):
+    """BudgetExceeded unless a Monte Carlo batch of `trials` walks of
+    `per_trial` bytes each fits beside the enumeration of `states` states
+    with `dirs` directions and `vectors` float64 vectors over them."""
+    _charge(states * _bytes_per_state(dirs, vectors) + trials * per_trial,
+            f"a walk of {trials} trials on {states} elements x {dirs} "
+            f"directions")
+
+
 def vectors_that_fit(states, dirs):
     """The most float64 vectors over `states` states that `check_budget`
     accepts beside their enumeration with `dirs` directions."""

@@ -207,8 +207,10 @@ def cmd_spectral(args):
 
 def cmd_walk(args):
     from .matgroups import ops_for
-    from .spectral import build_graph, walk_series, walk_statistics
+    from .spectral import (build_graph, check_walk_sizes, walk_series,
+                           walk_statistics)
 
+    check_walk_sizes(args.l, args.trials)
     desc = _descriptor(args.group)
     ops = ops_for(desc)
     gens = _load_gens(desc, args.gens)

@@ -28,10 +28,13 @@ kept semi-orthogonal by partial reorthogonalization (Simon's
 omega-recurrence decides which steps pay a Gram-Schmidt pass), and only the
 two extreme Ritz pairs of the tridiagonal matrix are computed, by Sturm
 bisection and inverse iteration.  The walk's float law comes from one loop
-(`_laws`), its Monte Carlo batch and the one WALK_WORK_CAP check from
-another (`_walk`).  Both step by contiguous gathers: a walk product takes
-one per direction, a Monte Carlo step one over the flattened permutations
-for the whole batch, written into the batch's state buffer.
+(`_laws`), its Monte Carlo batch, the one WALK_WORK_CAP check and its
+PROSK_BUDGET_MB charge from another (`_walk`).  Both step by contiguous
+gathers: a walk product takes one per direction (the lazy walk's identity
+row is a copy), a Monte Carlo step one over the flattened permutations for
+the whole batch, written into the batch's state buffer, at directions drawn
+as exactly uniform narrow units from the generator's raw words
+(`_directions`).
 """
 
 from __future__ import annotations
@@ -201,10 +204,11 @@ class CayleyGraph:
     the BFS distance from the identity (so dist.max() is the diameter — the
     graph is vertex-transitive)."""
 
-    def __init__(self, ops, dirs, perms, dist, states):
+    def __init__(self, ops, dirs, perms, dist, states, lazy=False):
         self.ops = ops
         self.dirs = dirs
         self.perms = perms
+        self.lazy = lazy  # dirs[0] is the identity, perms[0] the identity map
         self.dist = dist
         self.states = states  # an ops stack
         self.order = perms.shape[1]
@@ -220,8 +224,9 @@ class CayleyGraph:
         symmetric (as a set, s and s^-1 both appear).  One contiguous
         gather per direction, summed in direction order and divided once,
         which is bit for bit v[perms].mean(axis=0) without its (|S|, n)
-        temporary."""
-        out = v.take(self.perms[0])
+        temporary.  The lazy walk's identity row is a copy of v, not a
+        gather."""
+        out = v.copy() if self.lazy else v.take(self.perms[0])
         for row in self.perms[1:]:
             out += v.take(row)
         out /= len(self.perms)
@@ -238,7 +243,8 @@ def build_graph(ops, gens, *, adjoin_identity=True, order=None):
         order = ops.group_order()
     dirs = symmetrize(ops, gens, include_identity=adjoin_identity)
     run = _bfs.bfs(ops, ops.stack(dirs), order, left=True)
-    return CayleyGraph(ops, dirs, run.perms, run.dist, run.states)
+    return CayleyGraph(ops, dirs, run.perms, run.dist, run.states,
+                       lazy=adjoin_identity)
 
 
 def diameter_bfs(ops, gens):
@@ -440,6 +446,15 @@ def lanczos_gap(graph):
 # mixing profiles
 
 
+def check_walk_sizes(steps, trials=1):
+    """UsageError for a negative step count (a walk's or a profile's) or
+    for fewer than one Monte Carlo trial."""
+    if steps < 0:
+        raise UsageError(f"step count must be >= 0, got {steps}")
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
+
+
 def _laws(graph, steps):
     """The walk's exact law after l = 0..steps steps from the root, as float
     vectors: one walk product per step."""
@@ -455,6 +470,7 @@ def mixing_profile(graph, l_max, *, exact=None):
     """deviation(l) = max_z |P[walk at z after l steps] - 1/|G|| for
     l = 0..l_max.  Exact mode runs the convolution in integers (denominator
     |S|^l) and returns Fractions; float mode returns floats."""
+    check_walk_sizes(l_max)
     n = graph.order
     if exact is None:
         exact = n <= EXACT_CONV_CAP
@@ -504,7 +520,8 @@ def spectral_report(ops, gens, *, l_max=50, adjoin_identity=True):
     """Diameter, gap, and mixing profile for one (G, S); checks the sandwich
     (diam-1)/log|G| <= 1/(1-rho) <= |S| diam^2 before returning.  A group
     past CONV_CAP, whose profile `mixing_profile` would refuse, is refused
-    before its graph is built."""
+    before its graph is built, and so is a negative l_max."""
+    check_walk_sizes(l_max)
     n = ops.group_order()
     if n > CONV_CAP:
         raise BudgetExceeded(f"convolution vector of {n} entries over cap")
@@ -931,34 +948,83 @@ class WalkReport:
         return asdict(self)
 
 
+def _unit(k):
+    """The narrowest unsigned dtype whose units `_directions` reads k
+    directions from: uint8 for k <= 256, uint16 up to 2^16, else uint32."""
+    return np.dtype(np.uint8 if k <= 1 << 8
+                    else np.uint16 if k <= 1 << 16 else np.uint32)
+
+
+def _directions(rng, k, size):
+    """`size` directions, each uniform on 0..k-1, from the raw words of
+    `rng`'s bit generator cut into w-bit units of `_unit(k)`.  A unit u is
+    accepted when u < k * q with q = 2^w // k and read as u // q, so every
+    direction has exactly q preimages; the rejected positions are drawn
+    again until none is left (bounded rejection, Lemire, ACM TOMACS 29(1),
+    2019).  At k = 7, 4 of the 256 byte values are rejected."""
+    unit = _unit(k)
+    if k == 1:  # q = 2^w would not fit a unit
+        return np.zeros(size, dtype=unit)
+    w = 8 * unit.itemsize
+    q = (1 << w) // k
+    raw = rng.bit_generator.random_raw
+
+    def units(m):
+        return raw(-(-m * unit.itemsize // 8)).view(unit)[:m]
+
+    u = units(size)
+    if k * q < 1 << w:
+        limit = unit.type(k * q)
+        bad = np.flatnonzero(u >= limit)
+        while len(bad):
+            redraw = units(len(bad))
+            u[bad] = redraw
+            bad = bad[redraw >= limit]
+    u //= unit.type(q)  # not u % k: a division by q is ~40x faster on bytes
+    return u
+
+
 def _walk(graph, steps, trials, seed):
     """One Monte Carlo batch of `trials` walks from the root, stepped
     `steps` times with a direction drawn per walk and step: yields
     (l, states, law) for l = 0..steps, law being the exact distribution
-    after l steps from `_laws` when |G| <= CONV_CAP, else None.  A step is
-    one gather over the flattened permutations, at d * |G| + state for the
-    drawn direction d, written over the previous states: `states` is one
-    buffer, valid until the next step.
+    after l steps from `_laws` when |G| <= CONV_CAP, else None.  A step
+    draws its directions d as narrow units (`_directions`), writes
+    d * |G| + state into one index buffer (int32 while |dirs| * |G| <
+    2^31), and makes one gather over the flattened permutations at those
+    indices, written over the previous states: `states` is one buffer,
+    valid until the next step.
 
     The work is counted before any step is taken: steps x trials, plus
     steps x |G| x |dirs| for the exact law.  Past WALK_WORK_CAP it raises
-    BudgetExceeded (a gap near 1 schedules ~10^10 steps)."""
+    BudgetExceeded (a gap near 1 schedules ~10^10 steps).  Then the
+    memory: the state, the index buffer, the gather's intp indices, the
+    units and their rejection mask per trial, and the checkpoint
+    statistics' and the exact law's vectors beside the graph, against
+    PROSK_BUDGET_MB."""
     n, k = graph.order, len(graph.perms)
     exact = n <= CONV_CAP
     if steps * trials + (steps * n * k if exact else 0) > WALK_WORK_CAP:
         raise BudgetExceeded(
             f"walk of {steps} steps x {trials} trials on {n} elements "
             f"exceeds WALK_WORK_CAP={WALK_WORK_CAP}")
-    rng = np.random.default_rng(seed)
     flat = graph.perms.ravel()  # flat[d * n + j] = perms[d, j]
+    index = np.dtype(np.int32 if k * n < 2**31 else np.int64)
+    per_trial = (flat.itemsize + index.itemsize + np.dtype(np.intp).itemsize
+                 + _unit(k).itemsize + 1)
+    # a checkpoint's counts, frequencies and deviations, and with the exact
+    # law the law, its product and one gather: float64 vectors over G
+    _bfs.check_walk_budget(n, k, 6 if exact else 3, trials, per_trial)
+    rng = np.random.default_rng(seed)
     state = np.full(trials, graph.root, dtype=flat.dtype)
+    idx = np.empty(trials, dtype=index)
+    width = index.type(n)
     laws = _laws(graph, steps) if exact else itertools.repeat(None)
     for l, law in zip(range(steps + 1), laws):
         if l:
-            d = rng.integers(0, k, size=trials)
-            d *= n
-            d += state
-            flat.take(d, out=state, mode="wrap")  # indices are in range
+            np.multiply(_directions(rng, k, trials), width, out=idx)
+            idx += state
+            flat.take(idx, out=state, mode="wrap")  # indices are in range
         yield l, state, law
 
 
@@ -976,8 +1042,10 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
     distances; the joint tv_mc is reported anyway, next to its noise floor.
 
     `graph`, when given, is the already built `build_graph(ops, gens,
-    order=...)` and is walked instead of a new one.
+    order=...)` and is walked instead of a new one.  A negative `steps` or
+    `trials` < 1 is refused before any graph is built.
     """
+    check_walk_sizes(0 if steps is None else steps, trials)
     if graph is None:
         graph = build_graph(ops, gens, order=order)
     n = graph.order
@@ -990,12 +1058,14 @@ def walk_statistics(ops, gens, *, steps=None, trials=10**5, coordinates=None,
     _, state, mu = deque(_walk(graph, steps, trials, seed), maxlen=1)[0]
     emp = np.bincount(state, minlength=n) / trials
 
-    sup_mc = float(np.abs(emp - u).max())
-    tv_mc = float(0.5 * np.abs(emp - u).sum())
+    dev = np.abs(emp - u)
+    sup_mc = float(dev.max())
+    tv_mc = float(0.5 * dev.sum())
     sup_ex = tv_ex = scaled = mvs = mvt = None
     if mu is not None:
-        sup_ex = float(np.abs(mu - u).max())
-        tv_ex = float(0.5 * np.abs(mu - u).sum())
+        dev = np.abs(mu - u)
+        sup_ex = float(dev.max())
+        tv_ex = float(0.5 * dev.sum())
         scaled = float(n * sup_ex)
         mvs = float(np.abs(emp - mu).max())
         mvt = float(0.5 * np.abs(emp - mu).sum())
@@ -1043,7 +1113,9 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
     group is small enough.  One `_walk` batch serves every checkpoint, so
     the rows are correlated in the way a single experiment would be, and
     the walk's work cap applies before any step.  `graph` reuses an already
-    built graph, as in `walk_statistics`."""
+    built graph, as in `walk_statistics`.  A negative `l_max` or `trials` <
+    1 is refused before any graph is built."""
+    check_walk_sizes(l_max, trials)
     if graph is None:
         graph = build_graph(ops, gens)
     n = graph.order
@@ -1058,15 +1130,16 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
     rows = []
     for l, state, law in _walk(graph, l_max, trials, seed):
         if l in cpset:
-            emp = np.bincount(state, minlength=n) / trials
+            dev = np.abs(np.bincount(state, minlength=n) / trials - 1.0 / n)
             row = {
                 "l": l,
-                "sup_dev_mc": float(np.abs(emp - 1.0 / n).max()),
-                "tv_mc": float(0.5 * np.abs(emp - 1.0 / n).sum()),
+                "sup_dev_mc": float(dev.max()),
+                "tv_mc": float(0.5 * dev.sum()),
             }
             if law is not None:
-                row["sup_dev_exact"] = float(np.abs(law - 1.0 / n).max())
-                row["tv_exact"] = float(0.5 * np.abs(law - 1.0 / n).sum())
+                dev = np.abs(law - 1.0 / n)
+                row["sup_dev_exact"] = float(dev.max())
+                row["tv_exact"] = float(0.5 * dev.sum())
             rows.append(row)
     return {
         "order": int(n),

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,40 @@ def test_walk_past_the_work_cap_exits_3(capsys):
     assert rc == 3
     assert time.perf_counter() - t0 < 1.0
     assert "WALK_WORK_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--trials", "0"],
+    ["walk", "--trials", "-5"],
+    ["walk", "--l", "-3"],
+    ["spectral", "--l", "-2"],
+])
+def test_bad_walk_and_profile_sizes_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN from an empty batch
+        rc = main(argv[:1] + ["--group", "SL:d=2,Zp:p=3,N=1", "--gens",
+                              "sampled:2:3", "--seed", "1", "--out", str(out)]
+                  + argv[1:])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+    assert not out.with_suffix(".csv").exists()
+
+
+def test_walk_batch_past_the_budget_exits_3(monkeypatch, tmp_path, capsys):
+    # a 24-element graph fits in 1 MB; a million walks' arrays do not
+    monkeypatch.setenv("PROSK_BUDGET_MB", "1")
+    argv = ["walk", "--group", "SL:d=2,Zp:p=3,N=1", "--gens", "sampled:2:3",
+            "--l", "2", "--seed", "1"]
+    out = tmp_path / "w.json"
+    rc = main(argv + ["--trials", "1000000", "--out", str(out)])
+    assert rc == 3
+    assert "PROSK_BUDGET_MB=1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--trials", "10000", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_seeded_rerun_identical(tmp_path):

@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -816,7 +817,8 @@ def test_first_kind_codes_read_the_entries(text, depth, order):
 
 def _indexed_walk(graph, steps, trials, seed):
     """(states, law) after l = 0..steps steps by fancy indexing, as the walk
-    was first written: perms[d, state] and v[perms].mean(axis=0)."""
+    was first written: perms[d, state] and v[perms].mean(axis=0), with the
+    directions d from the walk's own draws."""
     k = len(graph.perms)
     rng = np.random.default_rng(seed)
     state = np.full(trials, graph.root, dtype=np.int64)
@@ -824,27 +826,38 @@ def _indexed_walk(graph, steps, trials, seed):
     law[graph.root] = 1.0
     yield state, law
     for _ in range(steps):
-        state = graph.perms[rng.integers(0, k, size=trials), state]
+        state = graph.perms[spectral._directions(rng, k, trials), state]
         law = law[graph.perms].mean(axis=0)
         yield state, law
 
 
-def _walk_graph(text):
+def _walk_graph(text, lazy):
     if text == "Z/200":
-        return build_graph(CyclicOps(200), [1, 7])
+        return build_graph(CyclicOps(200), [1, 7], adjoin_identity=lazy)
     ops = ops_for(GroupDescriptor.parse(text))
     rng = np.random.default_rng(5)
-    return build_graph(ops, [ops.sample_uniform(rng) for _ in range(3)])
+    return build_graph(ops, [ops.sample_uniform(rng) for _ in range(3)],
+                       adjoin_identity=lazy)
 
 
-@pytest.mark.parametrize("text,order", [
-    ("Z/200", 200),
-    ("SL:d=2,Zp:p=3,N=3", 17496),
-    ("Nottingham,Fq[[t]]:q=5,N=3", 25),
+@pytest.mark.parametrize("text,order,lazy", [
+    pytest.param(text, order, lazy, id=f"{text}-{order}" + ("" if lazy
+                                                           else "-bare"))
+    for text, order, lazy in [
+        ("Z/200", 200, True),
+        ("Z/200", 200, False),
+        ("SL:d=2,Zp:p=3,N=3", 17496, True),
+        ("Nottingham,Fq[[t]]:q=5,N=3", 25, True),
+        ("Nottingham,Fq[[t]]:q=5,N=3", 25, False),
+    ]
 ])
-def test_walk_gathers_are_bit_identical_to_indexing(text, order):
-    g = _walk_graph(text)
+def test_walk_gathers_are_bit_identical_to_indexing(text, order, lazy):
+    # both branches of walk_matvec: the lazy walk copies its identity row,
+    # the bare walk gathers every row
+    g = _walk_graph(text, lazy)
     assert g.order == order
+    assert g.lazy == lazy
+    assert (g.perms[0] == np.arange(order)).all() == lazy
     steps, trials, seed = 30, 20_000, 3
     ref = list(_indexed_walk(g, steps, trials, seed))
     for (l, state, law), (want_state, want_law) in zip(
@@ -867,6 +880,83 @@ def test_walk_gathers_are_bit_identical_to_indexing(text, order):
     assert out["rows"] == want_rows
     assert mixing_profile(g, steps, exact=False) == [
         float(np.abs(law - 1.0 / n).max()) for _, law in ref]
+
+
+class _UnitStream:
+    """A bit generator whose raw words carry given units: each random_raw
+    call takes the next batch of units and repeats it to fill the words."""
+
+    def __init__(self, unit, batches):
+        self.unit = unit
+        self.batches = list(batches)
+        self.calls = 0
+
+    def random_raw(self, words):
+        self.calls += 1
+        units = np.resize(np.asarray(self.batches.pop(0), dtype=self.unit),
+                          words * 8 // self.unit.itemsize)
+        return units.view(np.uint64)
+
+
+@pytest.mark.parametrize("k,width", [
+    (1, 8), (2, 8), (7, 8), (36, 8), (255, 8), (256, 8), (257, 16),
+    (300, 16),
+])
+def test_directions_are_exactly_uniform(k, width):
+    # every w-bit unit once, in a shuffled order: each direction comes out
+    # exactly q = 2^w // k times, and the rejected positions are drawn again
+    # (a round of rejected units, then accepted ones)
+    unit = spectral._unit(k)
+    assert 8 * unit.itemsize == width
+    q = 2**width // k
+    limit = k * q
+    units = np.random.default_rng(k).permutation(2**width)
+    rejected = np.arange(limit, 2**width)
+    redrawn = np.arange(len(rejected)) * 5 % limit
+    stream = _UnitStream(unit, [units, rejected, redrawn])
+    d = spectral._directions(SimpleNamespace(bit_generator=stream), k,
+                             2**width)
+    assert d.dtype == unit and len(d) == 2**width
+    kept = units < limit
+    assert (np.bincount(d[kept], minlength=k) == q).all()
+    assert (d[~kept] == redrawn // q).all()
+    assert stream.calls == (0 if k == 1 else 3 if len(rejected) else 1)
+
+
+@pytest.mark.parametrize("k", [7, 300])
+def test_directions_pass_a_chi_square_check(k):
+    d = spectral._directions(np.random.default_rng(2026), k, 10**6)
+    counts = np.bincount(d, minlength=k)
+    assert len(counts) == k
+    expect = 10**6 / k
+    chi2 = float(((counts - expect) ** 2 / expect).sum())
+    assert chi2 < (k - 1) + 6 * np.sqrt(2 * (k - 1))  # ~6 sigma
+
+
+def test_bad_walk_sizes_are_refused_before_the_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_graph was called")
+
+    graph = build_graph(CyclicOps(9), [1])
+    monkeypatch.setattr(spectral, "build_graph", refuse)
+    z = CyclicOps(9)
+    for call in (lambda: walk_series(z, [1], l_max=-1),
+                 lambda: walk_series(z, [1], l_max=3, trials=0),
+                 lambda: walk_statistics(z, [1], steps=-1),
+                 lambda: walk_statistics(z, [1], trials=-5),
+                 lambda: spectral_report(z, [1], l_max=-2),
+                 lambda: mixing_profile(graph, -1)):
+        with pytest.raises(UsageError):
+            call()
+
+
+def test_walk_batch_is_charged_against_the_budget(monkeypatch):
+    # the batch's per-trial arrays go through PROSK_BUDGET_MB before a step
+    graph = build_graph(CyclicOps(24), [1])
+    monkeypatch.setenv("PROSK_BUDGET_MB", "1")
+    with pytest.raises(BudgetExceeded, match="PROSK_BUDGET_MB=1"):
+        walk_series(None, None, l_max=2, trials=10**6, graph=graph)
+    assert walk_series(None, None, l_max=2, trials=10**4, graph=graph)["rows"]
 
 
 def test_walk_series_deterministic():
