@@ -59,21 +59,14 @@ def _charge(need, what):
             f"{what} needs ~{need >> 20} MB > PROSK_BUDGET_MB={mb}")
 
 
-def check_budget(states, dirs, vectors=0):
+def check_budget(states, dirs, vectors=0, *, extra=0):
     """BudgetExceeded unless `states` states with `dirs` directions, and
-    `vectors` float64 vectors over them, fit."""
-    _charge(states * _bytes_per_state(dirs, vectors),
+    `vectors` float64 vectors over them, fit with `extra` more bytes beside
+    them (a walk's per-trial arrays)."""
+    _charge(states * _bytes_per_state(dirs, vectors) + extra,
             f"enumerating {states} elements x {dirs} directions"
-            f"{f' + {vectors} vectors' if vectors else ''}")
-
-
-def check_walk_budget(states, dirs, vectors, trials, per_trial):
-    """BudgetExceeded unless a Monte Carlo batch of `trials` walks of
-    `per_trial` bytes each fits beside the enumeration of `states` states
-    with `dirs` directions and `vectors` float64 vectors over them."""
-    _charge(states * _bytes_per_state(dirs, vectors) + trials * per_trial,
-            f"a walk of {trials} trials on {states} elements x {dirs} "
-            f"directions")
+            f"{f' + {vectors} vectors' if vectors else ''}"
+            f"{f' + {extra} bytes' if extra else ''}")
 
 
 def vectors_that_fit(states, dirs):

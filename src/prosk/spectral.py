@@ -1014,7 +1014,7 @@ def _walk(graph, steps, trials, seed):
                  + _unit(k).itemsize + 1)
     # a checkpoint's counts, frequencies and deviations, and with the exact
     # law the law, its product and one gather: float64 vectors over G
-    _bfs.check_walk_budget(n, k, 6 if exact else 3, trials, per_trial)
+    _bfs.check_budget(n, k, 6 if exact else 3, extra=trials * per_trial)
     rng = np.random.default_rng(seed)
     state = np.full(trials, graph.root, dtype=flat.dtype)
     idx = np.empty(trials, dtype=index)
@@ -1022,7 +1022,11 @@ def _walk(graph, steps, trials, seed):
     laws = _laws(graph, steps) if exact else itertools.repeat(None)
     for l, law in zip(range(steps + 1), laws):
         if l:
-            np.multiply(_directions(rng, k, trials), width, out=idx)
+            # dtype= fixes the loop type: under numpy 1.x value-based
+            # promotion, uint8 units times a scalar would multiply in uint8
+            # or uint16 and wrap before the cast into idx
+            np.multiply(_directions(rng, k, trials), width, out=idx,
+                        dtype=index)
             idx += state
             flat.take(idx, out=state, mode="wrap")  # indices are in range
         yield l, state, law
