@@ -28,13 +28,17 @@ kept semi-orthogonal by partial reorthogonalization (Simon's
 omega-recurrence decides which steps pay a Gram-Schmidt pass), and only the
 two extreme Ritz pairs of the tridiagonal matrix are computed, by Sturm
 bisection and inverse iteration.  The walk's float law comes from one loop
-(`_laws`), its Monte Carlo batch, the one WALK_WORK_CAP check and its
+(`_laws`), which stops at the law's bitwise fixed point and repeats that
+vector, its Monte Carlo batch, the one WALK_WORK_CAP check and its
 PROSK_BUDGET_MB charge from another (`_walk`).  Both step by contiguous
 gathers: a walk product takes one per direction (the lazy walk's identity
 row is a copy), a Monte Carlo step one over the flattened permutations for
 the whole batch, written into the batch's state buffer, at directions drawn
 as exactly uniform narrow units from the generator's raw words
-(`_directions`).
+(`_directions`).  The exact mixing profile (`_exact_profile`) runs the
+integer convolution on int64 limbs, the widest base with |S| * 2^B < 2^63,
+with the same gathers and vectorized carry passes, under the same
+WALK_WORK_CAP and a PROSK_BUDGET_MB charge made before its first step.
 """
 
 from __future__ import annotations
@@ -62,7 +66,9 @@ EXACT_CONV_CAP = 3000  # integer-arithmetic convolution up to here
 CONV_CAP = 500_000  # float convolution (one vector, gathers only)
 GAP_TOL = 1e-9  # Ritz residual at which an end of the spectrum is found
 MATVEC_CAP = 10**5  # walk products one gap solve may spend
-WALK_WORK_CAP = 10**10  # steps x (trials + exact convolution) of one walk
+# gather units of one walk, steps x (trials + |G| x |dirs| for the exact
+# law), and of one exact profile, sum over steps of limbs x |G| x |dirs|
+WALK_WORK_CAP = 10**10
 _BREAKDOWN = 1e-12  # beta below this: the Krylov space is invariant
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -456,44 +462,161 @@ def check_walk_sizes(steps, trials=1):
 
 
 def _laws(graph, steps):
-    """The walk's exact law after l = 0..steps steps from the root, as float
-    vectors: one walk product per step."""
+    """The walk's float law after l = 0..steps steps from the root, as
+    read-only vectors: one walk product per step until the law's fixed
+    point.  A walk product is a deterministic function of its input's
+    bits, so once one returns its input unchanged (compared bit for bit
+    through a uint64 view, not by float ==) every later law is that same
+    vector: it is yielded again, the same object, for the remaining steps
+    without another product.  The law converges to uniform at rate rho^l,
+    so a mixing walk's rounded law usually settles; one that never repeats
+    its input (a bare walk on a bipartite graph) pays every product."""
     v = np.zeros(graph.order)
     v[graph.root] = 1.0
+    v.setflags(write=False)
     yield v
-    for _ in range(steps):
-        v = graph.walk_matvec(v)
+    for l in range(steps):
+        w = graph.walk_matvec(v)
+        if np.array_equal(w.view(np.uint64), v.view(np.uint64)):
+            yield from itertools.repeat(v, steps - l)
+            return
+        w.setflags(write=False)
+        v = w
         yield v
+
+
+def _limb_bits(k):
+    """The widest limb base 2^B whose k-term sums stay below 2^63:
+    k * 2^B < 2^63."""
+    return 63 - k.bit_length()
+
+
+def _check_profile_work(n, k, l_max, bits):
+    """The limbs the exact profile of `l_max` steps ends on, after
+    BudgetExceeded unless its limb work fits WALK_WORK_CAP and its limb
+    arrays PROSK_BUDGET_MB.  Step l runs on limbs(l) = ceil(b_l / B)
+    limbs, b_l = floor(l log2 k) + 1 the bits of den = k^l (in floating
+    point here; exactly, from den, in the loop), with one gather and add
+    per direction over n entries: the work is sum_l limbs(l) * n * k.
+    With k > 1 that sum is at least l_max (l_max + 1) log2(k) / 2B, so a
+    long profile is refused before its limb counts are listed.  Memory:
+    the numerators, their next step, one gather and one carry array,
+    (limbs, n) int64 each, beside the graph."""
+    c = math.log2(max(k, 1))
+    if k <= 1:  # den = 1: one limb throughout
+        work = l_max
+    elif l_max * (l_max + 1) * c / (2 * bits) * n * k > WALK_WORK_CAP:
+        work = math.inf
+    else:
+        b = np.floor(np.arange(1, l_max + 1) * c).astype(np.int64) + 1
+        work = int((-(-b // bits)).sum())
+    if work * n * k > WALK_WORK_CAP:
+        raise BudgetExceeded(
+            f"exact profile of {l_max} steps on {n} elements x {k} "
+            f"directions exceeds WALK_WORK_CAP={WALK_WORK_CAP}")
+    top = -(-(k**l_max).bit_length() // bits)
+    _bfs.check_budget(n, k, extra=4 * 8 * top * n)
+    return top
+
+
+def _extreme_numerators(num, bits):
+    """The largest and the smallest numerator held in the limbs `num`
+    ((limbs, n), least significant first), as Python ints: the columns at
+    the top limb's extreme, ties broken downwards, limb by limb, until one
+    column is left or the last limb is read.  A mixed law shares its top
+    limbs at every vertex, so the first limbs narrow the whole group."""
+    out = []
+    for pick in (np.maximum.reduce, np.minimum.reduce):
+        at = np.arange(num.shape[1])
+        for limb in num[::-1]:
+            vals = limb[at]
+            at = at[vals == pick(vals)]
+            if len(at) == 1:
+                break
+        x = 0
+        for limb in num[::-1, at[0]].tolist():
+            x = x << bits | limb
+        out.append(x)
+    return out
+
+
+def _carry(limbs, bits):
+    """Normalize the nonnegative limbs (least significant first) in place
+    to base-2^B digits: vectorized passes over all limbs at once, each
+    moving every limb's overflow past B bits into the next limb, until no
+    limb below the top overflows.  The top limb takes carries and gives
+    none: the caller keeps the value below 2^(B limbs)."""
+    mask = (1 << bits) - 1
+    while True:
+        carry = limbs[:-1] >> bits
+        if not carry.any():
+            return
+        limbs[:-1] &= mask
+        limbs[1:] += carry
+
+
+def _exact_profile(graph, l_max):
+    """`mixing_profile`'s exact mode: the numerators over den = k^l as a
+    (limbs, n) int64 array of base-2^B digits (`_limb_bits`), least
+    significant limb first, with one more limb only once den needs it.
+    A step takes one gather per direction into a scratch limb array and
+    adds it in place (the lazy walk's identity row is a copy), then
+    normalizes (`_carry`); every sum stays below k * 2^B < 2^63, and the
+    top limb needs no carry out, as every numerator is at most den <
+    2^(B limbs).  The deviation is read off the extreme numerators
+    (`_extreme_numerators`), as the same Fraction the Python-int
+    convolution gave."""
+    n, k = graph.order, len(graph.perms)
+    bits = _limb_bits(k)
+    size = _check_profile_work(n, k, l_max, bits)
+    num, nxt, buf = (np.zeros((size, n), dtype=np.int64) for _ in range(3))
+    num[0, graph.root] = 1
+    den, used = 1, 1
+    out = []
+    for l in range(l_max + 1):
+        # deviation at l is max_j |num_j / den - 1/n| = max_j |num_j n -
+        # den| / (den n), reached at the largest or the smallest numerator
+        hi, lo = _extreme_numerators(num[:used], bits)
+        out.append(Fraction(max(abs(hi * n - den), abs(lo * n - den)),
+                            den * n))
+        if l == l_max:
+            break
+        den *= k
+        used = -(-den.bit_length() // bits)
+        src, acc, tmp = num[:used], nxt[:used], buf[:used]
+        if graph.lazy:
+            np.copyto(acc, src)
+        else:
+            src.take(graph.perms[0], axis=1, out=acc, mode="wrap")
+        for row in graph.perms[1:]:
+            src.take(row, axis=1, out=tmp, mode="wrap")
+            acc += tmp
+        _carry(acc, bits)
+        num, nxt = nxt, num
+    return out
 
 
 def mixing_profile(graph, l_max, *, exact=None):
     """deviation(l) = max_z |P[walk at z after l steps] - 1/|G|| for
-    l = 0..l_max.  Exact mode runs the convolution in integers (denominator
-    |S|^l) and returns Fractions; float mode returns floats."""
+    l = 0..l_max.  Exact mode runs the convolution on int64 limbs
+    (`_exact_profile`, denominator |S|^l), capped before its first step
+    by WALK_WORK_CAP and PROSK_BUDGET_MB, and returns Fractions; float
+    mode reads `_laws` and returns floats, computing a deviation once per
+    distinct law: past the law's fixed point every entry repeats."""
     check_walk_sizes(l_max)
     n = graph.order
     if exact is None:
         exact = n <= EXACT_CONV_CAP
-    k = len(graph.perms)
     if exact:
-        # deviation at l is max_j |num_j / den - 1/n| = max_j |num_j n - den|
-        # / (den n), reached at the largest or the smallest numerator
-        num = np.zeros(n, dtype=object)
-        num[graph.root] = 1
-        den = 1
-        out = []
-        for l in range(l_max + 1):
-            hi, lo = num.max(), num.min()
-            out.append(Fraction(max(abs(hi * n - den), abs(lo * n - den)),
-                                den * n))
-            if l == l_max:
-                break
-            num = num[graph.perms].sum(axis=0)
-            den *= k
-        return out
+        return _exact_profile(graph, l_max)
     if n > CONV_CAP:
         raise BudgetExceeded(f"convolution vector of {n} entries over cap")
-    return [float(np.abs(v - 1.0 / n).max()) for v in _laws(graph, l_max)]
+    out, last = [], None
+    for v in _laws(graph, l_max):
+        if v is not last:
+            dev, last = float(np.abs(v - 1.0 / n).max()), v
+        out.append(dev)
+    return out
 
 
 @dataclass
@@ -988,7 +1111,8 @@ def _walk(graph, steps, trials, seed):
     """One Monte Carlo batch of `trials` walks from the root, stepped
     `steps` times with a direction drawn per walk and step: yields
     (l, states, law) for l = 0..steps, law being the exact distribution
-    after l steps from `_laws` when |G| <= CONV_CAP, else None.  A step
+    after l steps from `_laws` when |G| <= CONV_CAP (read-only, and the
+    same vector again past its fixed point), else None.  A step
     draws its directions d as narrow units (`_directions`), writes
     d * |G| + state into one index buffer (int32 while |dirs| * |G| <
     2^31), and makes one gather over the flattened permutations at those
@@ -1131,7 +1255,7 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
     cpset = set(int(c) for c in checkpoints)
     if not cpset or min(cpset) < 0 or max(cpset) > l_max:
         raise UsageError(f"checkpoints empty or outside [0, {l_max}]")
-    rows = []
+    rows, last = [], None
     for l, state, law in _walk(graph, l_max, trials, seed):
         if l in cpset:
             dev = np.abs(np.bincount(state, minlength=n) / trials - 1.0 / n)
@@ -1141,9 +1265,11 @@ def walk_series(ops, gens, *, l_max, trials=10**5, seed=0, checkpoints=None,
                 "tv_mc": float(0.5 * dev.sum()),
             }
             if law is not None:
-                dev = np.abs(law - 1.0 / n)
-                row["sup_dev_exact"] = float(dev.max())
-                row["tv_exact"] = float(0.5 * dev.sum())
+                if law is not last:  # past the fixed point `_laws` repeats
+                    dev, last = np.abs(law - 1.0 / n), law
+                    columns = {"sup_dev_exact": float(dev.max()),
+                               "tv_exact": float(0.5 * dev.sum())}
+                row.update(columns)
             rows.append(row)
     return {
         "order": int(n),

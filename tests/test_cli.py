@@ -252,6 +252,19 @@ def test_walk_past_the_work_cap_exits_3(capsys):
     assert "WALK_WORK_CAP" in capsys.readouterr().err
 
 
+def test_exact_profile_past_the_work_cap_exits_3(capsys):
+    """An over-long exact profile (a group within EXACT_CONV_CAP) is refused
+    before its first step, with no output."""
+    t0 = time.perf_counter()
+    rc = main(["spectral", "--group", "SL:d=2,Zp:p=13,N=1", "--gens",
+               "sampled:3:5", "--l", "100000", "--seed", "1"])
+    assert rc == 3
+    assert time.perf_counter() - t0 < 5.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "WALK_WORK_CAP" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["walk", "--trials", "0"],
     ["walk", "--trials", "-5"],

@@ -232,3 +232,22 @@ def test_lie_plans_come_from_elimination_alone():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     left = {name for name in defined if name.startswith("_decompose")}
     assert not left | (defined & {"_sl_scheme", "_so_sweep"}), left
+
+
+def _is_object_dtype(node):
+    return ((isinstance(node, ast.Name) and node.id == "object")
+            or (isinstance(node, ast.Attribute) and node.attr == "object_")
+            or (isinstance(node, ast.Constant) and node.value in ("O",
+                                                                  "object")))
+
+
+def test_spectral_builds_no_object_arrays():
+    # the exact profile runs on int64 limbs, not on Python ints in an
+    # object array: no call in spectral.py passes an object dtype, by
+    # keyword or positionally (`astype(object)`, `np.array(x, object)`)
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and any(_is_object_dtype(a) for a in node.args
+                     + [kw.value for kw in node.keywords])]
+    assert not found, f"object dtypes in spectral.py at lines {found}"

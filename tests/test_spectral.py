@@ -670,6 +670,136 @@ def test_exact_profile_matches_fraction_reference():
         assert got == _fraction_profile(g, 30)
 
 
+def _limb_case(name):
+    if name == "51 directions":
+        return build_graph(CyclicOps(211), list(range(1, 26))), 30
+    if name == "several limbs":
+        return build_graph(CyclicOps(24), [1, 10]), 150
+    if name == "ties on all limbs":
+        # S = {0, 8, +-1, +-7} is fixed by x -> x + 8 and x -> -x, and so
+        # is every law: each extreme sits at two vertices or more
+        return build_graph(CyclicOps(16), [1, 7, 8]), 150
+    if name == "trivial":
+        return build_graph(CyclicOps(1), []), 200
+    return build_graph(ops_for(SL2_F3), TRANSVECTIONS), 200
+
+
+@pytest.mark.parametrize("name", ["51 directions", "several limbs",
+                                  "ties on all limbs", "trivial", "SL2(F_3)"])
+def test_limb_profile_matches_fraction_reference(name, monkeypatch):
+    g, l_max = _limb_case(name)
+    k = len(g.perms)
+    bits = spectral._limb_bits(k)
+    assert k * 2**bits < 2**63 <= k * 2 ** (bits + 1)
+    seen = []  # the limb count of every step's numerators
+    extremes = spectral._extreme_numerators
+
+    def spy(num, b):
+        # normalized digits, and the extremes of their Python-int values
+        assert b == bits and (num >= 0).all()
+        assert not (num[:-1] >> bits).any()
+        values = _limb_values(num, bits)
+        got = extremes(num, b)
+        assert got == [max(values), min(values)]
+        seen.append(len(num))
+        return got
+
+    monkeypatch.setattr(spectral, "_extreme_numerators", spy)
+    got = mixing_profile(g, l_max, exact=True)
+    assert all(type(x) is Fraction for x in got)
+    assert got == _fraction_profile(g, l_max)
+    limbs = [-(-(k**l).bit_length() // bits) for l in range(l_max + 1)]
+    assert seen == limbs  # one more limb only when den needs it
+    if name in ("51 directions", "several limbs", "SL2(F_3)"):
+        assert limbs[-1] >= 3
+    if name == "ties on all limbs":
+        num = np.zeros(16, dtype=object)
+        num[0] = 1
+        for _ in range(l_max):
+            num = num[g.perms].sum(axis=0)
+            assert (num == num.max()).sum() >= 2
+            assert (num == num.min()).sum() >= 2
+
+
+def _limb_values(limbs, bits):
+    return [sum(int(d) << (bits * i) for i, d in enumerate(col))
+            for col in limbs.T]
+
+
+def test_carry_passes_repeat_until_no_limb_overflows():
+    # column 0: limb 0 carries 6 into a full limb 1, which carries 1 into
+    # a full limb 2, which carries 1 into the top: three passes
+    bits = spectral._limb_bits(7)
+    full = (1 << bits) - 1
+    limbs = np.array([[7 * full, 5], [full, 0], [full, full], [0, 3]],
+                     dtype=np.int64)
+    want = _limb_values(limbs, bits)
+    spectral._carry(limbs, bits)
+    assert _limb_values(limbs, bits) == want
+    assert (limbs >= 0).all() and not (limbs[:-1] >> bits).any()
+    assert limbs[:, 0].tolist() == [full - 6, 5, 0, 1]
+
+
+@pytest.mark.parametrize("limbs", [
+    [[5, 9, 2, 9], [1, 1, 1, 0]],  # the top limb ties for the largest
+    [[5, 9, 2, 7], [1, 1, 0, 0]],  # ... and for the smallest
+    [[4, 4, 4, 4], [2, 2, 2, 2]],  # every limb ties
+    [[3], [0]],
+])
+def test_extreme_numerators_break_ties_downwards(limbs):
+    num = np.array(limbs, dtype=np.int64)
+    values = _limb_values(num, 60)
+    assert spectral._extreme_numerators(num, 60) == [max(values),
+                                                      min(values)]
+
+
+def test_profile_work_counts_every_limb(monkeypatch):
+    # the cap counts sum_l limbs(l) * n * k exactly: a cap at that work
+    # passes, one unit below it refuses before any step
+    g = build_graph(CyclicOps(24), [1, 10])
+    n, k, l_max = g.order, len(g.perms), 400
+    bits = spectral._limb_bits(k)
+    work = sum(-(-(k**l).bit_length() // bits)
+               for l in range(1, l_max + 1)) * n * k
+    monkeypatch.setattr(spectral, "WALK_WORK_CAP", work)
+    assert mixing_profile(g, l_max, exact=True) == _fraction_profile(g, l_max)
+    monkeypatch.setattr(spectral, "WALK_WORK_CAP", work - 1)
+    monkeypatch.setattr(spectral, "_extreme_numerators", None)  # no step
+    with pytest.raises(BudgetExceeded, match="WALK_WORK_CAP"):
+        mixing_profile(g, l_max, exact=True)
+
+
+def test_profile_limbs_are_charged(monkeypatch):
+    # the numerators, their next step, one gather and one carry array of
+    # the last step's limbs, beside the graph, before the first step
+    g = build_graph(CyclicOps(24), [1, 10])
+    charged = []
+    monkeypatch.setattr(spectral._bfs, "check_budget",
+                        lambda *a, **kw: charged.append((a, kw)))
+    mixing_profile(g, 150, exact=True)
+    assert charged == [((24, 5), {"extra": 4 * 8 * 6 * 24})]
+    monkeypatch.undo()
+    monkeypatch.setenv("PROSK_BUDGET_MB", "0")
+    monkeypatch.setattr(spectral, "_extreme_numerators", None)  # no step
+    with pytest.raises(BudgetExceeded, match="PROSK_BUDGET_MB"):
+        mixing_profile(g, 150, exact=True)
+    assert mixing_profile(g, 150, exact=False)  # float mode is not charged
+
+
+def test_long_exact_profile_is_refused_at_once():
+    # l = 10^5 on 2184 elements would run for hours; the count alone
+    # refuses it, without listing 10^5 limb counts
+    desc = GroupDescriptor.parse("SL:d=2,Zp:p=13,N=1")
+    g = build_graph(ops_for(desc), [element(desc, [[1, 1], [0, 1]]),
+                                    element(desc, [[1, 0], [1, 1]])])
+    assert g.order == 2184
+    t0 = time.perf_counter()
+    for l_max in (10**5, 10**12):
+        with pytest.raises(BudgetExceeded, match="WALK_WORK_CAP"):
+            mixing_profile(g, l_max, exact=True)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_mixing_length_formula():
     assert mixing_length(0.5, 24) == int(np.ceil(10 * 2 * np.log(24)))
     assert mixing_length(0.9, 100) == int(np.ceil(10 * 10 * np.log(100)))
@@ -1039,6 +1169,66 @@ def test_walk_statistics_is_the_last_row_of_walk_series():
     assert row["l"] == L
     for field in ("sup_dev_mc", "tv_mc", "sup_dev_exact", "tv_exact"):
         assert getattr(w, field) == row[field], field
+
+
+def _plain_laws(graph, steps):
+    """The float law after l = 0..steps steps, one `walk_matvec` per step,
+    never stopping."""
+    v = np.zeros(graph.order)
+    v[graph.root] = 1.0
+    out = [v]
+    for _ in range(steps):
+        v = graph.walk_matvec(v)
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("n,gens,lazy,settles", [
+    (24, [1, 10], True, 130),  # law 130 is law 129, bit for bit
+    (4, [1], False, None),  # a bipartite walk: the law alternates forever
+])
+def test_float_laws_stop_at_their_fixed_point(n, gens, lazy, settles,
+                                              monkeypatch):
+    g = build_graph(CyclicOps(n), gens, adjoin_identity=lazy)
+    steps, trials, seed = 300, 500, 2
+    laws = _plain_laws(g, steps)
+    bits = [v.view(np.uint64) for v in laws]
+    repeats = [l for l in range(1, steps + 1)
+               if (bits[l] == bits[l - 1]).all()]
+    assert (repeats[0] if repeats else None) == settles
+    calls = []
+    matvec = spectral.CayleyGraph.walk_matvec
+    monkeypatch.setattr(spectral.CayleyGraph, "walk_matvec",
+                        lambda self, v: calls.append(1) or matvec(self, v))
+    assert mixing_profile(g, steps, exact=False) == [
+        float(np.abs(v - 1.0 / n).max()) for v in laws]
+    assert len(calls) == (settles or steps)
+
+    states = [s for s, _ in _indexed_walk(g, steps, trials, seed)]
+    want = []
+    for l, (state, law) in enumerate(zip(states, laws)):
+        emp = np.abs(np.bincount(state, minlength=n) / trials - 1.0 / n)
+        dev = np.abs(law - 1.0 / n)
+        want.append({"l": l, "sup_dev_mc": float(emp.max()),
+                     "tv_mc": float(0.5 * emp.sum()),
+                     "sup_dev_exact": float(dev.max()),
+                     "tv_exact": float(0.5 * dev.sum())})
+    calls.clear()
+    series = walk_series(g.ops, None, l_max=steps, trials=trials, seed=seed,
+                         checkpoints=range(steps + 1), graph=g)
+    assert series["rows"] == want
+    assert len(calls) == (settles or steps)
+    if not lazy:
+        return  # a bipartite walk has no mixing schedule
+    w = walk_statistics(g.ops, None, steps=steps, trials=trials, seed=seed,
+                        graph=g)
+    emp = np.bincount(states[-1], minlength=n) / trials
+    assert (w.sup_dev_mc, w.tv_mc, w.sup_dev_exact, w.tv_exact) == (
+        want[-1]["sup_dev_mc"], want[-1]["tv_mc"],
+        want[-1]["sup_dev_exact"], want[-1]["tv_exact"])
+    assert w.scaled_sup_exact == float(n * want[-1]["sup_dev_exact"])
+    assert w.mc_vs_exact_sup == float(np.abs(emp - laws[-1]).max())
+    assert w.mc_vs_exact_tv == float(0.5 * np.abs(emp - laws[-1]).sum())
 
 
 def test_float_profile_is_the_walk_series_exact_column():
