@@ -5,11 +5,14 @@ tables (`build_table`), and the Cayley graphs and sweep tables of
 `spectral`.  The loop runs level by level from the identity.  A level's
 candidates are the products of every frontier state with every direction,
 laid out frontier-major; for each key the first candidate in that order
-wins, and new states enter in discovery order.  Tables multiply on the right
-(state * direction), graphs on the left (direction * state).  Every
-candidate's key names a state, known or new, whose index goes straight into
-the translation table `perms`, when the caller asks for one: one product
-pass discovers and tabulates.  The shortest-word tables ask for none.
+wins, and new states enter in discovery order.  A chunk's keys are sorted
+once by numpy's default (unstable) argsort, and each key's first candidate
+is the smallest index in its run of equal sorted keys (`first_of_each`).
+Tables multiply on the right (state * direction), graphs on the left
+(direction * state).  Every candidate's key names a state, known or new,
+whose index goes straight into the translation table `perms`, when the
+caller asks for one: one product pass discovers and tabulates.  The
+shortest-word tables ask for none.
 
 The engine runs on a group facade's batch surface (`matgroups.BatchOps`):
 `stack`/`unstack` convert elements to and from a stack with a leading batch
@@ -36,6 +39,7 @@ from .matgroups import ops_for
 
 _BYTES_PER_STATE = 72  # key + parent + op + dist + element slack
 _BYTES_PER_RECORD = 28  # parent, op, dist, sorted key and its index
+_BYTES_PER_CANDIDATE = 24  # first_of_each's sorter, sorted key, inverse, rank
 _BYTES_PER_OBJECT = 32  # the Python int behind an object stack entry
 _BYTES_PER_EDGE = 4  # one int32 permutation entry per direction
 _BYTES_PER_FLOAT = 8  # one float64 entry per state, per vector over them
@@ -104,11 +108,12 @@ def _check_bfs_budget(ops, one, states, dirs, candidates, table):
     its record, held twice at the end, in the per-level pieces and in their
     concatenation; its column of the int32 translation table, if `table`;
     and one chunk of `candidates` products, each `ops.product_copies()`
-    stack entries at the product's peak."""
+    stack entries at the product's peak and its `first_of_each` indices."""
     held = _held_bytes(one)
     edges = _BYTES_PER_EDGE * dirs if table else 0
     _charge(states * (2 * (held + _BYTES_PER_RECORD) + edges)
-            + candidates * held * ops.product_copies(),
+            + candidates * (held * ops.product_copies()
+                            + _BYTES_PER_CANDIDATE),
             f"a BFS over {states} elements of {held} B x {dirs} directions")
 
 
@@ -135,6 +140,26 @@ class KeyIndex:
         return np.where(self._sorted[pos] == keys, self._sorter[pos], -1)
 
 
+def first_of_each(keys):
+    """np.unique(keys, return_index=True, return_inverse=True) from one
+    default (unstable) argsort: the distinct keys ascending, the lowest
+    index of each among `keys` (the minimum of its run of the sorter, since
+    an unstable sort leaves equal keys in any order), and the int32 rank of
+    each key among them (a `bfs` chunk holds at most _CHUNK candidates, or
+    one state's directions)."""
+    sorter = np.argsort(keys)
+    skeys = keys[sorter]
+    flag = np.empty(len(keys), dtype=bool)  # where a run of equal keys starts
+    flag[:1] = True
+    np.not_equal(skeys[1:], skeys[:-1], out=flag[1:])
+    starts = np.flatnonzero(flag)
+    rank = np.cumsum(flag, dtype=np.int32)
+    rank -= 1
+    inverse = np.empty(len(keys), dtype=np.int32)
+    inverse[sorter] = rank
+    return skeys[starts], np.minimum.reduceat(sorter, starts), inverse
+
+
 class Enumeration(NamedTuple):
     """States in discovery order (an ops stack) with their BFS-tree
     parents (-1 at the identity), the index of the direction that reached
@@ -156,7 +181,9 @@ def bfs(ops, dirs, expected, *, left, translations=True):
     generates, which must have `expected` elements (NotGenerating
     otherwise), with its translations by `dirs` if `translations`.  A level
     expands _CHUNK candidates at a time, so its transient arrays stay
-    bounded."""
+    bounded.  `first_of_each` dedups a chunk's keys: a key's first
+    candidate, the minimum of its run of the unstable argsort, becomes the
+    new state when the key is not yet in `seen`."""
     frontier = ops.identity_stack()
     k = len(dirs)
     step = max(1, _CHUNK // max(k, 1))  # frontier states per expansion
@@ -175,8 +202,7 @@ def bfs(ops, dirs, expected, *, left, translations=True):
         for lo in range(0, len(frontier), step):
             cand = ops.outer(frontier[lo : lo + step], dirs, left=left)
             ckeys = ops.keys(cand)
-            uniq, first, inverse = np.unique(ckeys, return_index=True,
-                                             return_inverse=True)
+            uniq, first, inverse = first_of_each(ckeys)
             pos = np.searchsorted(seen, uniq)
             at = np.minimum(pos, len(seen) - 1)
             idx, fresh = index[at], seen[at] != uniq

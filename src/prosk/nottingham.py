@@ -599,13 +599,33 @@ class NottinghamOps(BatchOps):
         the batch axes."""
         return self.ctx.compose(B, A)
 
+    def outer(self, A, B, left=False):
+        """The stack whose entry i * len(B) + j is A[i] * B[j] =
+        B[j](A[i](t)), or, if left, B[j] * A[i] = A[i](B[j](t)).  A left
+        product's inner series is always a B[j], so the left stack is the
+        flat planes of A times the power matrices of B (`power_matrices`)
+        side by side: one int64 matmul, exact since kL (p - 1)^2 < 2^63,
+        whose row i is already entries i * len(B) .. i * len(B) + len(B) - 1.
+        A right product's inner series vary with i, so it stays the batched
+        `compose`."""
+        if not left:
+            return super().outer(A, B)
+        kL = self.ctx.k * self.ctx.L
+        M = self.power_matrices(B).transpose(1, 0, 2).reshape(kL, -1)
+        out = A.reshape(len(A), kL) @ M
+        out %= self.ctx.p
+        return out.reshape((-1,) + A.shape[1:])
+
     def inverse(self, P):
         """Entrywise (compositional) inverses of the stack P."""
         return self.ctx.inverse(P)
 
     def product_copies(self):
-        """The compose's running product and its plane convolutions: 3 to
-        3.5 copies measured under tracemalloc at q = 5, 9, charged 3 + k."""
+        """The right product's compose, its running product and plane
+        convolutions, peaks at 3.1 to 3.2 copies of its output under
+        tracemalloc at q = 5 and 3.6 to 3.7 at q = 9 (N = 4 to 27, 65,536
+        products), charged 3 + k; the left product's one matmul peaks at
+        1.00 to 1.01 copies."""
         return 3 + self.ctx.k
 
     def entry_codes(self, P):
@@ -618,24 +638,30 @@ class NottinghamOps(BatchOps):
         return self._keys(P[:, :, 2:].reshape(len(P), -1),
                           self.descriptor.ring.p)
 
-    # word-evaluation hooks: a word folds right to left over flat planes
-    # (k*L vectors), each letter one F_p-linear map f -> f o s
+    # power matrices: a word folds right to left over flat planes (k*L
+    # vectors), each letter one F_p-linear map f -> f o s, and a left
+    # `outer` applies one such map per direction
+
+    def power_matrices(self, P):
+        """(B, kL, kL) int64: entry b is the matrix of f -> f o P[b] on
+        flattened planes, whose row (i, e) holds the planes of
+        x^i * P[b]^e, x^i the i-th basis element of F_q over F_p.  The
+        powers of the whole stack come from L - 2 batched series products,
+        and the field's basis multiplies them in one einsum with `ctx.C`."""
+        ctx = self.ctx
+        k, L = ctx.k, ctx.L
+        PM = np.zeros((len(P), L, k, L), dtype=np.int64)  # PM[b, e] = P[b]^e
+        PM[:, 0, 0, 0] = 1
+        PM[:, 1] = P  # L = N + 1 >= 2
+        for e in range(2, L):
+            PM[:, e] = ctx.mul(PM[:, e - 1], P)
+        M = np.einsum("ijr,bejl->bierl", ctx.C, PM) % ctx.p
+        return M.reshape(len(P), k * L, k * L)
 
     def power_matrix(self, elem):
         """The (kL, kL) int64 matrix of f -> f o elem on flattened planes:
-        row (i, e) holds the planes of x^i * elem^e, x^i the i-th basis
-        element of F_q over F_p."""
-        ctx = self.ctx
-        k, L = ctx.k, ctx.L
-        PM = np.zeros((L, k, L), dtype=np.int64)  # PM[e] = planes of elem^e
-        PM[0, 0, 0] = 1
-        pw = F = elem.stack[0]
-        for e in range(1, L):
-            PM[e] = pw
-            if e + 1 < L:
-                pw = ctx.mul(pw, F)
-        M = np.einsum("ijr,ejl->ierl", ctx.C, PM) % ctx.p
-        return M.reshape(k * L, k * L)
+        `power_matrices` of elem's stack of one."""
+        return self.power_matrices(elem.stack)[0]
 
     def eval_apply(self, acc, M):
         """acc o s for the power matrix M of s."""

@@ -136,7 +136,7 @@ class GeneratingSet:
             ops = ops_for(self.descriptor)
             letters = [x for g in self.elements for x in (g, ops.inv(g))]
             if hasattr(ops, "power_matrix"):
-                self._letters = np.array([ops.power_matrix(x) for x in letters])
+                self._letters = ops.power_matrices(ops.stack(letters))
             else:
                 self._letters = ops.stack(letters)
         return self._letters

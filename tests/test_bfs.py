@@ -6,7 +6,8 @@ import pytest
 
 from prosk import _bfs
 from prosk.errors import BudgetExceeded, NotGenerating
-from prosk.matgroups import GroupDescriptor, MatrixOps, ops_for
+from prosk.matgroups import BatchOps, GroupDescriptor, MatrixOps, ops_for
+from prosk.nottingham import SeriesContext
 from prosk.skcompiler import sample_generating_set
 from prosk.spectral import CyclicOps, build_graph, symmetrize
 
@@ -118,8 +119,8 @@ def test_base_table_takes_no_translation_table(monkeypatch):
     assert run.perms is None and table.count == 648
     held, k = qops.identity_stack().nbytes, 2 * len(gens)
     assert charged == [648 * 2 * (held + _bfs._BYTES_PER_RECORD)
-                       + min(_bfs._CHUNK // k, 648) * k * held
-                       * qops.product_copies()]
+                       + min(_bfs._CHUNK // k, 648) * k
+                       * (held * qops.product_copies() + 24)]
     keys = qops.keys(run.states)
     assert run.index.find(keys).tolist() == list(range(648))
 
@@ -165,6 +166,45 @@ def test_interned_keys_are_injective(text):
     for k, x in zip(keys, drawn):
         assert by_key.setdefault(k, ops.key(x)) == ops.key(x)
     assert len(by_key) == len({ops.key(x) for x in drawn})
+
+
+UNIQUE_CASES = ["repeats", "wide", "all equal", "single", "sorted",
+                "reversed", "near 2^62", "interned"]
+
+
+def _unique_keys(name):
+    rng = np.random.default_rng(24)
+    if name == "interned":
+        nott = ops_for(GroupDescriptor.parse("Nottingham,Fq[[t]]:q=9,N=22"))
+        elems = [nott.sample_uniform(rng) for _ in range(30)]
+        keys = nott.keys(nott.stack([elems[i]
+                                     for i in rng.integers(0, 30, 400)]))
+        assert keys.max() < 30  # 9^21 > 2^63: ids, not packed digits
+        return keys
+    big = 2**62
+    near = np.array([big - 1, -big, big - 1, 0, -big + 1, big - 2, -big])
+    ascending = np.repeat(np.arange(300, dtype=np.int64), 3)
+    return {
+        "repeats": rng.integers(0, 50, 5000),
+        "wide": rng.integers(-2**63, 2**63 - 1, 3000, dtype=np.int64),
+        "all equal": np.full(1000, 7, dtype=np.int64),
+        "single": np.array([-3], dtype=np.int64),
+        "sorted": ascending,
+        "reversed": ascending[::-1].copy(),
+        "near 2^62": rng.choice(near, 2000),
+    }[name]
+
+
+@pytest.mark.parametrize("name", UNIQUE_CASES)
+def test_first_of_each_matches_np_unique(name):
+    # the unstable sort's dedup returns np.unique's sorted keys, lowest
+    # first index and inverse, so the first candidate still wins
+    keys = _unique_keys(name)
+    got = _bfs.first_of_each(keys)
+    want = np.unique(keys, return_index=True, return_inverse=True)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert got[2].dtype == np.int32
 
 
 def test_bfs_charges_its_stacked_states(monkeypatch):
@@ -251,6 +291,26 @@ def test_graph_build_takes_one_product_per_chunk(monkeypatch):
     translates = outer(ops, ops.stack(g.dirs), g.states)
     keys = ops.keys(g.states)
     assert (keys[g.perms].ravel() == ops.keys(translates)).all()
+
+
+def test_nottingham_graph_takes_no_compose(monkeypatch):
+    # a left product's inner series is a direction, so the graph's products
+    # are matmuls by the directions' power matrices, not series compositions
+    ops, gens = _generating_set("Nottingham,Fq[[t]]:q=5,N=5", 2, 8)
+    composed = []
+    compose = SeriesContext.compose
+
+    def counted(self, G, F):
+        composed.append(len(G))
+        return compose(self, G, F)
+
+    monkeypatch.setattr(SeriesContext, "compose", counted)
+    g = build_graph(ops, gens)
+    assert g.order == 625 and not composed
+    translates = BatchOps.outer(ops, g.states, ops.stack(g.dirs), left=True)
+    keys = ops.keys(g.states)
+    assert (keys[g.perms].T.ravel() == ops.keys(translates)).all()
+    assert composed
 
 
 GRAPH_CASES = [

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from prosk import nottingham
 from prosk.errors import InvariantViolated, UsageError
-from prosk.matgroups import FilteredElement, GroupDescriptor, ops_for
+from prosk.matgroups import BatchOps, FilteredElement, GroupDescriptor, ops_for
 from prosk.nottingham import (
     canonical_coordinates,
     from_canonical,
@@ -203,6 +203,31 @@ def test_power_matrix_evaluation_matches_direct():
         for f in reversed(fs):
             st = ops.eval_apply(st, ops.power_matrix(f))
         assert ops.unstack(st.reshape(one.shape))[0] == acc
+
+
+@pytest.mark.parametrize("q,N", [(5, 3), (5, 6), (5, 8), (9, 4)])
+def test_left_outer_matches_compose(q, N):
+    # a left product is the flat planes times the direction's power matrix;
+    # it must be the batched compose, and the stacked power matrices each
+    # element's own, whose row (i, e) is x^i t^e composed with it
+    ops = ops_for(GroupDescriptor("Nottingham", 0, Ring("FqT", 0, q, N)))
+    ctx = ops.ctx
+    rng = np.random.default_rng(35 + N)
+    elems = [ops.identity()] + [ops.sample_kernel(n, rng)
+                                for n in range(1, N + 1)]
+    elems += [ops.sample_uniform(rng) for _ in range(6)]
+    X = ops.stack(elems)
+    A, B = X[rng.permutation(len(X))], X[: N + 1]
+    for left in (True, False):
+        want = BatchOps.outer(ops, A, B, left=left)
+        assert np.array_equal(ops.outer(A, B, left=left), want)
+    M = ops.power_matrices(X)
+    assert M.shape == (len(X), ctx.k * ctx.L, ctx.k * ctx.L)
+    basis = np.eye(ctx.k * ctx.L, dtype=np.int64).reshape(-1, ctx.k, ctx.L)
+    for x, Mx in zip(elems, M):
+        assert np.array_equal(Mx, ops.power_matrix(x))
+        rows = ctx.compose(basis, np.broadcast_to(x.stack, basis.shape))
+        assert np.array_equal(Mx, rows.reshape(len(basis), -1))
 
 
 @pytest.mark.parametrize("q", [5, 9])

@@ -251,3 +251,21 @@ def test_spectral_builds_no_object_arrays():
              and any(_is_object_dtype(a) for a in node.args
                      + [kw.value for kw in node.keywords])]
     assert not found, f"object dtypes in spectral.py at lines {found}"
+
+
+def test_bfs_dedups_without_a_stable_sort():
+    # a level's candidates are deduplicated on numpy's default argsort:
+    # np.unique(return_index=True) would force a stable sort, and the one
+    # stable sort left is KeyIndex.of's
+    tree = ast.parse((SRC / "_bfs.py").read_text())
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unique = [node.lineno for node in calls if _callee(node) == "unique"]
+    assert not unique, f"np.unique in _bfs.py at lines {unique}"
+    stable = [owner.get(id(node)) for node in calls
+              if any(kw.arg == "kind" and getattr(kw.value, "value", None)
+                     == "stable" for kw in node.keywords)]
+    assert stable == ["of"], stable
