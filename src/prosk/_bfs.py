@@ -16,10 +16,11 @@ shortest-word tables ask for none.
 
 The engine runs on a group facade's batch surface (`matgroups.BatchOps`):
 `stack`/`unstack` convert elements to and from a stack with a leading batch
-axis, `outer` multiplies two stacks every-by-every, `keys` gives one int64
-per element, and `identity_stack` starts the walk.  The facade alone picks
-the layout, the product and the keys, from the group and never from its
-size; the engine only sees arrays.
+axis, `outer_with(dirs)` multiplies each frontier chunk by the directions
+every-by-every (a facade prepares the directions once per walk), `keys`
+gives one int64 per element, and `identity_stack` starts the walk.  The
+facade alone picks the layout, the product and the keys, from the group and
+never from its size; the engine only sees arrays.
 
 Word ops are packed ints: (generator_index << 1) | (0 for +1, 1 for -1), so
 with directions laid out g_0, g_0^-1, g_1, g_1^-1, ... a direction's index
@@ -185,6 +186,7 @@ def bfs(ops, dirs, expected, *, left, translations=True):
     candidate, the minimum of its run of the unstable argsort, becomes the
     new state when the key is not yet in `seen`."""
     frontier = ops.identity_stack()
+    expand = ops.outer_with(dirs, left=left)  # the same dirs at every chunk
     k = len(dirs)
     step = max(1, _CHUNK // max(k, 1))  # frontier states per expansion
     _check_bfs_budget(ops, frontier, expected, k, min(step, expected) * k,
@@ -200,7 +202,7 @@ def bfs(ops, dirs, expected, *, left, translations=True):
     while k:
         found = []
         for lo in range(0, len(frontier), step):
-            cand = ops.outer(frontier[lo : lo + step], dirs, left=left)
+            cand = expand(frontier[lo : lo + step])
             ckeys = ops.keys(cand)
             uniq, first, inverse = first_of_each(ckeys)
             pos = np.searchsorted(seen, uniq)

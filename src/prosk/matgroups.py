@@ -542,6 +542,11 @@ class BatchOps:
         X, Y = (B[None], A[:, None]) if left else (A[:, None], B[None])
         return self.product(X, Y).reshape((-1,) + A.shape[1:])
 
+    def outer_with(self, B, left=False):
+        """A -> `outer(A, B, left)`, for a caller that multiplies many
+        stacks by the same B; a facade may prepare B's side once here."""
+        return functools.partial(self.outer, B=B, left=left)
+
     def _keys(self, digits, base):
         """int64 keys of the rows of `digits` (entries in [0, base)), equal
         exactly for equal rows: packed base `base` when a row fits in an

@@ -60,12 +60,22 @@ class SeriesContext:
                 for r in range(k):
                     C[i, j, r] = (code // p**r) % p
         self.C = C
-        # binom[m, i] = C(m, i) mod p, for the Hasse derivatives in compose
+        # binom[m, i] = C(m, i) mod p
         binom = np.zeros((L, L), dtype=np.int64)
         binom[:, 0] = 1
         for m in range(1, L):
             binom[m, 1:] = (binom[m - 1, 1:] + binom[m - 1, :-1]) % p
-        self.binom = binom
+        # the Hasse derivatives (D^(i) G)_m = C(m + i, i) g_(m+i) as one
+        # gather: column m of row i reads slot m + i (clamped, with a zero
+        # weight past the truncation) and weighs it by C(m + i, i)
+        at = np.arange(L) + np.arange(L)[:, None]
+        self._hasse_at = np.minimum(at, L - 1)
+        self._hasse_coef = np.where(
+            at < L, binom[self._hasse_at, np.arange(L)[:, None]], 0)
+        # t's planes (zero below L = 2), against which the inner series of
+        # a Taylor composition is checked
+        self._t = np.zeros((k, L), dtype=np.int64)
+        self._t[0, 1:2] = 1
 
     # -- conversions ------------------------------------------------------
 
@@ -114,8 +124,12 @@ class SeriesContext:
 
     def mul(self, A, B):
         """Series product of plane arrays, truncated at L."""
-        k = self.k
+        k, L = self.k, self.L
         if k == 1:
+            if A.size == B.size == L:  # one series each, as an element holds
+                out = np.convolve(A.ravel(), B.ravel())[:L]
+                out %= self.p
+                return out.reshape(A.shape if A.ndim >= B.ndim else B.shape)
             return self._tconv(A[..., 0, :], B[..., 0, :])[..., None, :] % self.p
         shape = np.broadcast_shapes(A.shape, B.shape)
         out = np.zeros(shape, dtype=np.int64)
@@ -169,15 +183,13 @@ class SeriesContext:
         (nested in h); it runs when I < deg G.  A deep inner series, like a
         compile residual, then costs a few products instead of L - 1.
         """
-        Gr = G.reshape(-1, self.k, self.L)
-        support = np.flatnonzero(Gr.any(axis=(0, 1)))
-        if len(support) == 0:
-            return np.zeros(np.broadcast_shapes(G.shape, F.shape), dtype=np.int64)
-        top = int(support[-1])
         I = self._taylor_terms(F)
-        if I is not None and I < top:
+        if I is not None and G[..., I + 1 :].any():  # I < deg G
             return self._taylor(G, F, I)
-        return self._horner(G, F, top)
+        top = G.reshape(-1, self.L).any(axis=0).nonzero()[0]
+        if not len(top):
+            return np.zeros(np.broadcast_shapes(G.shape, F.shape), dtype=np.int64)
+        return self._horner(G, F, int(top[-1]))
 
     def _horner(self, G, F, top):
         """G(F) for G of degree top: top products."""
@@ -191,26 +203,44 @@ class SeriesContext:
     def _taylor_terms(self, F):
         """floor((L - 1) / v) when every series of F is t + h with v(h) >= v
         >= 2, v the smallest valuation (0 for F = t); None when some F[0] != 0
-        or F[1] != t."""
-        Fr = F.reshape(-1, self.k, self.L)
-        if Fr[:, :, 0].any() or (Fr[:, 0, 1] != 1).any() or Fr[:, 1:, 1].any():
-            return None
-        tail = np.flatnonzero(Fr[:, :, 2:].any(axis=(0, 1)))
-        return (self.L - 1) // (int(tail[0]) + 2) if len(tail) else 0
+        or F[1] != t.  One pass: the slots where some series differs from
+        t."""
+        diff = (F != self._t).reshape(-1, self.L).any(axis=0).nonzero()[0]
+        if not len(diff):
+            return 0
+        v = int(diff[0])
+        return (self.L - 1) // v if v >= 2 else None
 
     def _taylor(self, G, F, I):
         """sum_{i <= I} (D^(i) G) h^i for F = t + h, as D^(0) G + h (D^(1) G +
-        h (...)): I products.  (D^(i) G)_m = C(m + i, i) g_{m+i}."""
-        L, p = self.L, self.p
+        h (...)): I products, each step one product, one add and one
+        reduction.  (D^(i) G)_m = C(m + i, i) g_{m+i}, unreduced, from one
+        gather of G (`_hasse`)."""
+        p = self.p
+        if not I:  # F = t
+            shape = np.broadcast_shapes(G.shape, F.shape)
+            return np.broadcast_to(G % p, shape).copy()
         h = F.copy()
         h[..., 0, 1] = 0
-        R = np.zeros(np.broadcast_shapes(G.shape, F.shape), dtype=np.int64)
-        for i in range(I, -1, -1):
-            if i < I:
-                R = self.mul(R, h)
-            R[..., : L - i] += G[..., i:] * self.binom[i:, i] % p
+        D = self._hasse(G, I, F.size)
+        R = D(I)  # unreduced: the first product reduces it
+        for i in range(I - 1, -1, -1):
+            R = self.mul(R, h)  # of the broadcast shape from the first step
+            R += D(i)
             R %= p
         return R
+
+    def _hasse(self, G, I, size):
+        """i -> D^(i) G for i <= I, unreduced: views of one gather of G when
+        the I + 1 derivatives hold no more entries than max(size, k L^2)
+        (one series needs at most L of them), else one gather per call, so
+        a batch of independent G (a bulk compose) holds one at a time."""
+        at, coef = self._hasse_at, self._hasse_coef
+        if (I + 1) * G.size <= max(size, self.k * self.L**2):
+            D = G.take(at[: I + 1], axis=-1)  # (..., k, I + 1, L)
+            D *= coef[: I + 1]
+            return lambda i: D[..., i, :]
+        return lambda i: G.take(at[i], axis=-1) * coef[i]
 
     def solve_right(self, Y, X):
         """The series C with C(X) = Y (X monic of the form t + ...)."""
@@ -275,8 +305,11 @@ def from_codes(desc, codes):
     return ops._element(P)
 
 
+@functools.cache
 def generator(desc, n, lam):
-    """e_{n, lam} = t + lam t^(n+1)."""
+    """e_{n, lam} = t + lam t^(n+1), built once per (desc, n, lam): the
+    element is read-only, so the oracle's fixed right members cost a cache
+    lookup."""
     N = desc.ring.N
     if not 1 <= n <= N - 1:
         raise IndexOutOfRange(f"generator index {n} not in [1, {N - 1}]")
@@ -601,20 +634,31 @@ class NottinghamOps(BatchOps):
 
     def outer(self, A, B, left=False):
         """The stack whose entry i * len(B) + j is A[i] * B[j] =
-        B[j](A[i](t)), or, if left, B[j] * A[i] = A[i](B[j](t)).  A left
-        product's inner series is always a B[j], so the left stack is the
-        flat planes of A times the power matrices of B (`power_matrices`)
-        side by side: one int64 matmul, exact since kL (p - 1)^2 < 2^63,
-        whose row i is already entries i * len(B) .. i * len(B) + len(B) - 1.
-        A right product's inner series vary with i, so it stays the batched
-        `compose`."""
+        B[j](A[i](t)), or, if left, B[j] * A[i] = A[i](B[j](t)): see
+        `outer_with`."""
         if not left:
             return super().outer(A, B)
-        kL = self.ctx.k * self.ctx.L
+        return self.outer_with(B, left=True)(A)
+
+    def outer_with(self, B, left=False):
+        """`outer` by the fixed stack B, as a function of A.  A left
+        product's inner series is always a B[j], so the left stack is the
+        flat planes of A times the power matrices of B (`power_matrices`,
+        built once here) side by side: one int64 matmul, exact since
+        kL (p - 1)^2 < 2^63, whose row i is already entries i * len(B) ..
+        i * len(B) + len(B) - 1.  A right product's inner series vary with
+        i, so it stays the batched `compose`."""
+        if not left:
+            return super().outer_with(B)
+        kL, p = self.ctx.k * self.ctx.L, self.ctx.p
         M = self.power_matrices(B).transpose(1, 0, 2).reshape(kL, -1)
-        out = A.reshape(len(A), kL) @ M
-        out %= self.ctx.p
-        return out.reshape((-1,) + A.shape[1:])
+
+        def outer(A):
+            out = A.reshape(len(A), kL) @ M
+            out %= p
+            return out.reshape((-1,) + A.shape[1:])
+
+        return outer
 
     def inverse(self, P):
         """Entrywise (compositional) inverses of the stack P."""

@@ -130,13 +130,15 @@ class GeneratingSet:
         (idx << 1) | sign-bit, built on first use: for a matrix group the
         `ops.stack` of them ((2k, d, d) residues over Z/p^N, int64 inside
         the facade's guard and Python ints past it, (2k, d, d, k, N) planes
-        over F_q[[t]]), for the Nottingham group a (2k, kL, kL) int64 array
-        of power matrices.  The base of `blocks`."""
+        over F_q[[t]]), for the Nottingham group a (2k, kL, kL) float64
+        array of power matrices, whose entries are integers in [0, p), so
+        that `evaluate` folds over them with BLAS.  The base of `blocks`."""
         if self._letters is None:
             ops = ops_for(self.descriptor)
             letters = [x for g in self.elements for x in (g, ops.inv(g))]
             if hasattr(ops, "power_matrix"):
-                self._letters = ops.power_matrices(ops.stack(letters))
+                self._letters = ops.power_matrices(
+                    ops.stack(letters)).astype(np.float64)
             else:
                 self._letters = ops.stack(letters)
         return self._letters
@@ -147,17 +149,18 @@ class GeneratingSet:
         table[(c_1 ... c_b) in base 2k] is the product of the letters
         c_1 ... c_b, in the layout of `letters`.  A matrix group's entries
         are `ops.product`s of its stack; the Nottingham group's are
-        M[c_1] @ ... @ M[c_b] % p over its power matrices.  b is the longest
-        block length in 3, 2, 1 whose (2k)^b entries fit in _BLOCK_BYTES,
-        an entry of an object stack counted with the Python int behind each
-        of its residues (216 entries for 3 generators: 1.35 MB at the
-        Nottingham kL = 28, 6.9 KB for int64 SL2 residues)."""
+        M[c_1] @ ... @ M[c_b] % p over its float64 power matrices, exact
+        since each product's sums stay below kL (p - 1)^2 < 2^53.  b is the
+        longest block length in 3, 2, 1 whose (2k)^b entries fit in
+        _BLOCK_BYTES, an entry of an object stack counted with the Python
+        int behind each of its residues (216 entries for 3 generators:
+        1.35 MB at the Nottingham kL = 28, 6.9 KB for int64 SL2 residues)."""
         if self._blocks is None:
             M, ops = self.letters, ops_for(self.descriptor)
             if hasattr(ops, "power_matrix"):
                 p = self.descriptor.ring.p
 
-                def product(A, B):
+                def product(A, B):  # exact: kL (p - 1)^2 < 2^53
                     return np.matmul(A, B) % p
             else:
                 product = ops.product
@@ -192,11 +195,11 @@ _BLOCK_BYTES = 4 << 20  # cap on a generating set's letter-block table
 
 @functools.cache
 def _unreduced_products(p, n):
-    """Largest s with (p - 1) (n (p - 1))^s < 2^63: a vector over F_p times
-    s matrices over F_p of size n x n stays exact in int64 before one
-    reduction mod p."""
+    """Largest s with (p - 1) (n (p - 1))^s < 2^53: a vector over F_p times
+    s matrices over F_p of size n x n stays exact in float64 (every partial
+    sum an integer below 2^53) before one reduction mod p."""
     s = 1
-    while (p - 1) * (n * (p - 1)) ** (s + 1) < 2**63:
+    while (p - 1) * (n * (p - 1)) ** (s + 1) < 2**53:
         s += 1
     return s
 
@@ -217,13 +220,17 @@ def evaluate(word, gens, left=None):
     facade's: int64 or Python-int residues over Z/p^N, coefficient planes
     over F_q[[t]].
 
-    The Nottingham group folds right to left: a flat (kL,) int64 vector of
-    coefficient planes starts at `ops.identity_stack()` (the series t) and
-    is multiplied by the power matrices (the F_p-linear maps f -> f o s) of
-    the reversed word's blocks, then of its leftover letters, and
-    `ops.unstack` reads the element back.  The vector is reduced mod p only every s
-    products, s the largest with (p - 1) (kL (p - 1))^s < 2^63 (s = 8 at
-    q = 5, N = 27).  `left` multiplies the result with `ops.mul`.
+    The Nottingham group folds right to left: a flat (kL,) float64 vector
+    of coefficient planes starts at `ops.identity_stack()` (the series t)
+    and is multiplied, one BLAS vector-matrix product each, by the float64
+    power matrices (the F_p-linear maps f -> f o s) of the reversed word's
+    blocks, then of its leftover letters.  The vector is reduced mod p only
+    every s products, s the largest with (p - 1) (kL (p - 1))^s < 2^53
+    (`_unreduced_products`, s = 7 at q = 5, N = 27), so every partial sum
+    is an integer that float64 holds exactly.  The int64 planes of the
+    value then go straight into `left`'s product: left * value = value o
+    left is one `ctx.compose` of the two stacks, and one element is built
+    from the result.
     """
     ops = ops_for(gens.descriptor)
     n_gens = len(gens.elements)
@@ -254,13 +261,15 @@ def evaluate(word, gens, left=None):
         mats += [letters[c] for c in rest.tolist()]
         s = _unreduced_products(p, letters.shape[1])
         one = ops.identity_stack()
-        acc = one.reshape(-1)
+        acc = one.reshape(-1).astype(np.float64)
         for start in range(0, len(mats), s):
             for M in mats[start : start + s]:
-                acc = np.dot(acc, M)
+                acc = acc.dot(M)
             acc %= p
-        value = ops.unstack(acc.reshape(one.shape))[0]
-        return value if left is None else ops.mul(left, value)
+        value = acc.astype(np.int64).reshape(one.shape)
+        if left is not None:  # left * value = value o left
+            value = ops.ctx.compose(value, ops._own(left).stack)
+        return ops._element(value)
     chunks = []
     for start in range(0, max(len(idx), 1), _CHUNK):
         X = [table[idx[start : start + _CHUNK]]]

@@ -7,7 +7,7 @@ import pytest
 from prosk import _bfs
 from prosk.errors import BudgetExceeded, NotGenerating
 from prosk.matgroups import BatchOps, GroupDescriptor, MatrixOps, ops_for
-from prosk.nottingham import SeriesContext
+from prosk.nottingham import NottinghamOps, SeriesContext
 from prosk.skcompiler import sample_generating_set
 from prosk.spectral import CyclicOps, build_graph, symmetrize
 
@@ -311,6 +311,23 @@ def test_nottingham_graph_takes_no_compose(monkeypatch):
     keys = ops.keys(g.states)
     assert (keys[g.perms].T.ravel() == ops.keys(translates)).all()
     assert composed
+
+
+def test_nottingham_graph_builds_power_matrices_once(monkeypatch):
+    # the walk passes the same directions at every chunk of every level, so
+    # their power matrices are built once per graph
+    ops, gens = _generating_set("Nottingham,Fq[[t]]:q=5,N=6", 3, 5)
+    calls = []
+    real = NottinghamOps.power_matrices
+
+    def counted(self, P):
+        calls.append(len(P))
+        return real(self, P)
+
+    monkeypatch.setattr(NottinghamOps, "power_matrices", counted)
+    g = build_graph(ops, gens)
+    assert g.order == 3125 and g.diameter > 2
+    assert calls == [len(g.dirs)]
 
 
 GRAPH_CASES = [

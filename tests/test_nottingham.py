@@ -147,6 +147,21 @@ def test_oracle_hits_targets():
             assert ops.depth(ops.mul(ops.inv(acc), r)) >= min(2 * n + m, N)
 
 
+def test_generators_are_cached_and_read_only():
+    # every oracle call pairs with e_{m,1} and e_{m+1,1}: each (desc, n, lam)
+    # builds its element once, and nothing can write through it
+    g = generator(D5L, 3, 2)
+    assert generator(D5L, 3, 2) is g
+    same = GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=16")
+    again = generator(same, 3, 2)
+    assert again == g and again.descriptor == D5L
+    assert ops_for(D5L).coeffs(g) == (0, 0, 2) + (0,) * 12
+    assert not g.stack.flags.writeable
+    with pytest.raises(ValueError):
+        g.stack[0, 0, 4] = 1
+    assert generator(D5L, 3, 3) != g and generator(D5L, 4, 2) != g
+
+
 # --- coordinates and parsing -------------------------------------------------
 
 
@@ -221,6 +236,9 @@ def test_left_outer_matches_compose(q, N):
     for left in (True, False):
         want = BatchOps.outer(ops, A, B, left=left)
         assert np.array_equal(ops.outer(A, B, left=left), want)
+        by_B = ops.outer_with(B, left=left)
+        assert np.array_equal(by_B(A), want)
+        assert np.array_equal(by_B(A[:3]), want[: 3 * len(B)])
     M = ops.power_matrices(X)
     assert M.shape == (len(X), ctx.k * ctx.L, ctx.k * ctx.L)
     basis = np.eye(ctx.k * ctx.L, dtype=np.int64).reshape(-1, ctx.k, ctx.L)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -96,7 +97,8 @@ def test_evaluate_bounds_check():
 # --- evaluation engines ------------------------------------------------------
 # evaluate picks its engine from the group; each must equal the plain
 # left-to-right ops.mul fold exactly.  The flag says whether the letters are
-# an int64 array (else Python ints, dtype object).
+# a fixed-width array (else Python ints, dtype object): int64 for a matrix
+# group, float64 power matrices for the Nottingham group.
 
 ENGINE_GROUPS = [
     ("SL:d=2,Zp:p=3,N=8", True),
@@ -108,10 +110,12 @@ ENGINE_GROUPS = [
     # (6, d, d, k, N) coefficient planes, k = 2
     ("SL:d=2,Fq[[t]]:q=9,N=4", True),
     # Nottingham letters are (kL, kL) power matrices: k = 1, 2 below; at
-    # q = 13 fewer products (7 against 8 at q = 5) run between reductions
+    # q = 13 fewer products (6 against 7 at q = 5) run between reductions,
+    # and at q = 31, N = 30 only 4
     ("Nottingham,Fq[[t]]:q=5,N=27", True),
     ("Nottingham,Fq[[t]]:q=9,N=12", True),
     ("Nottingham,Fq[[t]]:q=13,N=20", True),
+    ("Nottingham,Fq[[t]]:q=31,N=30", True),
 ]
 # 0 to 2 letters left over after the blocks of 3, both sides of the
 # 512-letter edge, both sides of one chunk of 512 blocks, and two chunks
@@ -140,7 +144,10 @@ def test_evaluate_engines_match_scalar_fold(text, int64):
         assert letters.shape == (6, d, d, ring.field.k, ring.N)
     else:
         assert letters.shape == (6, d, d)
-    assert letters.dtype == (np.int64 if int64 else object)
+    if desc.family == "Nottingham":
+        assert letters.dtype == np.float64
+    else:
+        assert letters.dtype == (np.int64 if int64 else object)
     rng = np.random.default_rng(12)
     left = ops.sample_uniform(rng)
     for n in WORD_LENGTHS:
@@ -302,14 +309,98 @@ def test_nottingham_compile_makes_no_code_conversions(monkeypatch):
     assert calls == []
 
 
+def test_nottingham_compile_takes_left_products_on_planes(monkeypatch):
+    # evaluate composes its left factor with the folded value's planes: a
+    # whole compile multiplies no two elements through the facade, and each
+    # left product of a nonempty word is one compose (a warm-up session
+    # compiles the same targets first, so the oracle's window tables, which
+    # compose too, are cached)
+    desc = GroupDescriptor.parse("Nottingham,Fq[[t]]:q=5,N=27")
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, 3, 300)
+    plan = CompilePlan("triadic", n0=2)
+    table = build_base_table(desc, plan.n_base(desc), gens)
+    rng = np.random.default_rng(18)
+    targets = [(n, ops.sample_uniform(rng)) for n in (9, 18, 27)]
+    warm = CompilerSession(gens, table, plan)
+    for n, g in targets:
+        warm.compile(g, n)
+    calls = []
+    real_mul = matgroups.BatchOps.mul
+    real_compose = nottingham.SeriesContext.compose
+    real_evaluate = skcompiler.evaluate
+
+    def counted_mul(self, a, b):
+        calls.append("mul")
+        return real_mul(self, a, b)
+
+    def counted_compose(self, G, F):
+        calls.append("compose")
+        return real_compose(self, G, F)
+
+    def counted_evaluate(word, gens, left=None):
+        if left is not None and len(word):
+            calls.append("left")
+        return real_evaluate(word, gens, left)
+
+    monkeypatch.setattr(matgroups.BatchOps, "mul", counted_mul)
+    monkeypatch.setattr(nottingham.SeriesContext, "compose", counted_compose)
+    monkeypatch.setattr(skcompiler, "evaluate", counted_evaluate)
+    sess = CompilerSession(gens, table, plan)
+    for n, g in targets:
+        word, cert = sess.compile(g, n)
+        assert cert.residual_depth >= n
+    assert "mul" not in calls and calls.count("left") > 20
+    assert calls.count("compose") == calls.count("left")
+
+
+def _compiled_words_sha(text, k, plan, levels, draws):
+    """sha256 of the words one session compiles for `draws` targets from
+    default_rng(7) at each level, levels upwards, over set seed 300: the
+    compile-nott benchmark's order."""
+    desc = GroupDescriptor.parse(text)
+    ops = ops_for(desc)
+    gens = sample_generating_set(desc, k, 300)
+    sess = CompilerSession(
+        gens, build_base_table(desc, plan.n_base(desc), gens), plan)
+    rng = np.random.default_rng(7)
+    targets = [(n, ops.sample_uniform(rng)) for n in levels
+               for _ in range(draws)]
+    digest, total = hashlib.sha256(), 0
+    for n, g in targets:
+        word, cert = sess.compile(g, n)
+        digest.update(word.ops.astype("<i4").tobytes() + b";")
+        total += len(word)
+    return digest.hexdigest(), total
+
+
+@pytest.mark.parametrize("text,k,levels,draws,want", [
+    ("Nottingham,Fq[[t]]:q=5,N=27", 3, (2, 6, 9, 18, 27), 3,
+     ("15e6fe04ded898ceeb663a2abcac3fb6f23c26c8baf9d87e25ac5220b04c549d",
+      17255)),
+    # k = 2: four generators span the Frattini quotient
+    ("Nottingham,Fq[[t]]:q=9,N=12", 4, (7, 9, 12), 3,
+     ("5af9e9af9d742fbc029c16780054badfde19d15e4d0303a4b51b9a4ad6ecacca",
+      855)),
+])
+def test_nottingham_compiled_words_are_pinned(text, k, levels, draws, want):
+    # exact arithmetic in any layout gives the same values, so the ladder
+    # takes the same steps: the words are byte-identical to those recorded
+    # with the int64 word fold
+    plan = CompilePlan("triadic", n0=2)
+    assert _compiled_words_sha(text, k, plan, levels, draws) == want
+
+
 def test_unreduced_products_bound():
-    # s is the largest count with (p - 1) (n (p - 1))^s < 2^63
-    assert skcompiler._unreduced_products(5, 28) == 8
-    assert skcompiler._unreduced_products(13, 21) == 7
+    # s is the largest count with (p - 1) (n (p - 1))^s < 2^53, the exact
+    # integers of float64
+    assert skcompiler._unreduced_products(5, 28) == 7
+    assert skcompiler._unreduced_products(13, 21) == 6
+    assert skcompiler._unreduced_products(31, 31) == 4
     for p, n in ((2, 2), (2, 40), (3, 13), (5, 28), (13, 21), (31, 64)):
         s = skcompiler._unreduced_products(p, n)
-        assert (p - 1) * (n * (p - 1)) ** s < 2**63
-        assert (p - 1) * (n * (p - 1)) ** (s + 1) >= 2**63
+        assert (p - 1) * (n * (p - 1)) ** s < 2**53
+        assert (p - 1) * (n * (p - 1)) ** (s + 1) >= 2**53
 
 
 # --- base tables -------------------------------------------------------------
